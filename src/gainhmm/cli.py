@@ -22,8 +22,8 @@ from .inference import forward_backward, posterior_decode, viterbi_decode
 from .jumping import JumpingHmmSpec, build_jumping_hmm
 from .metrics import aggregate, base_accuracy, boundary_metrics
 from .model import InvalidModelError, color_graph, load_model, save_model
-from .seqio import read_fasta, read_segments, read_subtype_alignment, \
-    write_fasta, write_segments
+from .seqio import format_segments, read_fasta, read_segments, \
+    read_subtype_alignment, write_fasta, write_segments
 from .simulate import random_recombinants
 
 DECODERS = ("viterbi", "posterior", "herd")
@@ -159,6 +159,15 @@ def cmd_bench(args):
     os.makedirs(preds_dir, exist_ok=True)
     ids = [r.id for r in records]
 
+    def score_and_render(preds):
+        per_query = [_bench_metrics(p, truth[i], args.tolerance)
+                     for p, i in zip(preds, ids)]
+        means = aggregate(per_query)["mean"]
+        return means, format_segments(list(zip(ids, preds)), hmm.color_names)
+
+    # The Viterbi and posterior predictions do not depend on W or gamma, so
+    # they are scored and rendered once and reused at every grid point.
+    base_results = {d: score_and_render(p) for d, p in base_preds.items()}
     rows, timing = [], []
     for w in w_grid:
         for g in g_grid:
@@ -168,22 +177,19 @@ def cmd_bench(args):
                 decode_from_posteriors(post, win, params, graph)[0]
                 for post, win in zip(posts, windows_by_w[w])]
             t_herd = time.perf_counter() - t0
+            results = dict(base_results, herd=score_and_render(herd_preds))
             for decoder in DECODERS:
-                preds = herd_preds if decoder == "herd" else base_preds[decoder]
-                per_query = [_bench_metrics(p, truth[i], args.tolerance)
-                             for p, i in zip(preds, ids)]
-                summary = aggregate(per_query)
+                means, text = results[decoder]
                 row = {"decoder": decoder, "W": w, "gamma": g, "alpha": args.alpha,
-                       "tolerance": args.tolerance, "n_queries": len(preds)}
-                row.update({k: summary["mean"][k] for k in METRIC_COLUMNS})
+                       "tolerance": args.tolerance, "n_queries": len(ids)}
+                row.update({k: means[k] for k in METRIC_COLUMNS})
                 rows.append(row)
                 wall = {"viterbi": t_vit,
                         "posterior": t_fb + t_post,
                         "herd": t_fb + t_herd}[decoder]
                 timing.append((decoder, w, g, wall * 1e3))
-                write_segments(
-                    os.path.join(preds_dir, f"{decoder}_W{w}_g{g:g}.tsv"),
-                    list(zip(ids, preds)), hmm.color_names)
+                with open(os.path.join(preds_dir, f"{decoder}_W{w}_g{g:g}.tsv"), "w") as fh:
+                    fh.write(text)
 
     header = ("decoder", "W", "gamma", "alpha", "tolerance", "n_queries") + METRIC_COLUMNS
     with open(args.out, "w") as fh:

@@ -111,41 +111,56 @@ def decode_from_posteriors(post, windows, params, graph):
     the current color over placing a boundary, then the smallest
     predecessor color id; the final color breaks ties toward the smallest
     id. Returns (annotation, objective value).
+
+    Runs in two exact passes: a per-position loop that keeps only the best
+    scores, then one vectorised argmax that recovers every back-pointer.
     """
     if not graph.start.any():
         raise ValueError("no allowed start color")
-    p = post.color_post
-    n, n_colors = p.shape
-    gamma, alpha = params.gamma, params.alpha
+    bonus = params.alpha * post.color_post
+    n, n_colors = bonus.shape
+    gamma = params.gamma
 
-    cross_ok = graph.pairs.copy()
-    np.fill_diagonal(cross_ok, False)
-    stay_ok = np.diag(graph.pairs).copy()
-    color_ids = np.arange(n_colors)
+    # step[j, c2, c] is what moving from color c to c2 across gap j+1
+    # earns: the boundary reward where the graph allows it, 0 for an
+    # allowed stay, -inf otherwise.
+    step = np.empty((n - 1, n_colors, n_colors))
+    np.multiply(windows.scores.transpose(0, 2, 1), 1.0 + gamma, out=step)
+    step -= gamma
+    diag = np.arange(n_colors)
+    step[:, diag, diag] = 0.0
+    step[:, ~graph.pairs.T] = -np.inf
 
-    score = np.where(graph.start, alpha * p[0], -np.inf)
-    back = np.empty((n, n_colors), dtype=np.int64)
-    back[0] = -1
-    for j in range(1, n):
-        move = (1.0 + gamma) * windows.scores[j - 1] - gamma
-        cand = score[:, None] + np.where(cross_ok, move, -np.inf)
-        best_prev = np.argmax(cand, axis=0)
-        best_cross = cand[best_prev, color_ids]
-        stay = np.where(stay_ok, score, -np.inf)
-        use_stay = stay >= best_cross
-        score = alpha * p[j] + np.where(use_stay, stay, best_cross)
-        back[j] = np.where(use_stay, color_ids, best_prev)
+    # Value pass: only the best score per (position, color). A maximum does
+    # not depend on candidate order, so ties need no care here.
+    score = np.empty((n, n_colors))
+    score[0] = np.where(graph.start, bonus[0], -np.inf)
+    buf = np.empty((n_colors, n_colors))
+    for gap_step, prev, row, row_bonus in zip(step, score, score[1:], bonus[1:]):
+        np.add(gap_step, prev, out=buf)
+        np.maximum.reduce(buf, axis=1, out=row)
+        row += row_bonus
 
-    end = int(np.argmax(score))
-    value = float(score[end])
+    end = int(np.argmax(score[n - 1]))
+    value = float(score[n - 1, end])
     if value == -np.inf:
         raise ValueError("no color sequence is feasible under the ColorGraph")
 
-    colors = np.empty(n, dtype=np.int64)
-    colors[n - 1] = end
-    for j in range(n - 1, 0, -1):
-        colors[j - 1] = back[j, colors[j]]
-    return Annotation(colors), value
+    # Back-pointers for all gaps at once. Every candidate is the same single
+    # addition as in the value pass, so it reproduces those maxima exactly.
+    # Each target color lists its candidates stay first, then the other
+    # colors ascending, so the first maximum prefers continuation and then
+    # the smallest predecessor.
+    step += score[:-1, None, :]
+    order = np.array([[c2] + [c for c in range(n_colors) if c != c2]
+                      for c2 in range(n_colors)], dtype=np.int64)
+    cand = step[:, diag[:, None], order]
+    back = order[diag, cand.argmax(axis=2)].tolist()
+
+    colors = [end]
+    for gap_back in reversed(back):
+        colors.append(gap_back[colors[-1]])
+    return Annotation(colors[::-1]), value
 
 
 def gain_decode(hmm, seq, params):

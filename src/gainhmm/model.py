@@ -116,7 +116,12 @@ class Hmm:
             for i, sid in enumerate(self.state_ids):
                 _fix_row(self.transitions[i], "transition", sid)
 
+        # A symbol's other case decodes as the symbol itself unless that
+        # case is a symbol of its own, so `ACGT` reads like `acgt`.
         self._symbol_index = {s: i for i, s in enumerate(self.alphabet)}
+        for i, s in enumerate(self.alphabet):
+            if isinstance(s, str):
+                self._symbol_index.setdefault(s.swapcase(), i)
         for arr in (self.initial, self.emissions, self.state_colors):
             arr.flags.writeable = False
         if isinstance(self.transitions, np.ndarray):
@@ -141,12 +146,19 @@ class Hmm:
         return m
 
     def encode(self, seq):
-        """Map a symbol sequence (string or iterable) to symbol indices."""
+        """Map a symbol sequence (string or iterable) to symbol indices.
+
+        A symbol's other case is accepted where it is not itself a symbol.
+        """
         idx = self._symbol_index
+        symbols = list(seq)
         try:
-            out = np.fromiter((idx[s] for s in seq), dtype=np.int64)
+            out = np.fromiter((idx[s] for s in symbols), dtype=np.int64,
+                              count=len(symbols))
         except KeyError as e:
-            raise ValueError(f"symbol {e.args[0]!r} not in model alphabet") from None
+            bad = e.args[0]
+            raise ValueError(f"symbol {bad!r} at position {symbols.index(bad) + 1} "
+                             "not in model alphabet") from None
         if out.size == 0:
             raise ValueError("empty sequence")
         return out

@@ -90,13 +90,20 @@ def read_subtype_alignment(path):
     return SubtypeAlignment(names=tuple(names), groups=groups, length=length)
 
 
+def format_segments(entries, color_names):
+    """Text of the segment TSV for (seq_id, Annotation) pairs."""
+    lines = ["\t".join(SEGMENT_HEADER) + "\n"]
+    for seq_id, annotation in entries:
+        for start, end, color in annotation.segments:
+            lines.append(f"{seq_id}\t{start}\t{end}\t{color}\t{color_names[color]}\n")
+    return "".join(lines)
+
+
 def write_segments(path, entries, color_names):
     """Write (seq_id, Annotation) pairs as a segment TSV."""
+    text = format_segments(entries, color_names)
     with open(path, "w") as fh:
-        fh.write("\t".join(SEGMENT_HEADER) + "\n")
-        for seq_id, annotation in entries:
-            for start, end, color in annotation.segments:
-                fh.write(f"{seq_id}\t{start}\t{end}\t{color}\t{color_names[color]}\n")
+        fh.write(text)
 
 
 def read_segments(path):

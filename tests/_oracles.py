@@ -1,12 +1,16 @@
-"""Pure-Python enumeration oracles for the test suite.
+"""Reference implementations for the test suite.
 
-Everything here is written naively with itertools and plain floats, on
-purpose: these functions define expected values for the fast numpy paths
-and must not share code with them.
+The enumeration oracles are written naively with itertools and plain
+floats, on purpose: they define expected values for the fast numpy paths
+and must not share code with them. `reference_gain_dp` is the gain DP as
+a plain per-position loop, kept as the exactness reference for the
+vectorised decoder.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 
 def unpack(hmm):
@@ -114,3 +118,47 @@ def best_coloring(hmm, obs, feasible, window, gamma, alpha, kind):
         if best_v is None or v > best_v:
             best_v, best = v, tuple(cand)
     return best, best_v
+
+
+def reference_gain_dp(post, windows, params, graph):
+    """Gain DP one position at a time, resolving ties inside the loop.
+
+    Ties prefer continuing the current color over placing a boundary, then
+    the smallest predecessor color id; the final color breaks ties toward
+    the smallest id. Returns (colors as a list, objective value) and
+    raises the decoder's errors on an infeasible ColorGraph.
+    """
+    if not graph.start.any():
+        raise ValueError("no allowed start color")
+    p = post.color_post
+    n, n_colors = p.shape
+    gamma, alpha = params.gamma, params.alpha
+
+    cross_ok = graph.pairs.copy()
+    np.fill_diagonal(cross_ok, False)
+    stay_ok = np.diag(graph.pairs).copy()
+    color_ids = np.arange(n_colors)
+
+    score = np.where(graph.start, alpha * p[0], -np.inf)
+    back = np.empty((n, n_colors), dtype=np.int64)
+    back[0] = -1
+    for j in range(1, n):
+        move = (1.0 + gamma) * windows.scores[j - 1] - gamma
+        cand = score[:, None] + np.where(cross_ok, move, -np.inf)
+        best_prev = np.argmax(cand, axis=0)
+        best_cross = cand[best_prev, color_ids]
+        stay = np.where(stay_ok, score, -np.inf)
+        use_stay = stay >= best_cross
+        score = alpha * p[j] + np.where(use_stay, stay, best_cross)
+        back[j] = np.where(use_stay, color_ids, best_prev)
+
+    end = int(np.argmax(score))
+    value = float(score[end])
+    if value == -np.inf:
+        raise ValueError("no color sequence is feasible under the ColorGraph")
+
+    colors = np.empty(n, dtype=np.int64)
+    colors[n - 1] = end
+    for j in range(n - 1, 0, -1):
+        colors[j - 1] = back[j, colors[j]]
+    return colors.tolist(), value

@@ -92,6 +92,17 @@ class TestDecode:
                    "--decoder", "viterbi") == 1
         assert "bad_one" in capsys.readouterr().err
 
+    def test_upper_case_query_same_tsv(self, tmp_path, msa_path):
+        model = tmp_path / "model.json"
+        assert run("build-model", "--in", msa_path, "--out", model) == 0
+        msa = read_fasta(msa_path)
+        seq = msa[0].seq[:40] + msa[1].seq[40:80]
+        for name, query in (("lower", seq), ("upper", seq.upper())):
+            write_fasta(tmp_path / f"{name}.fasta", [("q1", query)])
+            assert run("decode", "--model", model, "--in", tmp_path / f"{name}.fasta",
+                       "--out", tmp_path / f"{name}.tsv", "--decoder", "herd") == 0
+        assert (tmp_path / "upper.tsv").read_bytes() == (tmp_path / "lower.tsv").read_bytes()
+
     def test_unknown_decoder_rejected(self, tmp_path, t1_model_path):
         fasta = tmp_path / "q.fasta"
         write_fasta(fasta, [("q1", "xy")])

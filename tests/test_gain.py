@@ -2,14 +2,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gainhmm import (
     Annotation,
+    ColorGraph,
     GainParams,
+    PosteriorSet,
     brute_force_best_annotation,
     brute_force_expected_gain,
     color_graph,
     coloring_distribution,
+    decode_from_posteriors,
     expected_gain,
     feasible_colorings,
     forward_backward,
@@ -139,6 +144,71 @@ class TestGainDecode:
         second = gain_decode(t1, seq, params)
         assert first[0] == second[0]
         assert first[1] == second[1]
+
+
+# Coarse posterior values make many DP candidates tie exactly.
+COARSE = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def dp_instances(draw):
+    """(post, windows, params, graph) over random ColorGraphs, some infeasible."""
+    n_colors = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=40))
+    start = draw(arrays(bool, n_colors))
+    pairs = draw(arrays(bool, (n_colors, n_colors)))
+    color_post = draw(arrays(float, (n, n_colors), elements=COARSE))
+    pair_post = draw(arrays(float, (n - 1, n_colors, n_colors), elements=COARSE))
+    params = GainParams(window=draw(st.integers(min_value=0, max_value=5)),
+                        gamma=draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+                        alpha=draw(st.sampled_from([0.0, 1.0])))
+    post = PosteriorSet(length=n, log_likelihood=0.0,
+                        color_post=color_post, pair_post=pair_post)
+    return post, window_scores(post, params.window), params, ColorGraph(start, pairs)
+
+
+def dp_outcome(decode, instance):
+    """(colors, value) of one decode, or ("error", message) if it raised."""
+    try:
+        colors, value = decode(*instance)
+    except ValueError as e:
+        return "error", str(e)
+    return list(colors), value
+
+
+def fast_dp(*instance):
+    annotation, value = decode_from_posteriors(*instance)
+    return annotation.colors.tolist(), value
+
+
+class TestReferenceDp:
+    """The vectorised decoder against the per-position reference loop, with ==."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(dp_instances())
+    def test_matches_reference(self, instance):
+        assert dp_outcome(fast_dp, instance) == \
+            dp_outcome(_oracles.reference_gain_dp, instance)
+
+    def single_color_instance(self, n, start, stay):
+        post = PosteriorSet(length=n, log_likelihood=0.0, color_post=np.full((n, 1), 0.5),
+                            pair_post=np.ones((n - 1, 1, 1)))
+        graph = ColorGraph(np.array([start]), np.array([[stay]]))
+        return post, window_scores(post, 1), GainParams(1, 0.5, alpha=1.0), graph
+
+    def test_single_position(self):
+        instance = self.single_color_instance(1, True, False)
+        assert dp_outcome(fast_dp, instance) == ([0], 0.5)
+        assert dp_outcome(_oracles.reference_gain_dp, instance) == ([0], 0.5)
+
+    @pytest.mark.parametrize("start, stay, message", [
+        (False, True, "no allowed start color"),
+        (True, False, "no color sequence is feasible under the ColorGraph"),
+    ])
+    def test_error_parity_on_infeasible_graph(self, start, stay, message):
+        instance = self.single_color_instance(3, start, stay)
+        assert dp_outcome(fast_dp, instance) == ("error", message)
+        assert dp_outcome(_oracles.reference_gain_dp, instance) == ("error", message)
 
 
 class TestExpectedGain:

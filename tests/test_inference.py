@@ -8,10 +8,13 @@ from scipy import sparse
 from gainhmm import (
     Annotation,
     Hmm,
+    JumpingHmmSpec,
     ZeroLikelihoodError,
     build_hmm,
+    build_jumping_hmm,
     forward_backward,
     posterior_decode,
+    synthetic_subtypes,
     viterbi_decode,
 )
 from gainhmm.inference import _scaled_forward_backward
@@ -90,6 +93,22 @@ class TestForwardBackward:
     def test_foreign_symbol(self, t1):
         with pytest.raises(ValueError, match="not in model alphabet"):
             forward_backward(t1, "xq")
+
+    def test_foreign_symbol_names_position(self, t1):
+        with pytest.raises(ValueError,
+                           match="symbol 'q' at position 2 not in model alphabet"):
+            forward_backward(t1, "xq")
+        with pytest.raises(ValueError, match="'Q' at position 3"):
+            forward_backward(t1, "XyQx")
+
+    def test_upper_case_query_same_posteriors(self):
+        msa = synthetic_subtypes(2, 30, divergence=0.2, seed=4)
+        hmm = build_jumping_hmm(msa, JumpingHmmSpec(jump_prob=0.05, pseudocount=0.5))
+        seq = msa.groups[msa.names[0]][0][:12] + msa.groups[msa.names[1]][0][12:]
+        lower, upper = forward_backward(hmm, seq), forward_backward(hmm, seq.upper())
+        assert upper.log_likelihood == lower.log_likelihood
+        np.testing.assert_array_equal(upper.color_post, lower.color_post)
+        np.testing.assert_array_equal(upper.pair_post, lower.pair_post)
 
     def test_zero_likelihood(self):
         spec = t1_spec()

@@ -84,6 +84,19 @@ class TestBuildHmm:
         with pytest.raises(ValueError, match="'z'"):
             t1.encode("xz")
 
+    def test_encode_accepts_other_case(self, t1):
+        assert t1.encode("XyYx").tolist() == t1.encode("xyyx").tolist()
+
+    def test_encode_keeps_case_distinct_symbols(self):
+        spec = t1_spec()
+        spec["alphabet"] = ["x", "X"]
+        for state in spec["states"]:
+            state["emission"] = {"x": 0.5, "X": 0.5}
+        hmm = build_hmm(spec)
+        assert hmm.encode("xX").tolist() == [0, 1]
+        with pytest.raises(ValueError, match="'y' at position 1"):
+            hmm.encode("y")
+
     def test_immutable(self, t1):
         with pytest.raises(ValueError):
             t1.initial[0] = 0.3
