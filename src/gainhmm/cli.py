@@ -248,7 +248,10 @@ def build_parser():
     p.add_argument("--out", required=True, help="segment TSV to write")
     p.add_argument("--decoder", choices=DECODERS, required=True)
     p.add_argument("--W", type=int, default=10, help="boundary window half-width")
-    p.add_argument("--gamma", type=float, default=0.2, help="false boundary penalty")
+    p.add_argument("--gamma", type=float, default=0.2,
+                   help="false boundary penalty; at 0.2 herd may place a run of "
+                        "alternating boundaries around one breakpoint (README, "
+                        "design notes), gamma 1 places one")
     p.add_argument("--alpha", type=float, default=0.0, help="per-position bonus")
     p.set_defaults(func=cmd_decode)
 

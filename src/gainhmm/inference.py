@@ -2,8 +2,12 @@
 
 Forward-backward runs with per-position scaling constants (exact
 posteriors, no logs in the inner loop); Viterbi runs in log space. Both
-accept dense or sparse transition matrices and are pure functions of
-immutable inputs.
+run on the model's cached transition operator (`_transition`): dense
+models keep a dense matrix and gradual underflow, while CSR models (the
+assembled jumping models above 256 states) flush scaled entries below the
+smallest normal double and take their max-product over in-degree
+buckets. Pair posteriors are summed over the cross-color transition
+blocks only. All entry points are pure functions of immutable inputs.
 """
 
 from __future__ import annotations
@@ -11,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
+from ._transition import TINY, operator_of
 from .model import Annotation, ZeroLikelihoodError
 
 
@@ -49,47 +53,37 @@ def _scaled_forward_backward(hmm, obs):
     Returns (alphahat, betahat, scales) where alphahat[t] is the filtered
     state distribution, scales[t] the per-position normalizers with
     log Pr(X) = sum(log scales), and alphahat[t] * betahat[t] the smoothed
-    state posteriors.
+    state posteriors. On CSR models every stored row has its entries
+    below the smallest normal double set to zero.
     """
-    t_mat = hmm.transitions
-    t_t = t_mat.T if isinstance(t_mat, np.ndarray) else sparse.csr_array(t_mat.T)
-    emis = hmm.emissions
+    op = operator_of(hmm)
+    t_t, t_mat, emis = op.forward_t, op.backward_t, op.emis_rows
+    flush = op.is_sparse
     n, n_states = obs.size, hmm.n_states
 
-    eseq = emis[:, obs].T  # (n, S)
     alphahat = np.empty((n, n_states))
     scales = np.empty(n)
-
-    a = hmm.initial * eseq[0]
-    scales[0] = a.sum()
-    if scales[0] <= 0.0:
-        raise ZeroLikelihoodError("sequence impossible under model at position 1")
-    alphahat[0] = a / scales[0]
-    for t in range(1, n):
-        a = (t_t @ alphahat[t - 1]) * eseq[t]
+    a = hmm.initial * emis[obs[0]]
+    for t in range(n):
+        if t:
+            a = (t_t @ alphahat[t - 1]) * emis[obs[t]]
         scales[t] = a.sum()
         if scales[t] <= 0.0:
             raise ZeroLikelihoodError(f"sequence impossible under model at position {t + 1}")
-        alphahat[t] = a / scales[t]
+        row = alphahat[t]
+        np.divide(a, scales[t], out=row)
+        if flush:
+            row[row < TINY] = 0.0
 
     betahat = np.empty((n, n_states))
     betahat[n - 1] = 1.0
     for t in range(n - 2, -1, -1):
-        betahat[t] = (t_mat @ (eseq[t + 1] * betahat[t + 1])) / scales[t + 1]
+        row = betahat[t]
+        np.divide(t_mat @ (emis[obs[t + 1]] * betahat[t + 1]), scales[t + 1], out=row)
+        if flush:
+            row[row < TINY] = 0.0
 
     return alphahat, betahat, scales
-
-
-def _color_selectors(hmm):
-    """Per-color state index arrays, as cheap slices when contiguous."""
-    out = []
-    for c in range(hmm.n_colors):
-        idx = hmm.states_of_color(c)
-        if idx.size and idx[-1] - idx[0] + 1 == idx.size:
-            out.append(slice(int(idx[0]), int(idx[-1]) + 1))
-        else:
-            out.append(idx)
-    return out
 
 
 def forward_backward(hmm, seq):
@@ -100,36 +94,13 @@ def forward_backward(hmm, seq):
     """
     obs = hmm.encode(seq)
     alphahat, betahat, scales = _scaled_forward_backward(hmm, obs)
-    n = obs.size
-    n_colors = hmm.n_colors
-
-    ind = hmm.color_indicator()
-    color_post = (alphahat * betahat) @ ind
-
-    # pair_post[k, c, c2] = sum_{u in c, v in c2} alphahat[k,u] T[u,v] w[k,v]
-    # with w[k, v] = emis[v, obs[k+1]] * betahat[k+1, v] / scales[k+1].
-    pair_post = np.zeros((n - 1, n_colors, n_colors))
-    if n > 1:
-        sel = _color_selectors(hmm)
-        w = hmm.emissions[:, obs[1:]].T * betahat[1:] / scales[1:, None]
-        t_mat = hmm.transitions
-        t_csc = t_mat.tocsc() if sparse.issparse(t_mat) else None
-        for c2 in range(n_colors):
-            cols = sel[c2]
-            if t_csc is not None:
-                sub = t_csc[:, cols]
-                r = (sub @ np.ascontiguousarray(w[:, cols].T)).T  # (n-1, S)
-            else:
-                r = w[:, cols] @ t_mat[:, cols].T
-            weighted = alphahat[:-1] * r
-            for c1 in range(n_colors):
-                pair_post[:, c1, c2] = weighted[:, sel[c1]].sum(axis=1)
-
+    op = operator_of(hmm)
+    color_post = op.color_posteriors(alphahat, betahat)
     return PosteriorSet(
-        length=n,
+        length=obs.size,
         log_likelihood=float(np.log(scales).sum()),
         color_post=color_post,
-        pair_post=pair_post,
+        pair_post=op.pair_posteriors(obs, alphahat, betahat, scales, color_post),
     )
 
 
@@ -140,56 +111,23 @@ def viterbi_decode(hmm, seq):
     toward the smallest state index. The forward pass keeps per-position
     scores only; the traceback re-derives each predecessor by argmax over
     the stored scores, which reproduces the forward tie-break exactly.
+    Raises ZeroLikelihoodError naming the first position at which every
+    state scores -inf.
     """
     obs = hmm.encode(seq)
-    n, n_states = obs.size, hmm.n_states
-    with np.errstate(divide="ignore"):
-        log_eseq = np.log(hmm.emissions[:, obs].T)
-        log_start = np.log(hmm.initial)
-
-    t_mat = hmm.transitions
-    scores = np.empty((n, n_states))
-    scores[0] = log_start + log_eseq[0]
-    if sparse.issparse(t_mat):
-        # rows of the transpose list each state's predecessors in
-        # ascending order, so first-max ties pick the smallest index
-        t_t = sparse.csr_array(t_mat.T)
-        t_t.sort_indices()
-        indptr, indices = t_t.indptr, t_t.indices
-        with np.errstate(divide="ignore"):
-            log_data = np.log(t_t.data)
-        nonempty = np.diff(indptr) > 0
-        starts = np.minimum(indptr[:-1], max(t_t.nnz - 1, 0))
-        for t in range(1, n):
-            best = np.full(n_states, -np.inf)
-            if indices.size:
-                cand = scores[t - 1][indices] + log_data
-                seg = np.maximum.reduceat(cand, starts)
-                best[nonempty] = seg[nonempty]
-            scores[t] = best + log_eseq[t]
-
-        def predecessor(t, state):
-            lo, hi = indptr[state], indptr[state + 1]
-            cand = scores[t - 1][indices[lo:hi]] + log_data[lo:hi]
-            return int(indices[lo:hi][np.argmax(cand)])
-    else:
-        with np.errstate(divide="ignore"):
-            log_t = np.log(t_mat)
-        for t in range(1, n):
-            scores[t] = np.max(scores[t - 1][:, None] + log_t, axis=0) + log_eseq[t]
-
-        def predecessor(t, state):
-            return int(np.argmax(scores[t - 1] + log_t[:, state]))
-
+    op = operator_of(hmm)
+    scores = op.viterbi_scores(obs)
+    n = obs.size
     best_end = int(np.argmax(scores[n - 1]))
     best_logp = float(scores[n - 1, best_end])
     if best_logp == -np.inf:
-        raise ZeroLikelihoodError("sequence impossible under model")
+        dead = int(np.argmax(scores.max(axis=1) == -np.inf))
+        raise ZeroLikelihoodError(f"sequence impossible under model at position {dead + 1}")
 
     path = np.empty(n, dtype=np.int64)
     path[n - 1] = best_end
     for t in range(n - 1, 0, -1):
-        path[t - 1] = predecessor(t, path[t])
+        path[t - 1] = op.predecessor(scores[t - 1], path[t])
     return Annotation(hmm.state_colors[path]), best_logp
 
 

@@ -64,7 +64,8 @@ class Hmm:
         emissions: (S, A) row-stochastic emission matrix
 
     Instances are immutable after construction and safe to share across
-    concurrent decoding calls.
+    concurrent decoding calls. The first decode builds the tables the
+    decoders derive from the model, once, and caches them on the instance.
     """
 
     def __init__(self, state_ids, state_colors, color_names, alphabet,
@@ -126,6 +127,9 @@ class Hmm:
             arr.flags.writeable = False
         if isinstance(self.transitions, np.ndarray):
             self.transitions.flags.writeable = False
+        # Decoding tables derived from the above, built on the first decode
+        # (`_transition.operator_of`); read-only once built.
+        self._operator = None
 
     @property
     def n_states(self):

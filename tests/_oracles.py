@@ -4,13 +4,20 @@ The enumeration oracles are written naively with itertools and plain
 floats, on purpose: they define expected values for the fast numpy paths
 and must not share code with them. `reference_gain_dp` is the gain DP as
 a plain per-position loop, kept as the exactness reference for the
-vectorised decoder.
+vectorised decoder. `reference_forward_backward` and `reference_viterbi`
+are the decoders as they were before the cached transition operator:
+full (n, S) emission and pair-weight arrays, every transition nonzero in
+the pair posteriors, gradual underflow, and `maximum.reduceat` for the
+sparse max-product.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy import sparse
+
+from gainhmm import Annotation, PosteriorSet, ZeroLikelihoodError
 
 
 def unpack(hmm):
@@ -162,3 +169,132 @@ def reference_gain_dp(post, windows, params, graph):
     for j in range(n - 1, 0, -1):
         colors[j - 1] = back[j, colors[j]]
     return colors.tolist(), value
+
+
+def reference_scaled_forward_backward(hmm, obs):
+    """(alphahat, betahat, scales) with no flush of subnormal entries."""
+    t_mat = hmm.transitions
+    t_t = t_mat.T if isinstance(t_mat, np.ndarray) else sparse.csr_array(t_mat.T)
+    emis = hmm.emissions
+    n, n_states = obs.size, hmm.n_states
+
+    eseq = emis[:, obs].T  # (n, S)
+    alphahat = np.empty((n, n_states))
+    scales = np.empty(n)
+
+    a = hmm.initial * eseq[0]
+    scales[0] = a.sum()
+    if scales[0] <= 0.0:
+        raise ZeroLikelihoodError("sequence impossible under model at position 1")
+    alphahat[0] = a / scales[0]
+    for t in range(1, n):
+        a = (t_t @ alphahat[t - 1]) * eseq[t]
+        scales[t] = a.sum()
+        if scales[t] <= 0.0:
+            raise ZeroLikelihoodError(f"sequence impossible under model at position {t + 1}")
+        alphahat[t] = a / scales[t]
+
+    betahat = np.empty((n, n_states))
+    betahat[n - 1] = 1.0
+    for t in range(n - 2, -1, -1):
+        betahat[t] = (t_mat @ (eseq[t + 1] * betahat[t + 1])) / scales[t + 1]
+
+    return alphahat, betahat, scales
+
+
+def _color_selectors(hmm):
+    out = []
+    for c in range(hmm.n_colors):
+        idx = hmm.states_of_color(c)
+        if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+            out.append(slice(int(idx[0]), int(idx[-1]) + 1))
+        else:
+            out.append(idx)
+    return out
+
+
+def reference_forward_backward(hmm, seq):
+    """PosteriorSet with pair posteriors summed over every transition."""
+    obs = hmm.encode(seq)
+    alphahat, betahat, scales = reference_scaled_forward_backward(hmm, obs)
+    n = obs.size
+    n_colors = hmm.n_colors
+
+    ind = hmm.color_indicator()
+    color_post = (alphahat * betahat) @ ind
+
+    pair_post = np.zeros((n - 1, n_colors, n_colors))
+    if n > 1:
+        sel = _color_selectors(hmm)
+        w = hmm.emissions[:, obs[1:]].T * betahat[1:] / scales[1:, None]
+        t_mat = hmm.transitions
+        t_csc = t_mat.tocsc() if sparse.issparse(t_mat) else None
+        for c2 in range(n_colors):
+            cols = sel[c2]
+            if t_csc is not None:
+                sub = t_csc[:, cols]
+                r = (sub @ np.ascontiguousarray(w[:, cols].T)).T  # (n-1, S)
+            else:
+                r = w[:, cols] @ t_mat[:, cols].T
+            weighted = alphahat[:-1] * r
+            for c1 in range(n_colors):
+                pair_post[:, c1, c2] = weighted[:, sel[c1]].sum(axis=1)
+
+    return PosteriorSet(
+        length=n,
+        log_likelihood=float(np.log(scales).sum()),
+        color_post=color_post,
+        pair_post=pair_post,
+    )
+
+
+def reference_viterbi(hmm, seq):
+    """(annotation, log probability) with ties toward the smallest state index."""
+    obs = hmm.encode(seq)
+    n, n_states = obs.size, hmm.n_states
+    with np.errstate(divide="ignore"):
+        log_eseq = np.log(hmm.emissions[:, obs].T)
+        log_start = np.log(hmm.initial)
+
+    t_mat = hmm.transitions
+    scores = np.empty((n, n_states))
+    scores[0] = log_start + log_eseq[0]
+    if sparse.issparse(t_mat):
+        t_t = sparse.csr_array(t_mat.T)
+        t_t.sort_indices()
+        indptr, indices = t_t.indptr, t_t.indices
+        with np.errstate(divide="ignore"):
+            log_data = np.log(t_t.data)
+        nonempty = np.diff(indptr) > 0
+        starts = np.minimum(indptr[:-1], max(t_t.nnz - 1, 0))
+        for t in range(1, n):
+            best = np.full(n_states, -np.inf)
+            if indices.size:
+                cand = scores[t - 1][indices] + log_data
+                seg = np.maximum.reduceat(cand, starts)
+                best[nonempty] = seg[nonempty]
+            scores[t] = best + log_eseq[t]
+
+        def predecessor(t, state):
+            lo, hi = indptr[state], indptr[state + 1]
+            cand = scores[t - 1][indices[lo:hi]] + log_data[lo:hi]
+            return int(indices[lo:hi][np.argmax(cand)])
+    else:
+        with np.errstate(divide="ignore"):
+            log_t = np.log(t_mat)
+        for t in range(1, n):
+            scores[t] = np.max(scores[t - 1][:, None] + log_t, axis=0) + log_eseq[t]
+
+        def predecessor(t, state):
+            return int(np.argmax(scores[t - 1] + log_t[:, state]))
+
+    best_end = int(np.argmax(scores[n - 1]))
+    best_logp = float(scores[n - 1, best_end])
+    if best_logp == -np.inf:
+        raise ZeroLikelihoodError("sequence impossible under model")
+
+    path = np.empty(n, dtype=np.int64)
+    path[n - 1] = best_end
+    for t in range(n - 1, 0, -1):
+        path[t - 1] = predecessor(t, path[t])
+    return Annotation(hmm.state_colors[path]), best_logp

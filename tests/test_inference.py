@@ -1,8 +1,12 @@
 import itertools
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from gainhmm import (
@@ -14,6 +18,7 @@ from gainhmm import (
     build_jumping_hmm,
     forward_backward,
     posterior_decode,
+    random_recombinants,
     synthetic_subtypes,
     viterbi_decode,
 )
@@ -229,3 +234,168 @@ class TestPosteriorDecode:
                 post.color_post[np.arange(post.length), list(cand)].sum()
                 for cand in itertools.product(range(3), repeat=post.length))
             assert got == pytest.approx(best, rel=1e-12)
+
+
+class TestImpossiblePosition:
+    """Both decoders name the first position no state path can explain."""
+
+    @pytest.mark.parametrize("as_csr", [False, True])
+    def test_same_position_in_both_messages(self, as_csr):
+        # s_A only emits x and never leaves itself, so "xxyx" dies at 3.
+        spec = t1_spec()
+        spec["states"][0]["emission"] = {"x": 1.0}
+        spec["states"][1]["emission"] = {"y": 1.0}
+        spec["initial"] = {"s_A": 1.0}
+        spec["transitions"] = {"s_A": {"s_A": 1.0}, "s_B": {"s_B": 1.0}}
+        hmm = build_hmm(spec)
+        if as_csr:
+            hmm = csr_copy(hmm)
+        message = "sequence impossible under model at position 3"
+        with pytest.raises(ZeroLikelihoodError, match=message):
+            forward_backward(hmm, "xxyx")
+        with pytest.raises(ZeroLikelihoodError, match=message):
+            viterbi_decode(hmm, "xxyx")
+
+    def test_first_position(self):
+        spec = t1_spec()
+        spec["initial"] = {"s_A": 1.0}
+        spec["states"][0]["emission"] = {"x": 1.0}
+        hmm = build_hmm(spec)
+        for decode in (forward_backward, viterbi_decode):
+            with pytest.raises(ZeroLikelihoodError, match="at position 1$"):
+                decode(hmm, "yx")
+
+
+def csr_copy(hmm):
+    """The same model with CSR transitions."""
+    return Hmm(hmm.state_ids, hmm.state_colors, hmm.color_names, hmm.alphabet,
+               hmm.initial, sparse.csr_array(hmm.transitions_dense()), hmm.emissions)
+
+
+def assert_matches_reference(hmm, seq):
+    """Viterbi equal to the reference; posteriors within 1e-12 of it."""
+    ann, logp = viterbi_decode(hmm, seq)
+    ref_ann, ref_logp = _oracles.reference_viterbi(hmm, seq)
+    assert ann == ref_ann
+    assert logp == ref_logp
+
+    post = forward_backward(hmm, seq)
+    ref = _oracles.reference_forward_backward(hmm, seq)
+    assert post.log_likelihood == pytest.approx(ref.log_likelihood, rel=1e-12, abs=0)
+    np.testing.assert_allclose(post.color_post, ref.color_post, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(post.pair_post, ref.pair_post, rtol=0, atol=1e-12)
+    assert np.all(post.pair_post >= 0.0)
+    np.testing.assert_allclose(post.pair_post.sum(axis=2), post.color_post[:-1],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(post.pair_post.sum(axis=1), post.color_post[1:],
+                               rtol=0, atol=1e-12)
+
+
+# Every probability is a sum of these, so equal-scoring paths are common.
+QUARTER_ROWS = ([0.5, 0.5], [0.5, 0.25, 0.25], [0.25] * 4)
+
+
+def quarter_rows(rng, n_rows, width):
+    """Rows of 0.25/0.5 entries summing to 1, on random columns."""
+    options = [p for p in QUARTER_ROWS if len(p) <= width]
+    out = np.zeros((n_rows, width))
+    for i in range(n_rows):
+        probs = options[rng.integers(len(options))]
+        out[i, rng.choice(width, size=len(probs), replace=False)] = probs
+    return out
+
+
+def quarter_model(rng, n_states, n_colors, n_symbols, as_csr):
+    """Random model with scattered colors and 0.25/0.5 probabilities."""
+    colors = np.concatenate([np.arange(n_colors),
+                             rng.integers(n_colors, size=n_states - n_colors)])
+    rng.shuffle(colors)
+    trans = quarter_rows(rng, n_states, n_states)
+    return Hmm([f"s{i}" for i in range(n_states)], colors,
+               [f"c{c}" for c in range(n_colors)],
+               [chr(ord("a") + i) for i in range(n_symbols)],
+               quarter_rows(rng, 1, n_states)[0],
+               sparse.csr_array(trans) if as_csr else trans,
+               quarter_rows(rng, n_states, n_symbols))
+
+
+@st.composite
+def decode_instances(draw):
+    """(model, sequence sampled from it) over dense, CSR and jumping models."""
+    kind = draw(st.sampled_from(["dense", "csr", "csr_large", "jumping", "jumping_csr"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind.startswith("jumping"):
+        msa = synthetic_subtypes(int(rng.integers(2, 4)), int(rng.integers(3, 7)),
+                                 divergence=0.3, seed=int(rng.integers(1 << 30)))
+        hmm = build_jumping_hmm(msa, JumpingHmmSpec(
+            jump_prob=float(rng.choice([0.25, 0.5])), pseudocount=0.5))
+        if kind == "jumping_csr":
+            hmm = csr_copy(hmm)
+    else:
+        n_states = int(rng.integers(257, 300) if kind == "csr_large" else rng.integers(2, 10))
+        hmm = quarter_model(rng, n_states, int(rng.integers(1, min(4, n_states) + 1)),
+                            int(rng.integers(2, 5)), as_csr=kind != "dense")
+    length = draw(st.integers(min_value=1, max_value=40))
+    _, seq = sample_path(hmm, length, seed=int(rng.integers(1 << 30)))
+    return hmm, seq
+
+
+class TestAgainstReference:
+    """The operator kernels against the decoders they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(decode_instances())
+    def test_matches_reference(self, instance):
+        assert_matches_reference(*instance)
+
+    def test_flush_on_long_jumping_query(self):
+        # A query four times the profile length drives the scaled forward
+        # probabilities of early-column states through the subnormal range.
+        msa = synthetic_subtypes(3, 150, divergence=0.15, seed=3)
+        hmm = build_jumping_hmm(msa, JumpingHmmSpec(jump_prob=0.01, pseudocount=0.1))
+        assert sparse.issparse(hmm.transitions)
+        recs = random_recombinants(msa, 4, seed=4, breakpoint_range=(1, 2),
+                                   min_segment=30, mutation_rate=0.05)
+        seq = "".join(r.seq for r in recs)
+        obs = hmm.encode(seq)
+        tiny = np.finfo(np.float64).tiny
+        ref_alpha, _, ref_scales = _oracles.reference_scaled_forward_backward(hmm, obs)
+        assert np.count_nonzero((ref_alpha > 0) & (ref_alpha < tiny)) > 1000
+
+        alphahat, betahat, scales = _scaled_forward_backward(hmm, obs)
+        for arr in (alphahat, betahat):
+            assert not np.any((arr > 0) & (arr < tiny))
+        np.testing.assert_array_equal(scales, ref_scales)
+        assert_matches_reference(hmm, seq)
+
+
+class TestSharedOperator:
+    def test_two_threads_byte_identical(self):
+        def make():
+            msa = synthetic_subtypes(3, 100, divergence=0.15, seed=21)
+            return msa, build_jumping_hmm(msa, JumpingHmmSpec(jump_prob=0.01,
+                                                              pseudocount=0.1))
+
+        msa, hmm = make()
+        seq = random_recombinants(msa, 1, seed=22, min_segment=20,
+                                  mutation_rate=0.05)[0].seq
+        barrier = threading.Barrier(2, timeout=30)
+
+        def decode(model, wait=True):
+            if wait:
+                barrier.wait()  # both threads reach the unbuilt operator together
+            post = forward_backward(model, seq)
+            ann, logp = viterbi_decode(model, seq)
+            return (post.log_likelihood, post.color_post.tobytes(),
+                    post.pair_post.tobytes(), ann.colors.tobytes(), logp)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(decode, hmm) for _ in range(2)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        assert results[0] == results[1]
+        assert results[0] == decode(make()[1], wait=False)
