@@ -7,14 +7,8 @@ sticky two-color model, then verifies the decoder against exhaustive
 enumeration on the same instance.
 """
 
-from gainhmm import (
-    GainParams,
-    brute_force_best_annotation,
-    brute_force_expected_gain,
-    build_hmm,
-    gain_decode,
-    sample_path,
-)
+from gainhmm import GainParams, build_hmm, gain_decode, sample_path
+from gainhmm.oracles import brute_force_best_annotation, brute_force_expected_gain
 
 model = build_hmm({
     "alphabet": ["x", "y"],

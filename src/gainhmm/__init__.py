@@ -11,12 +11,8 @@ boundary/base accuracy metrics round out the toolkit.
 from .gain import (
     GainParams,
     WindowScores,
-    brute_force_best_annotation,
-    brute_force_expected_gain,
-    coloring_distribution,
     decode_from_posteriors,
     expected_gain,
-    feasible_colorings,
     gain_decode,
     window_scores,
 )
@@ -80,17 +76,13 @@ __all__ = [
     "base_accuracy",
     "boundary_metrics",
     "boundary_report",
-    "brute_force_best_annotation",
-    "brute_force_expected_gain",
     "build_hmm",
     "build_jumping_hmm",
     "build_profile",
     "build_profiles",
     "color_graph",
-    "coloring_distribution",
     "decode_from_posteriors",
     "expected_gain",
-    "feasible_colorings",
     "forward_backward",
     "gain_decode",
     "hmm_to_dict",

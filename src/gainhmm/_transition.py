@@ -7,6 +7,14 @@ symbol, the cross-color transition blocks the pair posteriors are summed
 from, and the in-degree buckets of the sparse max-product. `operator_of`
 builds it on a model's first decode and caches it on the model, which is
 immutable, so every later call and every thread shares one copy.
+
+Models store their transitions as CSR whatever their size; this module
+alone decides how to run them. Up to DENSE_STATE_LIMIT states the
+operator densifies the matrix once and runs dense kernels (BLAS products,
+a dense max, gradual underflow); above it, sparse kernels (CSR products,
+a subnormal flush, a degree-bucketed max). At S = 48 CSR kernels cost
+more than dense ones: scipy's per-call dispatch more than doubles the
+forward loop's time.
 """
 
 from __future__ import annotations
@@ -16,10 +24,15 @@ import threading
 import numpy as np
 from scipy import sparse
 
+from .model import ZeroLikelihoodError
+
 # Smallest normal double. Sparse forward/backward zero the scaled entries
 # below it: subnormal operands slow every later sparse product, and what
 # they carry lies below any posterior the decoders report.
 TINY = np.finfo(np.float64).tiny
+
+# State count above which the operator runs sparse kernels.
+DENSE_STATE_LIMIT = 256
 
 _BUILD_LOCK = threading.Lock()
 
@@ -54,11 +67,14 @@ class TransitionOperator:
     """Read-only per-model tables for forward, backward, pair sums and Viterbi.
 
     Attributes:
-        is_sparse: transitions are CSR; turns on the subnormal flush and
-            the bucketed max-product
-        forward_t: T transposed (CSR for sparse models), so that
-            forward_t @ alphahat is one forward step
+        is_sparse: the model has more than DENSE_STATE_LIMIT states; turns
+            on CSR products, the subnormal flush and the bucketed
+            max-product
+        forward_t: T transposed (CSR for sparse kernels, an ndarray view
+            for dense ones), so that forward_t @ alphahat is one forward
+            step
         backward_t: T itself, for the backward step
+        initial: the model's initial distribution
         emis_rows: (A, S) emissions, row a holds every state's
             probability of symbol a
         log_emis_rows, log_initial: their logarithms
@@ -73,7 +89,8 @@ class TransitionOperator:
 
     def __init__(self, hmm):
         t = hmm.transitions
-        self.is_sparse = sparse.issparse(t)
+        self.is_sparse = hmm.n_states > DENSE_STATE_LIMIT
+        self.initial = hmm.initial
         self.emis_rows = np.ascontiguousarray(hmm.emissions.T)
         with np.errstate(divide="ignore"):
             self.log_emis_rows = np.log(self.emis_rows)
@@ -82,20 +99,17 @@ class TransitionOperator:
         self.color_sel = [_selector(np.flatnonzero(colors == c))
                           for c in range(hmm.n_colors)]
 
-        self.backward_t = t
         if self.is_sparse:
+            self.backward_t = t
             # rows of the transpose list each state's predecessors in
             # ascending order, so first-max ties pick the smallest index
             self.forward_t = sparse.csr_array(t.T)
             self.forward_t.sort_indices()
-            coo = t.tocoo()
-            r, c, v = coo.row, coo.col, coo.data
-            keep = v > 0.0
-            r, c, v = r[keep], c[keep], v[keep]
         else:
-            self.forward_t = t.T
-            r, c = np.nonzero(t)
-            v = t[r, c]
+            self.backward_t = t.toarray()
+            self.forward_t = self.backward_t.T
+        r = np.repeat(np.arange(hmm.n_states), np.diff(t.indptr))
+        c, v = t.indices, t.data
         same = colors[r] == colors[c]
         self.diag_colors = np.unique(colors[r[same]]).tolist()
         self.cross = self._cross_blocks(hmm, r[~same], c[~same], v[~same])
@@ -153,6 +167,45 @@ class TransitionOperator:
             idx = np.where(valid, self.pred_indices[pos], 0)
             logw = np.where(valid, self.pred_log[pos], -np.inf)
             self.buckets.append((_selector(states), idx, logw))
+
+    def scaled_passes(self, obs):
+        """Scaled forward and backward passes over encoded symbols.
+
+        Returns (alphahat, betahat, scales) where alphahat[t] is the
+        filtered state distribution, scales[t] the per-position
+        normalizers with log Pr(X) = sum(log scales), and
+        alphahat[t] * betahat[t] the smoothed state posteriors. Sparse
+        kernels set every stored entry below the smallest normal double
+        to zero. Raises ZeroLikelihoodError naming the first position no
+        state path can explain.
+        """
+        t_t, t_mat, emis = self.forward_t, self.backward_t, self.emis_rows
+        flush = self.is_sparse
+        n, n_states = obs.size, self.initial.size
+
+        alphahat = np.empty((n, n_states))
+        scales = np.empty(n)
+        a = self.initial * emis[obs[0]]
+        for t in range(n):
+            if t:
+                a = (t_t @ alphahat[t - 1]) * emis[obs[t]]
+            scales[t] = a.sum()
+            if scales[t] <= 0.0:
+                raise ZeroLikelihoodError(f"sequence impossible under model at position {t + 1}")
+            row = alphahat[t]
+            np.divide(a, scales[t], out=row)
+            if flush:
+                row[row < TINY] = 0.0
+
+        betahat = np.empty((n, n_states))
+        betahat[n - 1] = 1.0
+        for t in range(n - 2, -1, -1):
+            row = betahat[t]
+            np.divide(t_mat @ (emis[obs[t + 1]] * betahat[t + 1]), scales[t + 1], out=row)
+            if flush:
+                row[row < TINY] = 0.0
+
+        return alphahat, betahat, scales
 
     def viterbi_scores(self, obs):
         """(n, S) max-product scores.

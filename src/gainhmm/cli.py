@@ -260,7 +260,6 @@ def build_parser():
     p.add_argument("--in", dest="input", required=True, help="query FASTA")
     p.add_argument("--truth", required=True, help="truth segment TSV")
     p.add_argument("--out", required=True, help="metrics CSV to write")
-    p.add_argument("--decoder", choices=DECODERS, help="ignored; all decoders run")
     p.add_argument("--W", type=int, default=10)
     p.add_argument("--gamma", type=float, default=0.2)
     p.add_argument("--alpha", type=float, default=0.0)

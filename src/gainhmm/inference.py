@@ -2,12 +2,10 @@
 
 Forward-backward runs with per-position scaling constants (exact
 posteriors, no logs in the inner loop); Viterbi runs in log space. Both
-run on the model's cached transition operator (`_transition`): dense
-models keep a dense matrix and gradual underflow, while CSR models (the
-assembled jumping models above 256 states) flush scaled entries below the
-smallest normal double and take their max-product over in-degree
-buckets. Pair posteriors are summed over the cross-color transition
-blocks only. All entry points are pure functions of immutable inputs.
+run on the model's cached transition operator (`_transition`), which
+alone chooses dense or sparse kernels from the model's size. Pair
+posteriors are summed over the cross-color transition blocks only. All
+entry points are pure functions of immutable inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._transition import TINY, operator_of
+from ._transition import operator_of
 from .model import Annotation, ZeroLikelihoodError
 
 
@@ -47,45 +45,6 @@ class PosteriorSet:
         return float(self.pair_post[k - 1, c_from, c_to])
 
 
-def _scaled_forward_backward(hmm, obs):
-    """Scaled forward/backward passes.
-
-    Returns (alphahat, betahat, scales) where alphahat[t] is the filtered
-    state distribution, scales[t] the per-position normalizers with
-    log Pr(X) = sum(log scales), and alphahat[t] * betahat[t] the smoothed
-    state posteriors. On CSR models every stored row has its entries
-    below the smallest normal double set to zero.
-    """
-    op = operator_of(hmm)
-    t_t, t_mat, emis = op.forward_t, op.backward_t, op.emis_rows
-    flush = op.is_sparse
-    n, n_states = obs.size, hmm.n_states
-
-    alphahat = np.empty((n, n_states))
-    scales = np.empty(n)
-    a = hmm.initial * emis[obs[0]]
-    for t in range(n):
-        if t:
-            a = (t_t @ alphahat[t - 1]) * emis[obs[t]]
-        scales[t] = a.sum()
-        if scales[t] <= 0.0:
-            raise ZeroLikelihoodError(f"sequence impossible under model at position {t + 1}")
-        row = alphahat[t]
-        np.divide(a, scales[t], out=row)
-        if flush:
-            row[row < TINY] = 0.0
-
-    betahat = np.empty((n, n_states))
-    betahat[n - 1] = 1.0
-    for t in range(n - 2, -1, -1):
-        row = betahat[t]
-        np.divide(t_mat @ (emis[obs[t + 1]] * betahat[t + 1]), scales[t + 1], out=row)
-        if flush:
-            row[row < TINY] = 0.0
-
-    return alphahat, betahat, scales
-
-
 def forward_backward(hmm, seq):
     """Posterior color and color-pair probabilities of `seq` under `hmm`.
 
@@ -93,8 +52,8 @@ def forward_backward(hmm, seq):
     ZeroLikelihoodError when the sequence has zero probability.
     """
     obs = hmm.encode(seq)
-    alphahat, betahat, scales = _scaled_forward_backward(hmm, obs)
     op = operator_of(hmm)
+    alphahat, betahat, scales = op.scaled_passes(obs)
     color_post = op.color_posteriors(alphahat, betahat)
     return PosteriorSet(
         length=obs.size,

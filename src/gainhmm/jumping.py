@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .model import DENSE_STATE_LIMIT, Hmm
+from .model import Hmm
 
 DNA = ("a", "c", "g", "t")
 
@@ -307,20 +307,13 @@ def assemble_jumping_hmm(profiles, jump_prob):
             new_initial[new_index[s]] += p
 
     n = emitting.size
-    if n > DENSE_STATE_LIMIT:
-        new_trans = sparse.csr_array(
-            sparse.coo_array((vals, (rows, cols)), shape=(n, n)))
-    else:
-        new_trans = np.zeros((n, n))
-        new_trans[rows, cols] = vals
-
     return Hmm(
         state_ids=[state_ids[int(i)] for i in emitting],
         state_colors=colors[emitting],
         color_names=[p.name for p in profiles],
         alphabet=list(DNA),
         initial=new_initial,
-        transitions=new_trans,
+        transitions=sparse.coo_array((vals, (rows, cols)), shape=(n, n)),
         emissions=np.array([emit_rows[int(i)] for i in emitting]),
     )
 

@@ -22,9 +22,6 @@ from scipy import sparse
 ROW_SUM_ACCEPT = 1e-9
 ROW_SUM_REPAIR = 1e-6
 
-# State count above which assembled models keep a sparse transition matrix.
-DENSE_STATE_LIMIT = 256
-
 
 class InvalidModelError(ValueError):
     """A model description violates a structural invariant."""
@@ -34,25 +31,50 @@ class ZeroLikelihoodError(ValueError):
     """The observed sequence has probability zero under the model."""
 
 
-def _fix_row(row, what, name):
-    """Validate one probability row in place; return the repaired row.
+def _row_divisors(sums, negative, what, names):
+    """Divisors that repair the rows of one probability table.
 
-    `row` is a dense 1-D float array. Raises InvalidModelError on negative
-    entries or a row sum further than ROW_SUM_REPAIR from 1.
+    `sums` and `negative` give each row's sum and whether it holds a
+    negative entry. Raises InvalidModelError naming the first row, in
+    order, with a negative entry or a sum further than ROW_SUM_REPAIR
+    from 1; within one row the negative entry is named. Rows within
+    ROW_SUM_ACCEPT of 1 get divisor 1, which keeps them bit for bit.
     """
-    if np.any(row < 0.0):
-        raise InvalidModelError(f"negative probability in {what} for {name}")
-    s = float(row.sum())
-    dev = abs(s - 1.0)
-    if dev > ROW_SUM_REPAIR:
-        raise InvalidModelError(f"{what} row sum {s:g} for state {name}")
-    if dev > ROW_SUM_ACCEPT:
-        row /= s
-    return row
+    dev = np.abs(sums - 1.0)
+    bad = np.flatnonzero(negative | (dev > ROW_SUM_REPAIR))
+    if bad.size:
+        i = bad[0]
+        if negative[i]:
+            raise InvalidModelError(f"negative probability in {what} for {names[i]}")
+        raise InvalidModelError(f"{what} row sum {sums[i]:g} for state {names[i]}")
+    return np.where(dev > ROW_SUM_ACCEPT, sums, 1.0)
+
+
+def _canonical_transitions(transitions, state_ids):
+    """Validated float64 CSR copy of a transition matrix, rows repaired.
+
+    `transitions` is an ndarray or a scipy sparse matrix. The copy has
+    sorted indices, summed duplicates and no stored zeros.
+    """
+    n = len(state_ids)
+    t = sparse.csr_array(transitions, dtype=np.float64, copy=True)
+    if t.shape != (n, n):
+        raise InvalidModelError(f"transition matrix of shape {t.shape} for {n} states")
+    t.sum_duplicates()
+    t.eliminate_zeros()
+    row_of = np.repeat(np.arange(n), np.diff(t.indptr))
+    negative = np.zeros(n, dtype=bool)
+    negative[row_of[t.data < 0.0]] = True
+    sums = np.bincount(row_of, weights=t.data, minlength=n)
+    t.data /= _row_divisors(sums, negative, "transition", state_ids)[row_of]
+    return t
 
 
 class Hmm:
-    """Validated labeled HMM with dense or sparse transitions.
+    """Validated labeled HMM.
+
+    `transitions` may be given as an ndarray or as any scipy sparse
+    matrix; it is stored in one form, CSR, whatever the model's size.
 
     Attributes:
         state_ids: state identifier strings, index order is canonical
@@ -60,7 +82,10 @@ class Hmm:
         color_names: name per color id
         alphabet: ordered emission symbols
         initial: (S,) initial distribution
-        transitions: (S, S) row-stochastic matrix, ndarray or csr_array
+        transitions: (S, S) row-stochastic float64 csr_array with sorted
+            indices, no duplicates, no stored zeros and read-only data,
+            indices and indptr;
+            transitions_dense() gives it as an ndarray
         emissions: (S, A) row-stochastic emission matrix
 
     Instances are immutable after construction and safe to share across
@@ -90,32 +115,15 @@ class Hmm:
                 raise InvalidModelError(f"unknown color {c} for state {sid}")
 
         self.initial = np.asarray(initial, dtype=np.float64).copy()
+        self.initial /= _row_divisors(
+            self.initial.sum(keepdims=True), np.any(self.initial < 0.0, keepdims=True),
+            "initial", ["<initial>"])
         self.emissions = np.asarray(emissions, dtype=np.float64).copy()
-        _fix_row(self.initial, "initial", "<initial>")
-        for i, sid in enumerate(self.state_ids):
-            _fix_row(self.emissions[i], "emission", sid)
+        self.emissions /= _row_divisors(
+            self.emissions.sum(axis=1), np.any(self.emissions < 0.0, axis=1),
+            "emission", self.state_ids)[:, None]
 
-        if sparse.issparse(transitions):
-            self.transitions = sparse.csr_array(transitions, dtype=np.float64)
-            self.transitions.sort_indices()
-            sums = np.asarray(self.transitions.sum(axis=1)).ravel()
-            mn = self.transitions.data.min() if self.transitions.nnz else 0.0
-            if mn < 0.0:
-                bad = np.where((self.transitions < 0).sum(axis=1) > 0)[0][0]
-                raise InvalidModelError(
-                    f"negative probability in transition for {self.state_ids[bad]}")
-            for i, s in enumerate(sums):
-                dev = abs(s - 1.0)
-                if dev > ROW_SUM_REPAIR:
-                    raise InvalidModelError(
-                        f"transition row sum {s:g} for state {self.state_ids[i]}")
-                if dev > ROW_SUM_ACCEPT:
-                    lo, hi = self.transitions.indptr[i], self.transitions.indptr[i + 1]
-                    self.transitions.data[lo:hi] /= s
-        else:
-            self.transitions = np.asarray(transitions, dtype=np.float64).copy()
-            for i, sid in enumerate(self.state_ids):
-                _fix_row(self.transitions[i], "transition", sid)
+        self.transitions = _canonical_transitions(transitions, self.state_ids)
 
         # A symbol's other case decodes as the symbol itself unless that
         # case is a symbol of its own, so `ACGT` reads like `acgt`.
@@ -123,10 +131,10 @@ class Hmm:
         for i, s in enumerate(self.alphabet):
             if isinstance(s, str):
                 self._symbol_index.setdefault(s.swapcase(), i)
-        for arr in (self.initial, self.emissions, self.state_colors):
+        t = self.transitions
+        for arr in (self.initial, self.emissions, self.state_colors,
+                    t.data, t.indices, t.indptr):
             arr.flags.writeable = False
-        if isinstance(self.transitions, np.ndarray):
-            self.transitions.flags.writeable = False
         # Decoding tables derived from the above, built on the first decode
         # (`_transition.operator_of`); read-only once built.
         self._operator = None
@@ -168,8 +176,7 @@ class Hmm:
         return out
 
     def transitions_dense(self):
-        if isinstance(self.transitions, np.ndarray):
-            return self.transitions
+        """The transition matrix as a new (S, S) ndarray."""
         return self.transitions.toarray()
 
 
@@ -207,11 +214,12 @@ class ColorGraph:
 
 def color_graph(hmm):
     """Build the ColorGraph of a validated model."""
-    ind = hmm.color_indicator()
-    pos = (hmm.transitions > 0).astype(np.float64)
-    reach = np.asarray(pos @ ind)  # (S, C): positive edges leaving each state per color
-    pairs = (ind.T @ reach) > 0
-    start = (ind.T @ (hmm.initial > 0)) > 0
+    t, colors = hmm.transitions, hmm.state_colors
+    rows = np.repeat(np.arange(hmm.n_states), np.diff(t.indptr))
+    pairs = np.zeros((hmm.n_colors, hmm.n_colors), dtype=bool)
+    pairs[colors[rows], colors[t.indices]] = True
+    start = np.zeros(hmm.n_colors, dtype=bool)
+    start[colors[hmm.initial > 0.0]] = True
     return ColorGraph(start=start, pairs=pairs)
 
 
@@ -329,28 +337,17 @@ def build_hmm(spec):
             raise InvalidModelError(f"unknown state {sid!r} in initial")
         init[index[sid]] = float(p)
 
-    if n > DENSE_STATE_LIMIT:
-        rows, cols_, vals = [], [], []
-        for sid, row in transitions.items():
-            if sid not in index:
-                raise InvalidModelError(f"unknown state {sid!r} in transitions")
-            for tid, p in row.items():
-                if tid not in index:
-                    raise InvalidModelError(f"unknown state {tid!r} in transitions")
-                rows.append(index[sid])
-                cols_.append(index[tid])
-                vals.append(float(p))
-        trans = sparse.csr_array(
-            sparse.coo_array((vals, (rows, cols_)), shape=(n, n)))
-    else:
-        trans = np.zeros((n, n))
-        for sid, row in transitions.items():
-            if sid not in index:
-                raise InvalidModelError(f"unknown state {sid!r} in transitions")
-            for tid, p in row.items():
-                if tid not in index:
-                    raise InvalidModelError(f"unknown state {tid!r} in transitions")
-                trans[index[sid], index[tid]] = float(p)
+    rows, cols, vals = [], [], []
+    for sid, row in transitions.items():
+        if sid not in index:
+            raise InvalidModelError(f"unknown state {sid!r} in transitions")
+        for tid, p in row.items():
+            if tid not in index:
+                raise InvalidModelError(f"unknown state {tid!r} in transitions")
+            rows.append(index[sid])
+            cols.append(index[tid])
+            vals.append(float(p))
+    trans = sparse.coo_array((vals, (rows, cols)), shape=(n, n))
 
     return Hmm(state_ids, state_colors, color_names, alphabet, init, trans, emissions)
 
@@ -362,19 +359,12 @@ def hmm_to_dict(hmm):
         emis = {sym: float(p) for sym, p in zip(hmm.alphabet, hmm.emissions[i]) if p != 0.0}
         states.append({"id": sid, "color": int(hmm.state_colors[i]), "emission": emis})
     initial = {sid: float(p) for sid, p in zip(hmm.state_ids, hmm.initial) if p != 0.0}
+    ids, t = hmm.state_ids, hmm.transitions
+    indptr, indices, data = t.indptr.tolist(), t.indices.tolist(), t.data.tolist()
     trans = {}
-    t = hmm.transitions
-    if sparse.issparse(t):
-        indptr, indices, data = t.indptr, t.indices, t.data
-        for i, sid in enumerate(hmm.state_ids):
-            row = {hmm.state_ids[j]: float(v)
-                   for j, v in zip(indices[indptr[i]:indptr[i + 1]],
-                                   data[indptr[i]:indptr[i + 1]]) if v != 0.0}
-            trans[sid] = row
-    else:
-        for i, sid in enumerate(hmm.state_ids):
-            trans[sid] = {hmm.state_ids[j]: float(v)
-                          for j, v in enumerate(t[i]) if v != 0.0}
+    for i, sid in enumerate(ids):
+        lo, hi = indptr[i], indptr[i + 1]
+        trans[sid] = {ids[j]: p for j, p in zip(indices[lo:hi], data[lo:hi])}
     return {
         "alphabet": list(hmm.alphabet),
         "colors": [{"id": i, "name": n} for i, n in enumerate(hmm.color_names)],

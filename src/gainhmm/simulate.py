@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .jumping import DNA, make_alignment
 from .model import Annotation
@@ -41,14 +40,15 @@ def sample_path(hmm, length, seed):
         raise ValueError("length must be >= 1")
     rng = np.random.default_rng(seed)
     trans = hmm.transitions
-    is_sparse = sparse.issparse(trans)
 
     states = np.empty(length, dtype=np.int64)
     u = rng.choice(hmm.n_states, p=hmm.initial)
     states[0] = u
     for t in range(1, length):
-        row = trans[[u]].toarray().ravel() if is_sparse else trans[u]
-        u = rng.choice(hmm.n_states, p=row)
+        # a choice over the stored entries draws what one over the full
+        # row would: zeros add nothing to the cumulative sums it searches
+        lo, hi = trans.indptr[u], trans.indptr[u + 1]
+        u = trans.indices[lo + rng.choice(hi - lo, p=trans.data[lo:hi])]
         states[t] = u
 
     sym_idx = np.empty(length, dtype=np.int64)

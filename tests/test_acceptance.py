@@ -22,12 +22,9 @@ from gainhmm import (
     JumpingHmmSpec,
     base_accuracy,
     boundary_metrics,
-    brute_force_best_annotation,
-    brute_force_expected_gain,
     build_hmm,
     build_jumping_hmm,
     color_graph,
-    coloring_distribution,
     expected_gain,
     forward_backward,
     gain_decode,
@@ -38,7 +35,13 @@ from gainhmm import (
     window_scores,
 )
 from gainhmm.cli import main as cli_main
-from gainhmm.gain import _gains_against, decode_from_posteriors
+from gainhmm.gain import decode_from_posteriors
+from gainhmm.oracles import (
+    _gains_against,
+    brute_force_best_annotation,
+    brute_force_expected_gain,
+    coloring_distribution,
+)
 from gainhmm.seqio import FastaRecord, write_fasta, write_segments
 import _oracles
 from conftest import random_model, random_seq, t1_spec

@@ -246,3 +246,10 @@ class TestBench:
         assert run("bench", "--model", model, "--in", fasta, "--truth", truth,
                    "--out", tmp_path / "o.csv", "--sweep-gamma", ",") == 1
         assert "nonempty" in capsys.readouterr().err
+
+    def test_decoder_option_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run("bench", "--model", tmp_path / "m.json", "--in", tmp_path / "q.fasta",
+                "--truth", tmp_path / "t.tsv", "--out", tmp_path / "o.csv",
+                "--decoder", "herd")
+        assert exc.value.code == 2

@@ -10,18 +10,20 @@ from gainhmm import (
     ColorGraph,
     GainParams,
     PosteriorSet,
-    brute_force_best_annotation,
-    brute_force_expected_gain,
     color_graph,
-    coloring_distribution,
     decode_from_posteriors,
     expected_gain,
-    feasible_colorings,
     forward_backward,
     gain_decode,
     posterior_decode,
     viterbi_decode,
     window_scores,
+)
+from gainhmm.oracles import (
+    brute_force_best_annotation,
+    brute_force_expected_gain,
+    coloring_distribution,
+    feasible_colorings,
 )
 import _oracles
 from conftest import random_model, random_seq

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from gainhmm import (
     synthetic_subtypes,
     viterbi_decode,
 )
-from gainhmm.inference import _scaled_forward_backward
+from gainhmm import _transition
 from gainhmm.simulate import sample_path
 import _oracles
 from conftest import random_model, random_seq, t1_spec
@@ -88,7 +89,7 @@ class TestForwardBackward:
     def test_unscaled_product_constant(self, t1):
         # sum_u fwd(j, u) * bwd(j, u) must equal Pr(X) at every position.
         obs = t1.encode("xyxyy")
-        alphahat, betahat, scales = _scaled_forward_backward(t1, obs)
+        alphahat, betahat, scales = _transition.operator_of(t1).scaled_passes(obs)
         lik = np.prod(scales)
         for j in range(len(obs)):
             fwd = alphahat[j] * np.prod(scales[: j + 1])
@@ -126,9 +127,7 @@ class TestForwardBackward:
     def test_sparse_matches_dense(self):
         rng = np.random.default_rng(17)
         hmm = random_model(rng, n_states=5, n_colors=3, n_symbols=3, sparsity=0.4)
-        hmm_sp = Hmm(hmm.state_ids, hmm.state_colors, hmm.color_names,
-                     hmm.alphabet, hmm.initial,
-                     sparse.csr_array(hmm.transitions), hmm.emissions)
+        hmm_sp = sparse_kernel_copy(hmm)
         seq = random_seq(rng, hmm.alphabet, 30)
         a = forward_backward(hmm, seq)
         b = forward_backward(hmm_sp, seq)
@@ -170,7 +169,7 @@ class TestViterbi:
         seq_states, seq = sample_path(t1, 40, seed=1)
         _, logp = viterbi_decode(t1, seq)
         obs = t1.encode(seq)
-        log_t = np.log(t1.transitions)
+        log_t = np.log(t1.transitions_dense())
         log_e = np.log(t1.emissions)
         rng = np.random.default_rng(2)
         for _ in range(1000):
@@ -184,9 +183,7 @@ class TestViterbi:
         rng = np.random.default_rng(31)
         for _ in range(10):
             hmm = random_model(rng, n_states=6, n_colors=3, n_symbols=3, sparsity=0.5)
-            hmm_sp = Hmm(hmm.state_ids, hmm.state_colors, hmm.color_names,
-                         hmm.alphabet, hmm.initial,
-                         sparse.csr_array(hmm.transitions), hmm.emissions)
+            hmm_sp = sparse_kernel_copy(hmm)
             seq = random_seq(rng, hmm.alphabet, 25)
             a, lp_a = viterbi_decode(hmm, seq)
             b, lp_b = viterbi_decode(hmm_sp, seq)
@@ -239,8 +236,8 @@ class TestPosteriorDecode:
 class TestImpossiblePosition:
     """Both decoders name the first position no state path can explain."""
 
-    @pytest.mark.parametrize("as_csr", [False, True])
-    def test_same_position_in_both_messages(self, as_csr):
+    @pytest.mark.parametrize("sparse_kernels", [False, True])
+    def test_same_position_in_both_messages(self, sparse_kernels):
         # s_A only emits x and never leaves itself, so "xxyx" dies at 3.
         spec = t1_spec()
         spec["states"][0]["emission"] = {"x": 1.0}
@@ -248,8 +245,8 @@ class TestImpossiblePosition:
         spec["initial"] = {"s_A": 1.0}
         spec["transitions"] = {"s_A": {"s_A": 1.0}, "s_B": {"s_B": 1.0}}
         hmm = build_hmm(spec)
-        if as_csr:
-            hmm = csr_copy(hmm)
+        if sparse_kernels:
+            hmm = sparse_kernel_copy(hmm)
         message = "sequence impossible under model at position 3"
         with pytest.raises(ZeroLikelihoodError, match=message):
             forward_backward(hmm, "xxyx")
@@ -266,10 +263,17 @@ class TestImpossiblePosition:
                 decode(hmm, "yx")
 
 
-def csr_copy(hmm):
-    """The same model with CSR transitions."""
-    return Hmm(hmm.state_ids, hmm.state_colors, hmm.color_names, hmm.alphabet,
-               hmm.initial, sparse.csr_array(hmm.transitions_dense()), hmm.emissions)
+def sparse_kernel_copy(hmm):
+    """A copy of the model that decodes with the sparse kernels at any size.
+
+    The operator is built on the copy's first decode and cached, so
+    building it here with the dense limit patched to 0 fixes its kernels.
+    """
+    twin = Hmm(hmm.state_ids, hmm.state_colors, hmm.color_names, hmm.alphabet,
+               hmm.initial, hmm.transitions, hmm.emissions)
+    with mock.patch.object(_transition, "DENSE_STATE_LIMIT", 0):
+        assert _transition.operator_of(twin).is_sparse
+    return twin
 
 
 def assert_matches_reference(hmm, seq):
@@ -321,7 +325,7 @@ def quarter_model(rng, n_states, n_colors, n_symbols, as_csr):
 
 @st.composite
 def decode_instances(draw):
-    """(model, sequence sampled from it) over dense, CSR and jumping models."""
+    """(model, sequence sampled from it) on the dense and the sparse kernels."""
     kind = draw(st.sampled_from(["dense", "csr", "csr_large", "jumping", "jumping_csr"]))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     if kind.startswith("jumping"):
@@ -329,12 +333,13 @@ def decode_instances(draw):
                                  divergence=0.3, seed=int(rng.integers(1 << 30)))
         hmm = build_jumping_hmm(msa, JumpingHmmSpec(
             jump_prob=float(rng.choice([0.25, 0.5])), pseudocount=0.5))
-        if kind == "jumping_csr":
-            hmm = csr_copy(hmm)
     else:
         n_states = int(rng.integers(257, 300) if kind == "csr_large" else rng.integers(2, 10))
         hmm = quarter_model(rng, n_states, int(rng.integers(1, min(4, n_states) + 1)),
                             int(rng.integers(2, 5)), as_csr=kind != "dense")
+    if kind in ("csr", "jumping_csr"):
+        hmm = sparse_kernel_copy(hmm)
+    assert _transition.operator_of(hmm).is_sparse == (kind != "dense" and kind != "jumping")
     length = draw(st.integers(min_value=1, max_value=40))
     _, seq = sample_path(hmm, length, seed=int(rng.integers(1 << 30)))
     return hmm, seq
@@ -353,7 +358,7 @@ class TestAgainstReference:
         # probabilities of early-column states through the subnormal range.
         msa = synthetic_subtypes(3, 150, divergence=0.15, seed=3)
         hmm = build_jumping_hmm(msa, JumpingHmmSpec(jump_prob=0.01, pseudocount=0.1))
-        assert sparse.issparse(hmm.transitions)
+        assert _transition.operator_of(hmm).is_sparse
         recs = random_recombinants(msa, 4, seed=4, breakpoint_range=(1, 2),
                                    min_segment=30, mutation_rate=0.05)
         seq = "".join(r.seq for r in recs)
@@ -362,7 +367,7 @@ class TestAgainstReference:
         ref_alpha, _, ref_scales = _oracles.reference_scaled_forward_backward(hmm, obs)
         assert np.count_nonzero((ref_alpha > 0) & (ref_alpha < tiny)) > 1000
 
-        alphahat, betahat, scales = _scaled_forward_backward(hmm, obs)
+        alphahat, betahat, scales = _transition.operator_of(hmm).scaled_passes(obs)
         for arr in (alphahat, betahat):
             assert not np.any((arr > 0) & (arr < tiny))
         np.testing.assert_array_equal(scales, ref_scales)

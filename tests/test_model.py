@@ -1,17 +1,29 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import sparse
 
 from gainhmm import (
     Annotation,
+    Hmm,
     InvalidModelError,
+    JumpingHmmSpec,
     build_hmm,
+    build_jumping_hmm,
     color_graph,
     hmm_to_dict,
     load_model,
+    sample_path,
     save_model,
+    synthetic_subtypes,
 )
 from conftest import random_model, t1_spec
+
+
+def with_transitions(hmm, transitions):
+    """The model rebuilt from the same fields with `transitions` in place."""
+    return Hmm(hmm.state_ids, hmm.state_colors, hmm.color_names, hmm.alphabet,
+               hmm.initial, transitions, hmm.emissions)
 
 
 class TestBuildHmm:
@@ -97,11 +109,58 @@ class TestBuildHmm:
         with pytest.raises(ValueError, match="'y' at position 1"):
             hmm.encode("y")
 
-    def test_immutable(self, t1):
+    @pytest.mark.filterwarnings("ignore::scipy.sparse.SparseEfficiencyWarning")
+    def test_immutable(self):
+        spec = t1_spec()
+        spec["transitions"]["s_B"] = {"s_B": 1.0}
+        hmm = build_hmm(spec)
         with pytest.raises(ValueError):
-            t1.initial[0] = 0.3
+            hmm.initial[0] = 0.3
         with pytest.raises(ValueError):
-            t1.transitions[0, 0] = 0.5
+            hmm.transitions[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            hmm.transitions[1, 0] = 0.5  # a structurally new entry
+
+
+class TestTransitionFormat:
+    """An ndarray and a csr_array of the same matrix make the same model."""
+
+    @pytest.fixture(params=["small", "jumping"])
+    def model(self, request):
+        if request.param == "small":
+            return random_model(np.random.default_rng(5), n_states=6, n_colors=3,
+                                n_symbols=3, sparsity=0.4)
+        msa = synthetic_subtypes(3, 100, divergence=0.15, seed=8)
+        hmm = build_jumping_hmm(msa, JumpingHmmSpec(jump_prob=0.01, pseudocount=0.5))
+        assert hmm.n_states > 256
+        return hmm
+
+    def test_same_model_from_both_forms(self, tmp_path, model):
+        dense = with_transitions(model, model.transitions_dense())
+        csr = with_transitions(model, sparse.csr_array(model.transitions_dense()))
+        for t in (dense.transitions, csr.transitions):
+            assert isinstance(t, sparse.csr_array) and t.has_canonical_format
+        for a, b in ((dense.transitions, csr.transitions), (dense.transitions, model.transitions)):
+            for field in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        save_model(dense, tmp_path / "dense.json")
+        save_model(csr, tmp_path / "csr.json")
+        save_model(model, tmp_path / "model.json")
+        assert (tmp_path / "dense.json").read_bytes() == (tmp_path / "csr.json").read_bytes()
+        assert (tmp_path / "dense.json").read_bytes() == (tmp_path / "model.json").read_bytes()
+        for seed in range(5):
+            (s_a, x_a), (s_b, x_b) = sample_path(dense, 60, seed), sample_path(csr, 60, seed)
+            np.testing.assert_array_equal(s_a, s_b)
+            assert x_a == x_b
+
+    @pytest.mark.parametrize("as_csr", [False, True])
+    def test_first_bad_state_named(self, as_csr):
+        trans = np.array([[1.0, 0.0, 0.0],
+                          [0.5, 0.5, 0.5],
+                          [1.5, -0.5, 0.0]])
+        with pytest.raises(InvalidModelError, match=r"row sum 1\.5 for state s1$"):
+            Hmm(["s0", "s1", "s2"], [0, 0, 0], ["c"], ["x"], [1.0, 0.0, 0.0],
+                sparse.csr_array(trans) if as_csr else trans, np.ones((3, 1)))
 
 
 class TestSerialization:
@@ -111,7 +170,7 @@ class TestSerialization:
         again = load_model(path)
         assert again.state_ids == t1.state_ids
         np.testing.assert_array_equal(again.initial, t1.initial)
-        np.testing.assert_array_equal(again.transitions, t1.transitions)
+        np.testing.assert_array_equal(again.transitions_dense(), t1.transitions_dense())
         np.testing.assert_array_equal(again.emissions, t1.emissions)
 
     def test_round_trip_random_models(self, tmp_path):
@@ -122,7 +181,8 @@ class TestSerialization:
             save_model(hmm, path)
             again = load_model(path)
             np.testing.assert_array_equal(again.initial, hmm.initial)
-            np.testing.assert_array_equal(again.transitions, hmm.transitions)
+            np.testing.assert_array_equal(again.transitions_dense(),
+                                          hmm.transitions_dense())
             np.testing.assert_array_equal(again.emissions, hmm.emissions)
 
     def test_zero_entries_omitted(self, one_state):
