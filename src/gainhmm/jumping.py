@@ -7,9 +7,14 @@ other profiles. Every state of a profile carries that profile's color, so
 a decoded coloring reads directly as a subtype segmentation and a color
 change as a candidate recombination breakpoint.
 
-Delete states are silent. They are eliminated at assembly time by closing
-transition probabilities over silent chains, so the decoders only ever
-see emitting states.
+The assembled model holds emitting states only. Profile p occupies the
+block of states starting at p(2L+1), laid out as I0, M1, I1, ..., ML, IL,
+so every transition is index arithmetic on that layout. Delete states are
+silent and never built: a delete chain only advances, D_c -> D_{c+1} with
+probability delete_self and D_c -> M_{c+1} otherwise, so the mass it hands
+to each later match state and to the terminal insert is a geometric
+sequence. Terms of these sequences at or below SILENT_CLOSURE_EPS (and all
+terms after them) are dropped.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from .model import Hmm
 
 DNA = ("a", "c", "g", "t")
 
-# Closure entries below this are dropped; the lost row mass stays far
-# below the model validator's 1e-9 acceptance band.
+# Delete-chain reach terms not above this are dropped; the lost row mass
+# stays far below the model validator's 1e-9 acceptance band.
 SILENT_CLOSURE_EPS = 1e-13
 
 
@@ -136,9 +141,13 @@ def build_profile(name, group, spec):
     for s in group:
         if len(s) != length:
             raise ValueError(f"ragged alignment in subtype {name!r}")
-        for i, ch in enumerate(s.lower()):
+        for i, ch in enumerate(s):
             if ch != "-":
-                counts[i, sym_index[ch]] += 1.0
+                sym = sym_index.get(ch.lower())
+                if sym is None:
+                    raise ValueError(f"illegal character {ch!r} in subtype {name!r} "
+                                     f"at column {i + 1}")
+                counts[i, sym] += 1.0
     nongap = counts.sum(axis=1, keepdims=True)
     emission = (counts + spec.pseudocount) / (nongap + len(DNA) * spec.pseudocount)
     return ProfileHmm(name=name, length=length, match_emission=emission, spec=spec)
@@ -149,172 +158,89 @@ def build_profiles(msa, spec):
     return [build_profile(name, msa.groups[name], spec) for name in msa.names]
 
 
-def _assemble_full(profiles, jump_prob):
-    """Full state graph of the jumping model, delete states included.
+def _geometric(first, ratio, limit):
+    """first, ratio * first, ... by repeated multiplication, as an array.
 
-    Returns (state_ids, colors, silent mask, initial, transition dict,
-    emission rows) with transitions as {from: {to: prob}} over state
-    indices. Match rows at columns < L carry (1 - P_j) of their
-    within-profile mass plus P_j split over the other profiles' next
-    match states; everything at column L funnels into that profile's
-    terminal insert state, which absorbs.
+    Stops after `limit` terms or at the first term not above
+    SILENT_CLOSURE_EPS; with 0 <= ratio < 1 no later term is above it.
     """
+    terms = []
+    while first > SILENT_CLOSURE_EPS and len(terms) < limit:
+        terms.append(first)
+        first = ratio * first
+    return np.array(terms)
+
+
+def assemble_jumping_hmm(profiles, jump_prob):
+    """One labeled HMM from per-subtype profiles plus jump transitions.
+
+    Profile p occupies states p(2L+1) onwards as I0, M1, I1, ..., ML, IL
+    and carries color p; the initial distribution is uniform over
+    profiles. Match rows at columns < L keep (1 - P_j) of their
+    within-profile mass and split P_j over the other profiles' next match
+    states; M_L funnels into the terminal insert I_L, which absorbs.
+    Delete states are never built: the mass a match state (or the start)
+    sends into D_{c+1} goes straight to where the delete chain emits.
+    """
+    if not 0.0 <= jump_prob < 1.0:
+        raise ValueError("jump probability must be in [0, 1)")
     n_prof = len(profiles)
     if n_prof < 2:
         raise ValueError("need at least two profiles")
     length = profiles[0].length
     for p in profiles:
         if p.length != length:
-            raise ValueError(
-                f"profile {p.name!r} has {p.length} columns, expected {length}")
-    spec = profiles[0].spec
+            raise ValueError(f"profile {p.name!r} has {p.length} columns, expected {length}")
+    spec, keep, block = profiles[0].spec, 1.0 - jump_prob, 2 * length + 1
 
-    state_ids, colors, silent, emit_rows = [], [], [], []
-    index = {}
+    # A delete chain entered at D_d hands to_match[j] to M_{d+1+j} and
+    # to_end[L-d] to I_L, products taken in the order that resolving the
+    # chain one delete state at a time takes them. chain_* list those
+    # (d, target, mass) triples; within a block I_c is at 2c, M_c at 2c-1.
+    ds = spec.delete_self
+    to_match, to_end = _geometric(1.0 - ds, ds, length - 1), _geometric(1.0, ds, length)
+    d = np.arange(1, length + 1)
+    hit_d, hit_j = np.nonzero(np.arange(to_match.size) < (length - d)[:, None])
+    end_d = d[length - d < to_end.size]
+    chain_d = np.concatenate((d[hit_d], end_d))
+    chain_to = np.concatenate((2 * (d[hit_d] + hit_j) + 1, np.full(end_d.size, block - 1)))
+    chain_q = np.concatenate((to_match[hit_j], to_end[length - end_d]))
+    from_m, ins, mat = chain_d > 1, 2 * d - 2, 2 * d[:-1] - 1
 
-    def add(sid, color, is_silent, emission):
-        index[sid] = len(state_ids)
-        state_ids.append(sid)
-        colors.append(color)
-        silent.append(is_silent)
-        emit_rows.append(emission)
+    b = block * np.arange(n_prof)[:, None]
+    src, dst = np.nonzero(~np.eye(n_prof, dtype=bool))
+    edges = [  # (from, to, probability); zero entries are dropped by Hmm
+        (b + ins, b + ins, spec.insert_self),
+        (b + ins, b + ins + 1, 1.0 - spec.insert_self),
+        (b + block - 1, b + block - 1, 1.0),
+        (b + mat, b + mat + 2, spec.match_advance * keep),
+        (b + mat, b + mat + 1, spec.match_insert * keep),
+        (b + block - 2, b + block - 1, 1.0),
+        (b + 2 * chain_d[from_m] - 3, b + chain_to[from_m],
+         (spec.match_delete * keep) * chain_q[from_m]),
+        (b[src] + mat, b[dst] + mat + 2, jump_prob / (n_prof - 1)),
+    ]
+    rows, cols, vals = (np.concatenate([a.ravel() for a in part])
+                        for part in zip(*(np.broadcast_arrays(*e) for e in edges)))
 
-    for p_i, prof in enumerate(profiles):
-        add(f"{prof.name}:I0", p_i, False, prof.insert_emission)
-        for col in range(1, length + 1):
-            add(f"{prof.name}:M{col}", p_i, False, prof.match_emission[col - 1])
-            add(f"{prof.name}:I{col}", p_i, False, prof.insert_emission)
-            add(f"{prof.name}:D{col}", p_i, True, None)
-
-    trans = {i: {} for i in range(len(state_ids))}
-
-    def put(frm, to, p):
-        if p > 0.0:
-            trans[frm][to] = trans[frm].get(to, 0.0) + p
-
-    keep = 1.0 - jump_prob
-    jump_each = jump_prob / (n_prof - 1)
-    for p_i, prof in enumerate(profiles):
-        name = prof.name
-        terminal = index[f"{name}:I{length}"]
-        for col in range(1, length + 1):
-            m = index[f"{name}:M{col}"]
-            if col < length:
-                put(m, index[f"{name}:M{col + 1}"], spec.match_advance * keep)
-                put(m, index[f"{name}:I{col}"], spec.match_insert * keep)
-                put(m, index[f"{name}:D{col + 1}"], spec.match_delete * keep)
-                for q in profiles:
-                    if q.name != name:
-                        put(m, index[f"{q.name}:M{col + 1}"], jump_each)
-            else:
-                put(m, terminal, 1.0)
-            d = index[f"{name}:D{col}"]
-            if col < length:
-                put(d, index[f"{name}:D{col + 1}"], spec.delete_self)
-                put(d, index[f"{name}:M{col + 1}"], 1.0 - spec.delete_self)
-            else:
-                put(d, terminal, 1.0)
-        for col in range(0, length + 1):
-            i = index[f"{name}:I{col}"]
-            if col < length:
-                put(i, i, spec.insert_self)
-                put(i, index[f"{name}:M{col + 1}"], 1.0 - spec.insert_self)
-            else:
-                put(i, i, 1.0)
-
-    initial = np.zeros(len(state_ids))
     share = 1.0 / n_prof
-    for prof in profiles:
-        initial[index[f"{prof.name}:M1"]] = spec.match_advance * share
-        initial[index[f"{prof.name}:I0"]] = spec.match_insert * share
-        initial[index[f"{prof.name}:D1"]] = spec.match_delete * share
+    start = np.zeros(block)
+    start[:2] = spec.match_insert * share, spec.match_advance * share
+    start[chain_to[~from_m]] = (spec.match_delete * share) * chain_q[~from_m]
 
-    return state_ids, np.array(colors), np.array(silent), initial, trans, emit_rows
-
-
-def _silent_closure(trans, silent, eps=SILENT_CLOSURE_EPS):
-    """Emitting-state reach distribution of every silent state.
-
-    Silent states must form an acyclic graph (deletes only advance), so
-    an iterative post-order pass resolves each one exactly once. Entries
-    below eps are dropped. Returns {silent index: {emitting index: prob}}.
-    """
-    closure = {}
-    in_progress = set()
-    for s0 in np.flatnonzero(silent):
-        stack = [(int(s0), False)]
-        while stack:
-            s, ready = stack.pop()
-            if s in closure:
-                continue
-            if ready:
-                reach = {}
-                for t, p in trans[s].items():
-                    if silent[t]:
-                        for e, q in closure[t].items():
-                            reach[e] = reach.get(e, 0.0) + p * q
-                    else:
-                        reach[t] = reach.get(t, 0.0) + p
-                closure[s] = {e: q for e, q in reach.items() if q > eps}
-                in_progress.discard(s)
-                continue
-            if s in in_progress:
-                raise ValueError("cycle among silent states")
-            in_progress.add(s)
-            stack.append((s, True))
-            stack.extend((t, False) for t in trans[s] if silent[t] and t not in closure)
-    return closure
-
-
-def assemble_jumping_hmm(profiles, jump_prob):
-    """One labeled HMM from per-subtype profiles plus jump transitions.
-
-    Every state of profile p carries color p; the initial distribution is
-    uniform over profiles. Delete states are closed out, so the result
-    contains only emitting states and passes full model validation.
-    """
-    if not 0.0 <= jump_prob < 1.0:
-        raise ValueError("jump probability must be in [0, 1)")
-    state_ids, colors, silent, initial, trans, emit_rows = _assemble_full(
-        profiles, jump_prob)
-    closure = _silent_closure(trans, silent)
-
-    emitting = np.flatnonzero(~silent)
-    new_index = {int(old): i for i, old in enumerate(emitting)}
-
-    rows, cols, vals = [], [], []
-    for u in emitting:
-        merged = {}
-        for t, p in trans[int(u)].items():
-            if silent[t]:
-                for e, q in closure[t].items():
-                    merged[e] = merged.get(e, 0.0) + p * q
-            else:
-                merged[t] = merged.get(t, 0.0) + p
-        for t, p in merged.items():
-            rows.append(new_index[int(u)])
-            cols.append(new_index[t])
-            vals.append(p)
-
-    new_initial = np.zeros(emitting.size)
-    for s, p in enumerate(initial):
-        if p == 0.0:
-            continue
-        if silent[s]:
-            for e, q in closure[s].items():
-                new_initial[new_index[e]] += p * q
-        else:
-            new_initial[new_index[s]] += p
-
-    n = emitting.size
+    emissions = np.empty((n_prof, block, len(DNA)))
+    emissions[:, 0::2] = np.array([p.insert_emission for p in profiles])[:, None]
+    emissions[:, 1::2] = [p.match_emission for p in profiles]
+    layout = ["I0"] + [f"{k}{col}" for col in range(1, length + 1) for k in "MI"]
+    n = n_prof * block
     return Hmm(
-        state_ids=[state_ids[int(i)] for i in emitting],
-        state_colors=colors[emitting],
+        state_ids=[f"{p.name}:{state}" for p in profiles for state in layout],
+        state_colors=np.repeat(np.arange(n_prof), block),
         color_names=[p.name for p in profiles],
         alphabet=list(DNA),
-        initial=new_initial,
+        initial=np.tile(start, n_prof),
         transitions=sparse.coo_array((vals, (rows, cols)), shape=(n, n)),
-        emissions=np.array([emit_rows[int(i)] for i in emitting]),
+        emissions=emissions.reshape(n, len(DNA)),
     )
 
 

@@ -36,12 +36,13 @@ def _row_divisors(sums, negative, what, names):
 
     `sums` and `negative` give each row's sum and whether it holds a
     negative entry. Raises InvalidModelError naming the first row, in
-    order, with a negative entry or a sum further than ROW_SUM_REPAIR
-    from 1; within one row the negative entry is named. Rows within
-    ROW_SUM_ACCEPT of 1 get divisor 1, which keeps them bit for bit.
+    order, with a negative entry or a sum that is not finite or is further
+    than ROW_SUM_REPAIR from 1; within one row the negative entry is
+    named. Rows within ROW_SUM_ACCEPT of 1 get divisor 1, which keeps
+    them bit for bit.
     """
     dev = np.abs(sums - 1.0)
-    bad = np.flatnonzero(negative | (dev > ROW_SUM_REPAIR))
+    bad = np.flatnonzero(negative | ~np.isfinite(sums) | (dev > ROW_SUM_REPAIR))
     if bad.size:
         i = bad[0]
         if negative[i]:
@@ -108,17 +109,24 @@ class Hmm:
         self.color_names = list(color_names)
         self.alphabet = list(alphabet)
         self.state_colors = np.asarray(state_colors, dtype=np.int64)
+        self.initial = np.asarray(initial, dtype=np.float64).copy()
+        self.emissions = np.asarray(emissions, dtype=np.float64).copy()
+        n, n_symbols = len(self.state_ids), len(self.alphabet)
+        for what, arr, shape in (("state colors", self.state_colors, (n,)),
+                                 ("initial", self.initial, (n,)),
+                                 ("emission table", self.emissions, (n, n_symbols))):
+            if arr.shape != shape:
+                raise InvalidModelError(
+                    f"{what} of shape {arr.shape} for {n} states and {n_symbols} symbols")
 
         n_colors = len(self.color_names)
         for sid, c in zip(self.state_ids, self.state_colors):
             if not 0 <= c < n_colors:
                 raise InvalidModelError(f"unknown color {c} for state {sid}")
 
-        self.initial = np.asarray(initial, dtype=np.float64).copy()
         self.initial /= _row_divisors(
             self.initial.sum(keepdims=True), np.any(self.initial < 0.0, keepdims=True),
             "initial", ["<initial>"])
-        self.emissions = np.asarray(emissions, dtype=np.float64).copy()
         self.emissions /= _row_divisors(
             self.emissions.sum(axis=1), np.any(self.emissions < 0.0, axis=1),
             "emission", self.state_ids)[:, None]

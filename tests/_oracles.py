@@ -8,7 +8,10 @@ vectorised decoder. `reference_forward_backward` and `reference_viterbi`
 are the decoders as they were before the cached transition operator:
 full (n, S) emission and pair-weight arrays, every transition nonzero in
 the pair posteriors, gradual underflow, and `maximum.reduceat` for the
-sparse max-product.
+sparse max-product. `full_jumping_graph`, `silent_closure` and
+`reference_assemble_jumping_hmm` are the jumping-model assembly as it
+was before the closed-form delete chains: the full state graph with
+silent delete states, a generic closure over it, and a merge.
 """
 
 import itertools
@@ -17,7 +20,8 @@ import math
 import numpy as np
 from scipy import sparse
 
-from gainhmm import Annotation, PosteriorSet, ZeroLikelihoodError
+from gainhmm import Annotation, Hmm, PosteriorSet, ZeroLikelihoodError
+from gainhmm.jumping import DNA, SILENT_CLOSURE_EPS
 
 
 def unpack(hmm):
@@ -298,3 +302,172 @@ def reference_viterbi(hmm, seq):
     for t in range(n - 1, 0, -1):
         path[t - 1] = predecessor(t, path[t])
     return Annotation(hmm.state_colors[path]), best_logp
+
+
+def full_jumping_graph(profiles, jump_prob):
+    """Full state graph of the jumping model, delete states included.
+
+    Returns (state_ids, colors, silent mask, initial, transition dict,
+    emission rows) with transitions as {from: {to: prob}} over state
+    indices. Match rows at columns < L carry (1 - P_j) of their
+    within-profile mass plus P_j split over the other profiles' next
+    match states; everything at column L funnels into that profile's
+    terminal insert state, which absorbs.
+    """
+    n_prof = len(profiles)
+    if n_prof < 2:
+        raise ValueError("need at least two profiles")
+    length = profiles[0].length
+    for p in profiles:
+        if p.length != length:
+            raise ValueError(
+                f"profile {p.name!r} has {p.length} columns, expected {length}")
+    spec = profiles[0].spec
+
+    state_ids, colors, silent, emit_rows = [], [], [], []
+    index = {}
+
+    def add(sid, color, is_silent, emission):
+        index[sid] = len(state_ids)
+        state_ids.append(sid)
+        colors.append(color)
+        silent.append(is_silent)
+        emit_rows.append(emission)
+
+    for p_i, prof in enumerate(profiles):
+        add(f"{prof.name}:I0", p_i, False, prof.insert_emission)
+        for col in range(1, length + 1):
+            add(f"{prof.name}:M{col}", p_i, False, prof.match_emission[col - 1])
+            add(f"{prof.name}:I{col}", p_i, False, prof.insert_emission)
+            add(f"{prof.name}:D{col}", p_i, True, None)
+
+    trans = {i: {} for i in range(len(state_ids))}
+
+    def put(frm, to, p):
+        if p > 0.0:
+            trans[frm][to] = trans[frm].get(to, 0.0) + p
+
+    keep = 1.0 - jump_prob
+    jump_each = jump_prob / (n_prof - 1)
+    for p_i, prof in enumerate(profiles):
+        name = prof.name
+        terminal = index[f"{name}:I{length}"]
+        for col in range(1, length + 1):
+            m = index[f"{name}:M{col}"]
+            if col < length:
+                put(m, index[f"{name}:M{col + 1}"], spec.match_advance * keep)
+                put(m, index[f"{name}:I{col}"], spec.match_insert * keep)
+                put(m, index[f"{name}:D{col + 1}"], spec.match_delete * keep)
+                for q in profiles:
+                    if q.name != name:
+                        put(m, index[f"{q.name}:M{col + 1}"], jump_each)
+            else:
+                put(m, terminal, 1.0)
+            d = index[f"{name}:D{col}"]
+            if col < length:
+                put(d, index[f"{name}:D{col + 1}"], spec.delete_self)
+                put(d, index[f"{name}:M{col + 1}"], 1.0 - spec.delete_self)
+            else:
+                put(d, terminal, 1.0)
+        for col in range(0, length + 1):
+            i = index[f"{name}:I{col}"]
+            if col < length:
+                put(i, i, spec.insert_self)
+                put(i, index[f"{name}:M{col + 1}"], 1.0 - spec.insert_self)
+            else:
+                put(i, i, 1.0)
+
+    initial = np.zeros(len(state_ids))
+    share = 1.0 / n_prof
+    for prof in profiles:
+        initial[index[f"{prof.name}:M1"]] = spec.match_advance * share
+        initial[index[f"{prof.name}:I0"]] = spec.match_insert * share
+        initial[index[f"{prof.name}:D1"]] = spec.match_delete * share
+
+    return state_ids, np.array(colors), np.array(silent), initial, trans, emit_rows
+
+
+def silent_closure(trans, silent, eps=SILENT_CLOSURE_EPS):
+    """Emitting-state reach distribution of every silent state.
+
+    Silent states must form an acyclic graph (deletes only advance), so
+    an iterative post-order pass resolves each one exactly once. Entries
+    below eps are dropped. Returns {silent index: {emitting index: prob}}.
+    """
+    closure = {}
+    in_progress = set()
+    for s0 in np.flatnonzero(silent):
+        stack = [(int(s0), False)]
+        while stack:
+            s, ready = stack.pop()
+            if s in closure:
+                continue
+            if ready:
+                reach = {}
+                for t, p in trans[s].items():
+                    if silent[t]:
+                        for e, q in closure[t].items():
+                            reach[e] = reach.get(e, 0.0) + p * q
+                    else:
+                        reach[t] = reach.get(t, 0.0) + p
+                closure[s] = {e: q for e, q in reach.items() if q > eps}
+                in_progress.discard(s)
+                continue
+            if s in in_progress:
+                raise ValueError("cycle among silent states")
+            in_progress.add(s)
+            stack.append((s, True))
+            stack.extend((t, False) for t in trans[s] if silent[t] and t not in closure)
+    return closure
+
+
+def reference_assemble_jumping_hmm(profiles, jump_prob, eps=SILENT_CLOSURE_EPS):
+    """One labeled HMM from per-subtype profiles plus jump transitions.
+
+    Every state of profile p carries color p; the initial distribution is
+    uniform over profiles. Delete states are closed out, so the result
+    contains only emitting states and passes full model validation.
+    """
+    if not 0.0 <= jump_prob < 1.0:
+        raise ValueError("jump probability must be in [0, 1)")
+    state_ids, colors, silent, initial, trans, emit_rows = full_jumping_graph(
+        profiles, jump_prob)
+    closure = silent_closure(trans, silent, eps)
+
+    emitting = np.flatnonzero(~silent)
+    new_index = {int(old): i for i, old in enumerate(emitting)}
+
+    rows, cols, vals = [], [], []
+    for u in emitting:
+        merged = {}
+        for t, p in trans[int(u)].items():
+            if silent[t]:
+                for e, q in closure[t].items():
+                    merged[e] = merged.get(e, 0.0) + p * q
+            else:
+                merged[t] = merged.get(t, 0.0) + p
+        for t, p in merged.items():
+            rows.append(new_index[int(u)])
+            cols.append(new_index[t])
+            vals.append(p)
+
+    new_initial = np.zeros(emitting.size)
+    for s, p in enumerate(initial):
+        if p == 0.0:
+            continue
+        if silent[s]:
+            for e, q in closure[s].items():
+                new_initial[new_index[e]] += p * q
+        else:
+            new_initial[new_index[s]] += p
+
+    n = emitting.size
+    return Hmm(
+        state_ids=[state_ids[int(i)] for i in emitting],
+        state_colors=colors[emitting],
+        color_names=[p.name for p in profiles],
+        alphabet=list(DNA),
+        initial=new_initial,
+        transitions=sparse.coo_array((vals, (rows, cols)), shape=(n, n)),
+        emissions=np.array([emit_rows[int(i)] for i in emitting]),
+    )

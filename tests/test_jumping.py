@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gainhmm import (
     GainParams,
@@ -16,8 +17,9 @@ from gainhmm import (
     make_alignment,
     viterbi_decode,
 )
-from gainhmm.jumping import _assemble_full
+from gainhmm import jumping
 from conftest import random_seq
+from _oracles import full_jumping_graph, reference_assemble_jumping_hmm
 
 
 @pytest.fixture
@@ -28,7 +30,7 @@ def m1():
 def full_graph_likelihood(profiles, jump_prob, seq):
     """Likelihood by path enumeration over the assembly graph, silent
     states included; the oracle for silent-state elimination."""
-    state_ids, colors, silent, initial, trans, emit_rows = _assemble_full(
+    state_ids, colors, silent, initial, trans, emit_rows = full_jumping_graph(
         profiles, jump_prob)
     sym_index = {s: i for i, s in enumerate("acgt")}
     obs = [sym_index[ch] for ch in seq]
@@ -76,6 +78,12 @@ class TestProfiles:
     def test_fragment_state_count(self):
         prof = build_profile("X", ["acgt"], JumpingHmmSpec())
         assert prof.n_states == 3 * 4 + 1
+
+    def test_illegal_symbol_names_subtype_and_column(self):
+        with pytest.raises(ValueError, match=r"illegal character 'x' in subtype 'X' at column 2$"):
+            build_profile("X", ["axa"], JumpingHmmSpec())
+        with pytest.raises(ValueError, match=r"illegal character 'N' in subtype 'B' at column 4$"):
+            build_profile("B", ["ac-g", "ac-N"], JumpingHmmSpec())
 
     def test_empty_group(self):
         with pytest.raises(ValueError, match="no sequences"):
@@ -174,15 +182,78 @@ class TestAssembly:
             assemble_jumping_hmm(profiles, 1.0)
 
 
+# (length, query length, delete_self, profiles); the two-profile cases at
+# the default delete_self keep their short ids.
+FULL_GRAPH_CASES = [
+    pytest.param(length, n, ds, n_prof, id=f"{length}-{n}" if (ds, n_prof) == (0.3, 2)
+                 else f"{length}-{n}-ds{ds}-{n_prof}prof")
+    for length, n in [(1, 1), (2, 3), (3, 4)]
+    for ds in (0.0, 0.3, 0.9)
+    for n_prof in (2, 3)
+]
+
+
+def assembly_bytes(hmm):
+    """Every array and list of an assembled model, as comparable bytes."""
+    t = hmm.transitions
+    arrays = (t.data, t.indices, t.indptr, hmm.initial, hmm.emissions, hmm.state_colors)
+    return ([(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
+            hmm.state_ids, hmm.color_names, hmm.alphabet)
+
+
+@st.composite
+def assembly_inputs(draw):
+    """Profiles and a jump probability over the whole spec range."""
+    n_prof, length = draw(st.integers(2, 5)), draw(st.integers(1, 60))
+    some = st.floats(0.0, 0.2)
+    insert, delete = draw(st.one_of(st.just(0.0), some)), draw(st.one_of(st.just(0.0), some))
+    spec = JumpingHmmSpec(
+        jump_prob=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5))),
+        pseudocount=draw(st.floats(0.01, 2.0)),
+        match_advance=1.0 - insert - delete, match_insert=insert, match_delete=delete,
+        insert_self=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.999))),
+        delete_self=draw(st.one_of(st.sampled_from([0.0, 0.5, 0.99, 0.999]),
+                                   st.floats(0.0, 0.999))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = {f"S{i}": ["".join(rng.choice(list("acgt-"), length)) for _ in range(2)]
+              for i in range(n_prof)}
+    return build_profiles(make_alignment(groups), spec), spec.jump_prob
+
+
+class TestAgainstSilentGraph:
+    """Closed-form delete chains against closing the full silent graph."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(assembly_inputs())
+    def test_bytes_equal_reference(self, inputs):
+        profiles, jump_prob = inputs
+        assert (assembly_bytes(assemble_jumping_hmm(profiles, jump_prob))
+                == assembly_bytes(reference_assemble_jumping_hmm(profiles, jump_prob)))
+
+    def test_cut_is_strict(self, monkeypatch):
+        # With delete_self = 0.5 every reach term is a power of two, so
+        # terms fall exactly on a cut of 2**-40; both sides drop them.
+        spec = JumpingHmmSpec(delete_self=0.5, match_advance=0.8, match_insert=0.1,
+                              match_delete=0.1)
+        msa = make_alignment({"A": ["acgt" * 15], "B": ["ttga" * 15]})
+        profiles = build_profiles(msa, spec)
+        uncut = assemble_jumping_hmm(profiles, 0.01)
+        monkeypatch.setattr(jumping, "SILENT_CLOSURE_EPS", 2.0**-40)
+        cut = assemble_jumping_hmm(profiles, 0.01)
+        assert cut.transitions.nnz < uncut.transitions.nnz
+        assert (assembly_bytes(cut)
+                == assembly_bytes(reference_assemble_jumping_hmm(profiles, 0.01, 2.0**-40)))
+
+
 class TestSilentElimination:
-    @pytest.mark.parametrize("length,n", [(1, 1), (2, 3), (3, 4)])
-    def test_likelihood_matches_full_graph(self, length, n):
+    @pytest.mark.parametrize("length,n,delete_self,n_prof", FULL_GRAPH_CASES)
+    def test_likelihood_matches_full_graph(self, length, n, delete_self, n_prof):
         rng = np.random.default_rng(length * 10 + n)
         groups = {}
-        for name in ("A", "B"):
+        for name in "ABC"[:n_prof]:
             groups[name] = ["".join("acgt"[i] for i in rng.integers(4, size=length))]
         msa = make_alignment(groups)
-        spec = JumpingHmmSpec(jump_prob=0.05, pseudocount=0.3)
+        spec = JumpingHmmSpec(jump_prob=0.05, pseudocount=0.3, delete_self=delete_self)
         profiles = build_profiles(msa, spec)
         hmm = assemble_jumping_hmm(profiles, spec.jump_prob)
         for _ in range(4):

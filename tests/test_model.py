@@ -163,6 +163,48 @@ class TestTransitionFormat:
                 sparse.csr_array(trans) if as_csr else trans, np.ones((3, 1)))
 
 
+class TestRejectedTables:
+    """Malformed tables fail at construction, naming what is wrong."""
+
+    @staticmethod
+    def two_state(**fields):
+        args = dict(state_ids=["a", "b"], state_colors=[0, 0], color_names=["c"],
+                    alphabet=["x", "y"], initial=[0.5, 0.5],
+                    transitions=[[0.5, 0.5], [0.5, 0.5]], emissions=[[0.5, 0.5]] * 2)
+        return Hmm(**{**args, **fields})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_transition(self, bad):
+        with pytest.raises(InvalidModelError, match=r"transition row sum (nan|inf) for state a$"):
+            self.two_state(transitions=[[bad, 0.5], [0.5, 0.5]])
+
+    def test_non_finite_emission_and_initial(self):
+        with pytest.raises(InvalidModelError, match=r"emission row sum nan for state b$"):
+            self.two_state(emissions=[[0.5, 0.5], [np.nan, 0.5]])
+        with pytest.raises(InvalidModelError, match=r"initial row sum nan"):
+            self.two_state(initial=[np.nan, 0.5])
+
+    def test_nan_in_model_file(self, tmp_path):
+        path = tmp_path / "nan.json"
+        save_model(build_hmm(t1_spec()), path)
+        text = path.read_text()
+        assert text.count('"s_A": 0.9') == 1  # the transition s_A -> s_A
+        path.write_text(text.replace('"s_A": 0.9', '"s_A": NaN'))
+        with pytest.raises(InvalidModelError, match=r"transition row sum nan for state s_A$"):
+            load_model(path)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"emissions": [[0.5, 0.5]] * 3}, r"emission table of shape \(3, 2\) for 2 states"),
+        ({"emissions": [[1 / 3] * 3] * 2},
+         r"emission table of shape \(2, 3\) for 2 states and 2 symbols"),
+        ({"initial": [0.5, 0.25, 0.25]}, r"initial of shape \(3,\) for 2 states"),
+        ({"state_colors": [0]}, r"state colors of shape \(1,\) for 2 states"),
+    ], ids=["emission-rows", "emission-columns", "initial", "state-colors"])
+    def test_shape_mismatch(self, fields, message):
+        with pytest.raises(InvalidModelError, match=message):
+            self.two_state(**fields)
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path, t1):
         path = tmp_path / "t1.json"
