@@ -3,38 +3,69 @@
 Everything the per-position loops of `inference` read that depends only
 on the model lives here: the transition matrix and its transpose in the
 layout each pass wants, the emission table with one contiguous row per
-symbol, the cross-color transition blocks the pair posteriors are summed
-from, and the in-degree buckets of the sparse max-product. `operator_of`
-builds it on a model's first decode and caches it on the model, which is
-immutable, so every later call and every thread shares one copy.
+symbol, and the cross-color transition blocks the pair posteriors are
+summed from. `operator_of` builds it on a model's first decode and caches
+it on the model, which is immutable, so every later call and every thread
+shares one copy.
 
 Models store their transitions as CSR whatever their size; this module
 alone decides how to run them. Up to DENSE_STATE_LIMIT states the
-operator densifies the matrix once and runs dense kernels (BLAS products,
-a dense max, gradual underflow); above it, sparse kernels (CSR products,
-a subnormal flush, a degree-bucketed max). At S = 48 CSR kernels cost
-more than dense ones: scipy's per-call dispatch more than doubles the
-forward loop's time.
+operator densifies the matrix once and runs dense kernels over (n, S)
+arrays (BLAS products, a dense max, gradual underflow). At S = 48 CSR
+kernels cost more than dense ones: scipy's per-call dispatch more than
+doubles the forward loop's time.
+
+Above the limit the kernels keep only the active states of each position,
+as ragged rows, so memory grows with the active entries, not with n * S:
+
+- Forward keeps a scaled entry alphahat[t, v] only when it is above CUT,
+  a cut relative to the row (alphahat rows sum to 1); `dropped` adds up
+  what it removes. Backward computes betahat on alphahat's support
+  alone, so the posteriors are those of the cut lattice.
+- Viterbi keeps the scores within -ln(CUT) of each position's best (a
+  beam). The traceback re-derives each predecessor from the stored
+  ragged scores with the dense kernels' tie rule.
+- Each forward and backward step picks its product from the out-degree
+  sum of the active states: below GATHER_SHARE of the nonzeros it
+  gathers over their CSR rows, otherwise it runs the full CSR product on
+  the cut row as one dense vector.
+- Neither cut is provably exact: a path can sink below the cut and later
+  carry the sequence alone. When the cut empties a forward step, the
+  record is run again at the smallest normal double (a subnormal flush);
+  when the beam empties a Viterbi step, Viterbi runs again with no beam.
+  Only a position that still has no path raises ZeroLikelihoodError.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import namedtuple
 
 import numpy as np
 from scipy import sparse
 
 from .model import ZeroLikelihoodError
 
-# Smallest normal double. Sparse forward/backward zero the scaled entries
-# below it: subnormal operands slow every later sparse product, and what
-# they carry lies below any posterior the decoders report.
-TINY = np.finfo(np.float64).tiny
-
 # State count above which the operator runs sparse kernels.
 DENSE_STATE_LIMIT = 256
 
+# Relative cut of the sparse kernels: scaled forward entries at or below
+# it are dropped, and the Viterbi beam is -ln(CUT) wide.
+CUT = 1e-20
+
+# A sparse forward or backward step gathers over the active states' rows
+# when they hold fewer than this share of the nonzeros.
+GATHER_SHARE = 1 / 16
+
+# Bytes per dense position chunk in the sparse pair posteriors.
+CHUNK_BYTES = 1 << 20
+
 _BUILD_LOCK = threading.Lock()
+
+# Ragged rows: row t holds states idx[indptr[t]:indptr[t + 1]] (ascending)
+# with alphahat, betahat and w = emis[., obs[t]] * betahat there (w is 0 in
+# row 0); dropped is the alphahat mass the cut removed over the record.
+Ragged = namedtuple("Ragged", "indptr idx alpha beta w scales dropped")
 
 
 def operator_of(hmm):
@@ -63,27 +94,42 @@ def _selector(idx):
     return idx
 
 
+def _spans(indptr, rows, counts):
+    """Positions of the CSR entries of `rows`, row after row.
+
+    counts[i] is the entry count of rows[i]; rows must not be empty.
+    """
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(indptr[rows] - ends + counts, counts)
+
+
+def _impossible(t):
+    return ZeroLikelihoodError(f"sequence impossible under model at position {t + 1}")
+
+
 class TransitionOperator:
     """Read-only per-model tables for forward, backward, pair sums and Viterbi.
 
     Attributes:
         is_sparse: the model has more than DENSE_STATE_LIMIT states; turns
-            on CSR products, the subnormal flush and the bucketed
-            max-product
+            on the ragged kernels
         forward_t: T transposed (CSR for sparse kernels, an ndarray view
-            for dense ones), so that forward_t @ alphahat is one forward
-            step
-        backward_t: T itself, for the backward step
+            for dense ones); rows list each state's predecessors in
+            ascending order
+        backward_t: T itself
         initial: the model's initial distribution
         emis_rows: (A, S) emissions, row a holds every state's
             probability of symbol a
         log_emis_rows, log_initial: their logarithms
+        colors: each state's color
         color_sel: per-color state selectors (slices when evenly spaced)
         cross: per target color c2 with cross-color transitions into it,
             (c2, cols, emis_cols, blocks) with cols the states of c2 that
             other colors reach and emis_cols their emission table; each
-            block is (c1, rows, block_t), where block_t[j, i] is
-            T[rows[i], cols[j]] over the states rows of c1 that reach c2
+            block is (c1, rows, block) over the states rows of c1 that
+            reach c2. Dense kernels: block[j, i] = T[rows[i], cols[j]].
+            Sparse kernels: block is CSR with block[i, v] = T[rows[i], v]
+            for every state v, so it multiplies (S, m) buffers in place
         diag_colors: colors c whose block T[c, c] has a nonzero
     """
 
@@ -95,7 +141,7 @@ class TransitionOperator:
         with np.errstate(divide="ignore"):
             self.log_emis_rows = np.log(self.emis_rows)
             self.log_initial = np.log(hmm.initial)
-        colors = hmm.state_colors
+        self.colors = colors = hmm.state_colors
         self.color_sel = [_selector(np.flatnonzero(colors == c))
                           for c in range(hmm.n_colors)]
 
@@ -105,15 +151,21 @@ class TransitionOperator:
             # ascending order, so first-max ties pick the smallest index
             self.forward_t = sparse.csr_array(t.T)
             self.forward_t.sort_indices()
+            self.out_degree = np.diff(t.indptr)
+            self.out_degree_f = self.out_degree.astype(np.float64)
+            with np.errstate(divide="ignore"):
+                self.log_t_data = np.log(t.data)
+                self.pred_log = np.log(self.forward_t.data)
         else:
             self.backward_t = t.toarray()
             self.forward_t = self.backward_t.T
+            with np.errstate(divide="ignore"):
+                self.log_t = np.log(self.backward_t)
         r = np.repeat(np.arange(hmm.n_states), np.diff(t.indptr))
         c, v = t.indices, t.data
         same = colors[r] == colors[c]
         self.diag_colors = np.unique(colors[r[same]]).tolist()
         self.cross = self._cross_blocks(hmm, r[~same], c[~same], v[~same])
-        self._init_viterbi()
 
     def _cross_blocks(self, hmm, r, c, v):
         """The `cross` table from the cross-color entries T[r, c] = v."""
@@ -126,61 +178,46 @@ class TransitionOperator:
             for c1 in np.unique(from_color[into]).tolist():
                 e = into & (from_color == c1)
                 rows = np.unique(r[e])
-                ri, ci = np.searchsorted(rows, r[e]), np.searchsorted(cols, c[e])
+                ri = np.searchsorted(rows, r[e])
                 if self.is_sparse:
-                    block_t = sparse.csr_array((v[e], (ci, ri)), shape=(cols.size, rows.size))
+                    block = sparse.csr_array((v[e], (ri, c[e])), shape=(rows.size, hmm.n_states))
                 else:
-                    block_t = np.zeros((cols.size, rows.size))
-                    block_t[ci, ri] = v[e]
-                blocks.append((c1, _selector(rows), block_t))
+                    block = np.zeros((cols.size, rows.size))
+                    block[np.searchsorted(cols, c[e]), ri] = v[e]
+                blocks.append((c1, _selector(rows), block))
             out.append((c2, _selector(cols),
                         np.ascontiguousarray(self.emis_rows[:, cols]), blocks))
         return out
 
-    def _init_viterbi(self):
-        """Log weights, and for sparse models the in-degree buckets.
+    # -- posteriors -----------------------------------------------------
 
-        A bucket holds the states whose in-degree rounds up to the same
-        power of two k, as (states, idx, logw) with (k, len(states))
-        tables of predecessor index and log weight; padding entries point
-        at state 0 with weight -inf, so they never win a maximum.
+    def posteriors(self, obs):
+        """(scales, color_post, pair_post, dropped) of encoded symbols.
+
+        log Pr(X) = sum(log scales); color_post and pair_post are as in
+        `PosteriorSet`; dropped is the alphahat mass the sparse kernels'
+        cut removed (0.0 on dense kernels). Raises ZeroLikelihoodError
+        naming the first position no state path can explain.
         """
-        self.buckets = []
-        if not self.is_sparse:
-            with np.errstate(divide="ignore"):
-                self.log_t = np.log(self.backward_t)
-            return
-        t_t = self.forward_t
-        self.pred_indptr, self.pred_indices = t_t.indptr, t_t.indices
-        with np.errstate(divide="ignore"):
-            self.pred_log = np.log(t_t.data)
-        deg = np.diff(self.pred_indptr)
-        width = np.zeros_like(deg)
-        has = deg > 0
-        width[has] = 1 << np.ceil(np.log2(deg[has])).astype(np.int64)
-        self.no_pred = np.flatnonzero(~has)
-        for k in np.unique(width[has]).tolist():
-            states = np.flatnonzero(width == k)
-            offs = np.arange(k)[:, None]
-            valid = offs < deg[states]
-            pos = np.where(valid, self.pred_indptr[states] + offs, 0)
-            idx = np.where(valid, self.pred_indices[pos], 0)
-            logw = np.where(valid, self.pred_log[pos], -np.inf)
-            self.buckets.append((_selector(states), idx, logw))
+        if self.is_sparse:
+            lat = self.ragged_passes(obs)
+            color_post = self._ragged_color_posteriors(lat)
+            return (lat.scales, color_post,
+                    self._ragged_pair_posteriors(obs, lat, color_post), lat.dropped)
+        alphahat, betahat, scales = self.scaled_passes(obs)
+        color_post = self._dense_color_posteriors(alphahat, betahat)
+        return (scales, color_post,
+                self._dense_pair_posteriors(obs, alphahat, betahat, scales, color_post), 0.0)
 
     def scaled_passes(self, obs):
-        """Scaled forward and backward passes over encoded symbols.
+        """Dense scaled forward and backward passes over encoded symbols.
 
         Returns (alphahat, betahat, scales) where alphahat[t] is the
         filtered state distribution, scales[t] the per-position
         normalizers with log Pr(X) = sum(log scales), and
-        alphahat[t] * betahat[t] the smoothed state posteriors. Sparse
-        kernels set every stored entry below the smallest normal double
-        to zero. Raises ZeroLikelihoodError naming the first position no
-        state path can explain.
+        alphahat[t] * betahat[t] the smoothed state posteriors.
         """
         t_t, t_mat, emis = self.forward_t, self.backward_t, self.emis_rows
-        flush = self.is_sparse
         n, n_states = obs.size, self.initial.size
 
         alphahat = np.empty((n, n_states))
@@ -191,86 +228,278 @@ class TransitionOperator:
                 a = (t_t @ alphahat[t - 1]) * emis[obs[t]]
             scales[t] = a.sum()
             if scales[t] <= 0.0:
-                raise ZeroLikelihoodError(f"sequence impossible under model at position {t + 1}")
-            row = alphahat[t]
-            np.divide(a, scales[t], out=row)
-            if flush:
-                row[row < TINY] = 0.0
+                raise _impossible(t)
+            np.divide(a, scales[t], out=alphahat[t])
 
         betahat = np.empty((n, n_states))
         betahat[n - 1] = 1.0
         for t in range(n - 2, -1, -1):
-            row = betahat[t]
-            np.divide(t_mat @ (emis[obs[t + 1]] * betahat[t + 1]), scales[t + 1], out=row)
-            if flush:
-                row[row < TINY] = 0.0
+            np.divide(t_mat @ (emis[obs[t + 1]] * betahat[t + 1]), scales[t + 1],
+                      out=betahat[t])
 
         return alphahat, betahat, scales
 
-    def viterbi_scores(self, obs):
-        """(n, S) max-product scores.
+    def ragged_passes(self, obs):
+        """Sparse forward and backward passes as `Ragged` rows.
 
-        scores[t, v] is the log probability of the best state path that
-        emits obs[:t+1] and ends in state v.
+        Runs at CUT and, when the cut empties a step, once more at the
+        smallest normal double.
         """
-        log_emis = self.log_emis_rows
-        scores = np.empty((obs.size, self.log_initial.size))
-        scores[0] = self.log_initial + log_emis[obs[0]]
-        # per-call scratch, reused at every position: fresh arrays this
-        # size would page-fault on each step
-        work = [(states, idx, logw, np.empty(idx.shape), np.empty(idx.shape[1]))
-                for states, idx, logw in self.buckets]
-        for t in range(1, obs.size):
-            prev, row = scores[t - 1], scores[t]
-            if self.is_sparse:
-                row[self.no_pred] = -np.inf
-                for states, idx, logw, cand, best in work:
-                    np.take(prev, idx, out=cand, mode="clip")
-                    cand += logw
-                    row[states] = cand.max(axis=0, out=best)
+        try:
+            fwd = self._ragged_forward(obs, CUT)
+        except ZeroLikelihoodError:
+            fwd = self._ragged_forward(obs, np.finfo(np.float64).tiny)
+        indptr, idx, alpha, scales, gathered, dropped = fwd
+        beta, w = self._ragged_backward(obs, indptr, idx, scales, gathered)
+        return Ragged(indptr, idx, alpha, beta, w, scales, dropped)
+
+    def _ragged_forward(self, obs, cut):
+        """(indptr, idx, alpha, scales, gathered, dropped) keeping alphahat above `cut`.
+
+        gathered[t] records whether the product out of row t gathered.
+        """
+        t_t, t_mat, emis = self.forward_t, self.backward_t, self.emis_rows
+        n_states = self.initial.size
+        limit = GATHER_SHARE * t_mat.nnz
+        x, keep_f, dropped = np.zeros(n_states), np.empty(n_states), np.zeros(n_states)
+        idx_rows, val_rows, scales, gathered = [], [], [], []
+        a = self.initial.copy()
+        for t, sym in enumerate(obs.tolist()):
+            if t:
+                if gather:
+                    counts = self.out_degree[idx]
+                    pos = _spans(t_mat.indptr, idx, counts)
+                    a = np.bincount(t_mat.indices[pos], t_mat.data[pos] * np.repeat(val, counts),
+                                    minlength=n_states)
+                else:
+                    a = t_t @ x
+            a *= emis[sym]
+            scale = a.sum()
+            if scale <= 0.0:
+                raise _impossible(t)
+            scales.append(scale)
+            a /= scale
+            keep = a > cut
+            idx = keep.nonzero()[0]
+            val = a[idx]
+            idx_rows.append(idx)
+            val_rows.append(val)
+            # keep as 0.0/1.0: one dot product gives the out-degree sum of
+            # the active states, one multiply the cut row
+            np.copyto(keep_f, keep)
+            gather = bool(self.out_degree_f.dot(keep_f) < limit)
+            gathered.append(gather)
+            if gather:
+                a[idx] = 0.0
             else:
-                np.max(prev[:, None] + self.log_t, axis=0, out=row)
-            row += log_emis[obs[t]]
-        return scores
+                np.multiply(a, keep_f, out=x)  # input of the next product
+                a -= x  # exactly the entries at or below the cut
+            dropped += a
+        indptr = np.zeros(obs.size + 1, dtype=np.int64)
+        np.cumsum([r.size for r in idx_rows], out=indptr[1:])
+        return (indptr, np.concatenate(idx_rows), np.concatenate(val_rows), np.array(scales),
+                gathered, float(dropped.sum()))
 
-    def predecessor(self, prev, state):
-        """First argmax over predecessors u of prev[u] + log T[u, state]."""
-        if not self.is_sparse:
-            return int(np.argmax(prev + self.log_t[:, state]))
-        lo, hi = self.pred_indptr[state], self.pred_indptr[state + 1]
-        preds = self.pred_indices[lo:hi]
-        return int(preds[np.argmax(prev[preds] + self.pred_log[lo:hi])])
+    def _ragged_backward(self, obs, indptr, idx, scales, gathered):
+        """(beta, w) on alphahat's support, in the layout of `idx`.
 
-    def color_posteriors(self, alphahat, betahat):
+        w holds emis[v, obs[t]] * betahat[t, v], the weight the pair
+        posteriors read; it is 0 in row 0, which no gap reads.
+        """
+        t_mat, emis, out_degree = self.backward_t, self.emis_rows, self.out_degree
+        beta, w = np.empty(idx.size), np.empty(idx.size)
+        beta[indptr[-2]:] = 1.0
+        w[:indptr[1]] = 0.0
+        y = np.zeros(self.initial.size)
+        bounds, syms, scale_list = indptr.tolist(), obs.tolist(), scales.tolist()
+        for t in range(obs.size - 2, -1, -1):
+            lo, mid, hi = bounds[t], bounds[t + 1], bounds[t + 2]
+            nxt, rows = idx[mid:hi], idx[lo:mid]
+            y[nxt] = np.multiply(emis[syms[t + 1]][nxt], beta[mid:hi], out=w[mid:hi])
+            if gathered[t]:
+                counts = out_degree[rows]
+                pos = _spans(t_mat.indptr, rows, counts)
+                b = np.add.reduceat(t_mat.data[pos] * y[t_mat.indices[pos]],
+                                    np.cumsum(counts) - counts)
+            else:
+                b = (t_mat @ y)[rows]
+            y[nxt] = 0.0
+            np.divide(b, scale_list[t + 1], out=beta[lo:mid])
+        return beta, w
+
+    def _dense_color_posteriors(self, alphahat, betahat):
         """(n, C) color posteriors as per-color sums of alphahat * betahat."""
         out = np.empty((alphahat.shape[0], len(self.color_sel)))
         for c, sel in enumerate(self.color_sel):
             out[:, c] = np.einsum("ij,ij->i", alphahat[:, sel], betahat[:, sel])
         return out
 
-    def pair_posteriors(self, obs, alphahat, betahat, scales, color_post):
+    def _ragged_color_posteriors(self, lat):
+        """(n, C) color posteriors summed over the ragged rows."""
+        n, n_colors = lat.scales.size, len(self.color_sel)
+        out = np.empty((n, n_colors))
+        step = self._chunk_positions(n)
+        for k0 in range(0, n, step):
+            k1 = min(k0 + step, n)
+            lo, hi = lat.indptr[k0], lat.indptr[k1]
+            key = np.repeat(np.arange(0, (k1 - k0) * n_colors, n_colors),
+                            np.diff(lat.indptr[k0:k1 + 1]))
+            key += self.colors[lat.idx[lo:hi]]
+            out[k0:k1] = np.bincount(key, lat.alpha[lo:hi] * lat.beta[lo:hi],
+                                     minlength=(k1 - k0) * n_colors).reshape(-1, n_colors)
+        return out
+
+    def _chunk_positions(self, n):
+        """Positions per chunk: an (S, chunk) float array fills CHUNK_BYTES."""
+        return max(1, min(n, CHUNK_BYTES // (8 * self.initial.size)))
+
+    def _dense_pair_posteriors(self, obs, alphahat, betahat, scales, color_post):
         """(n-1, C, C) color-pair posteriors from the cross-color blocks.
 
         The off-diagonal entry (c1, c2) at gap k is the dot product of
-        alphahat[k, rows] with (w[k, cols] @ block_t), where
+        alphahat[k, rows] with (w[k, cols] @ block), where
         w[k, v] = emis[v, obs[k+1]] betahat[k+1, v] / scales[k+1]. Each
         diagonal entry follows from the backward identity
         sum_c2 pair[k, c, c2] = color_post[k, c], clamped at 0.
         """
         n = obs.size
-        n_colors = len(self.color_sel)
-        pair = np.zeros((max(n - 1, 0), n_colors, n_colors))
+        pair = self._empty_pair(n)
         if n < 2:
             return pair
         nxt, a = obs[1:], alphahat[:-1]
         for c2, cols, emis_cols, blocks in self.cross:
             w = emis_cols[nxt]
             w *= betahat[1:, cols]
-            for c1, rows, block_t in blocks:
-                pair[:, c1, c2] = np.einsum("kr,kr->k", a[:, rows], w @ block_t)
+            for c1, rows, block in blocks:
+                pair[:, c1, c2] = np.einsum("kr,kr->k", a[:, rows], w @ block)
+        return self._finish_pair(pair, scales, color_post)
+
+    def _ragged_pair_posteriors(self, obs, lat, color_post):
+        """(n-1, C, C) color-pair posteriors from ragged rows.
+
+        The same sums as the dense kernels, over chunks of m gaps: rows
+        k0..k0+m of alpha and w are scattered into two zeroed state-major
+        (S, m + 1) buffers of about CHUNK_BYTES, so every block product
+        and dot product runs on contiguous rows; gap k pairs column k - k0
+        of alpha with column k - k0 + 1 of the block product of w.
+        """
+        n = obs.size
+        pair = self._empty_pair(n)
+        if n < 2:
+            return pair
+        indptr, idx = lat.indptr, lat.idx
+        m = self._chunk_positions(n - 1)
+        a_buf, w_buf = np.zeros((self.initial.size, m + 1)), np.zeros((self.initial.size, m + 1))
+        a_flat, w_flat = a_buf.reshape(-1), w_buf.reshape(-1)
+        for k0 in range(0, n - 1, m):
+            k1 = min(k0 + m, n - 1)
+            lo, hi = indptr[k0], indptr[k1 + 1]
+            at = idx[lo:hi] * (m + 1) + np.repeat(np.arange(k1 - k0 + 1),
+                                                  np.diff(indptr[k0:k1 + 2]))
+            a_flat[at] = lat.alpha[lo:hi]
+            w_flat[at] = lat.w[lo:hi]
+            for c2, _, _, blocks in self.cross:
+                for c1, rows, block in blocks:
+                    pair[k0:k1, c1, c2] = np.einsum("rk,rk->k", a_buf[rows][:, :k1 - k0],
+                                                    (block @ w_buf)[:, 1:k1 - k0 + 1])
+            a_flat[at] = 0.0
+            w_flat[at] = 0.0
+        return self._finish_pair(pair, lat.scales, color_post)
+
+    def _empty_pair(self, n):
+        n_colors = len(self.color_sel)
+        return np.zeros((max(n - 1, 0), n_colors, n_colors))
+
+    def _finish_pair(self, pair, scales, color_post):
+        """Divide by the scales and fill the diagonal from color_post."""
         pair /= scales[1:, None, None]
         if self.diag_colors:
             off = pair.sum(axis=2)
             for c in self.diag_colors:
                 pair[:, c, c] = np.maximum(color_post[:-1, c] - off[:, c], 0.0)
         return pair
+
+    # -- Viterbi --------------------------------------------------------
+
+    def viterbi_path(self, obs):
+        """(state path, log probability) of the best path over encoded symbols.
+
+        DP ties break toward the smallest state index: the traceback
+        re-derives each predecessor as the first argmax over the stored
+        scores. Raises ZeroLikelihoodError naming the first position at
+        which every state scores -inf.
+        """
+        if self.is_sparse:
+            try:
+                rows = self._beam_scores(obs, -np.log(CUT))
+            except ZeroLikelihoodError:
+                rows = self._beam_scores(obs, np.inf)
+            return self._beam_traceback(rows)
+        return self._dense_traceback(self._dense_scores(obs))
+
+    def _dense_scores(self, obs):
+        """(n, S) max-product scores: scores[t, v] is the log probability
+        of the best state path that emits obs[:t+1] and ends in v."""
+        log_emis = self.log_emis_rows
+        scores = np.empty((obs.size, self.log_initial.size))
+        scores[0] = self.log_initial + log_emis[obs[0]]
+        for t in range(1, obs.size):
+            row = scores[t]
+            np.max(scores[t - 1][:, None] + self.log_t, axis=0, out=row)
+            row += log_emis[obs[t]]
+        return scores
+
+    def _dense_traceback(self, scores):
+        """(path, log probability) from (n, S) scores."""
+        n = scores.shape[0]
+        best_end = int(np.argmax(scores[n - 1]))
+        best_logp = float(scores[n - 1, best_end])
+        if best_logp == -np.inf:
+            raise _impossible(int(np.argmax(scores.max(axis=1) == -np.inf)))
+        path = np.empty(n, dtype=np.int64)
+        path[n - 1] = best_end
+        for t in range(n - 1, 0, -1):
+            path[t - 1] = np.argmax(scores[t - 1] + self.log_t[:, path[t]])
+        return path, best_logp
+
+    def _beam_scores(self, obs, width):
+        """Ragged max-product scores: per position (states, scores) of the
+        states within `width` of the position's best score."""
+        t_mat, log_emis = self.backward_t, self.log_emis_rows
+        best = np.empty(self.initial.size)
+        row = self.log_initial.copy()
+        rows = []
+        for t, sym in enumerate(obs.tolist()):
+            if t:
+                counts = self.out_degree[idx]
+                pos = _spans(t_mat.indptr, idx, counts)
+                best.fill(-np.inf)
+                np.maximum.at(best, t_mat.indices[pos],
+                              np.repeat(score, counts) + self.log_t_data[pos])
+                row = best
+            row += log_emis[sym]
+            top = row.max()
+            if top == -np.inf:
+                raise _impossible(t)
+            idx = (row > top - width).nonzero()[0]
+            score = row[idx]
+            rows.append((idx, score))
+        return rows
+
+    def _beam_traceback(self, rows):
+        """(path, log probability) from ragged scores; states missing from
+        a row score -inf there."""
+        idx, score = rows[-1]
+        n = len(rows)
+        path = np.empty(n, dtype=np.int64)
+        end = int(np.argmax(score))
+        path[n - 1], best_logp = idx[end], float(score[end])
+        indptr, indices = self.forward_t.indptr, self.forward_t.indices
+        for t in range(n - 1, 0, -1):
+            lo, hi = indptr[path[t]], indptr[path[t] + 1]
+            preds = indices[lo:hi]
+            idx, score = rows[t - 1]
+            at = np.minimum(np.searchsorted(idx, preds), idx.size - 1)
+            cand = np.where(idx[at] == preds, score[at], -np.inf) + self.pred_log[lo:hi]
+            path[t - 1] = preds[np.argmax(cand)]
+        return path, best_logp

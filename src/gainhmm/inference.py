@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._transition import operator_of
-from .model import Annotation, ZeroLikelihoodError
+from .model import Annotation
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,16 @@ class PosteriorSet:
     at positions (k+1, k+2), i.e. row k describes the gap after position
     k+1 (1-based). Off-diagonal entries of pair_post are the boundary
     posteriors; each pair_post row sums to 1 over all ordered pairs.
+    dropped_mass is the total scaled forward mass (each position's
+    filtered distribution sums to 1) that the sparse kernels' relative
+    cut removed over the record; 0.0 on dense kernels.
     """
 
     length: int
     log_likelihood: float
     color_post: np.ndarray
     pair_post: np.ndarray
+    dropped_mass: float = 0.0
 
     @property
     def n_colors(self):
@@ -52,14 +56,13 @@ def forward_backward(hmm, seq):
     ZeroLikelihoodError when the sequence has zero probability.
     """
     obs = hmm.encode(seq)
-    op = operator_of(hmm)
-    alphahat, betahat, scales = op.scaled_passes(obs)
-    color_post = op.color_posteriors(alphahat, betahat)
+    scales, color_post, pair_post, dropped = operator_of(hmm).posteriors(obs)
     return PosteriorSet(
         length=obs.size,
         log_likelihood=float(np.log(scales).sum()),
         color_post=color_post,
-        pair_post=op.pair_posteriors(obs, alphahat, betahat, scales, color_post),
+        pair_post=pair_post,
+        dropped_mass=dropped,
     )
 
 
@@ -68,25 +71,13 @@ def viterbi_decode(hmm, seq):
 
     Returns (annotation, log probability of the best path). DP ties break
     toward the smallest state index. The forward pass keeps per-position
-    scores only; the traceback re-derives each predecessor by argmax over
-    the stored scores, which reproduces the forward tie-break exactly.
+    scores only (on sparse models, those within a beam of each
+    position's best); the traceback re-derives each predecessor by argmax
+    over the stored scores, which reproduces the forward tie-break.
     Raises ZeroLikelihoodError naming the first position at which every
     state scores -inf.
     """
-    obs = hmm.encode(seq)
-    op = operator_of(hmm)
-    scores = op.viterbi_scores(obs)
-    n = obs.size
-    best_end = int(np.argmax(scores[n - 1]))
-    best_logp = float(scores[n - 1, best_end])
-    if best_logp == -np.inf:
-        dead = int(np.argmax(scores.max(axis=1) == -np.inf))
-        raise ZeroLikelihoodError(f"sequence impossible under model at position {dead + 1}")
-
-    path = np.empty(n, dtype=np.int64)
-    path[n - 1] = best_end
-    for t in range(n - 1, 0, -1):
-        path[t - 1] = op.predecessor(scores[t - 1], path[t])
+    path, best_logp = operator_of(hmm).viterbi_path(hmm.encode(seq))
     return Annotation(hmm.state_colors[path]), best_logp
 
 

@@ -52,15 +52,17 @@ class SubtypeAlignment:
             seqs = self.groups.get(name, [])
             if not seqs:
                 raise ValueError(f"subtype {name!r} has no sequences")
-            for s in seqs:
+            for i, s in enumerate(seqs, 1):
                 if len(s) != self.length:
                     raise ValueError(
                         f"sequence of length {len(s)} in subtype {name!r}, "
                         f"alignment has {self.length} columns")
                 bad = set(s.lower()) - set(DNA) - {"-"}
                 if bad:
+                    col = next(j for j, ch in enumerate(s.lower()) if ch in bad)
                     raise ValueError(
-                        f"illegal character {bad.pop()!r} in subtype {name!r}")
+                        f"illegal character {s[col]!r} in subtype {name!r} "
+                        f"sequence {i} at column {col + 1}")
 
 
 def make_alignment(groups):

@@ -55,6 +55,14 @@ class TestBuildModel:
         assert run("build-model", "--in", msa_path, "--out", msa_path) == 1
         assert "same path" in capsys.readouterr().err
 
+    def test_bad_alignment_character_names_column(self, tmp_path, capsys):
+        msa = tmp_path / "msa.fasta"
+        write_fasta(msa, [FastaRecord("a1", "acgt", {"subtype": "A"}),
+                          FastaRecord("b1", "acxt", {"subtype": "B"})])
+        assert run("build-model", "--in", msa, "--out", tmp_path / "m.json") == 1
+        err = capsys.readouterr().err
+        assert "illegal character 'x' in subtype 'B' sequence 1 at column 3" in err
+
 
 class TestDecode:
     def test_herd_segments(self, tmp_path, t1_model_path):

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -12,16 +13,22 @@ from scipy import sparse
 
 from gainhmm import (
     Annotation,
+    GainParams,
     Hmm,
     JumpingHmmSpec,
     ZeroLikelihoodError,
+    boundary_metrics,
     build_hmm,
     build_jumping_hmm,
+    color_graph,
+    decode_from_posteriors,
     forward_backward,
     posterior_decode,
     random_recombinants,
+    simulate_recombinant,
     synthetic_subtypes,
     viterbi_decode,
+    window_scores,
 )
 from gainhmm import _transition
 from gainhmm.simulate import sample_path
@@ -123,6 +130,14 @@ class TestForwardBackward:
         hmm = build_hmm(spec)
         with pytest.raises(ZeroLikelihoodError):
             forward_backward(hmm, "xyx")
+
+    def test_dropped_mass(self, t1):
+        assert forward_backward(t1, "xyxxy").dropped_mass == 0.0
+        msa = synthetic_subtypes(3, 150, divergence=0.15, seed=3)
+        hmm = build_jumping_hmm(msa, JumpingHmmSpec(jump_prob=0.01, pseudocount=0.1))
+        seq = random_recombinants(msa, 1, seed=4, min_segment=30, mutation_rate=0.05)[0].seq
+        post = forward_backward(hmm, seq)
+        assert 0.0 <= post.dropped_mass < len(seq) * hmm.n_states * _transition.CUT
 
     def test_sparse_matches_dense(self):
         rng = np.random.default_rng(17)
@@ -345,33 +360,97 @@ def decode_instances(draw):
     return hmm, seq
 
 
+# GATHER_SHARE values that make every sparse forward and backward step
+# gather over the active rows, or run the full CSR product.
+PRODUCTS = {"gather": 2.0, "full": 0.0}
+
+
 class TestAgainstReference:
     """The operator kernels against the decoders they replaced."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(decode_instances())
-    def test_matches_reference(self, instance):
-        assert_matches_reference(*instance)
+    @settings(max_examples=200, deadline=None)
+    @given(decode_instances(), st.sampled_from(["chosen", "gather", "full"]))
+    def test_matches_reference(self, instance, product):
+        share = PRODUCTS.get(product, _transition.GATHER_SHARE)
+        with mock.patch.object(_transition, "GATHER_SHARE", share):
+            assert_matches_reference(*instance)
 
     def test_flush_on_long_jumping_query(self):
         # A query four times the profile length drives the scaled forward
-        # probabilities of early-column states through the subnormal range.
+        # probabilities of early-column states far below the cut.
         msa = synthetic_subtypes(3, 150, divergence=0.15, seed=3)
         hmm = build_jumping_hmm(msa, JumpingHmmSpec(jump_prob=0.01, pseudocount=0.1))
-        assert _transition.operator_of(hmm).is_sparse
+        op = _transition.operator_of(hmm)
+        assert op.is_sparse
         recs = random_recombinants(msa, 4, seed=4, breakpoint_range=(1, 2),
                                    min_segment=30, mutation_rate=0.05)
         seq = "".join(r.seq for r in recs)
         obs = hmm.encode(seq)
-        tiny = np.finfo(np.float64).tiny
         ref_alpha, _, ref_scales = _oracles.reference_scaled_forward_backward(hmm, obs)
-        assert np.count_nonzero((ref_alpha > 0) & (ref_alpha < tiny)) > 1000
+        below = (ref_alpha > 0) & (ref_alpha <= _transition.CUT)
+        assert np.count_nonzero(below) > 1000
 
-        alphahat, betahat, scales = _transition.operator_of(hmm).scaled_passes(obs)
-        for arr in (alphahat, betahat):
-            assert not np.any((arr > 0) & (arr < tiny))
-        np.testing.assert_array_equal(scales, ref_scales)
+        lat = op.ragged_passes(obs)
+        assert np.all(lat.alpha > _transition.CUT)
+        assert lat.idx.size < ref_alpha.size / 10
+        assert 0.0 < lat.dropped < ref_alpha.size * _transition.CUT
+        np.testing.assert_array_equal(lat.scales, ref_scales)
         assert_matches_reference(hmm, seq)
+
+
+class TestCutFallback:
+    """A path the cut or the beam removes is recovered when it alone survives."""
+
+    @staticmethod
+    def model():
+        # s_B starts with mass 1e-25, far below the cut and the beam, and
+        # is the only state that emits y.
+        spec = t1_spec()
+        spec["states"][0]["emission"] = {"x": 1.0}
+        spec["states"][1]["emission"] = {"x": 0.5, "y": 0.5}
+        spec["initial"] = {"s_A": 1.0, "s_B": 1e-25}
+        spec["transitions"] = {"s_A": {"s_A": 1.0}, "s_B": {"s_B": 1.0}}
+        return sparse_kernel_copy(build_hmm(spec))
+
+    @pytest.mark.parametrize("product", sorted(PRODUCTS))
+    def test_decoders_match_oracles(self, product):
+        hmm, seq = self.model(), "xxxy"
+        with mock.patch.object(_transition, "GATHER_SHARE", PRODUCTS[product]):
+            assert_matches_reference(hmm, seq)
+            post = forward_backward(hmm, seq)
+            ann, logp = viterbi_decode(hmm, seq)
+        z, cp, pp = _oracles.posteriors(hmm, hmm.encode(seq).tolist())
+        assert math.exp(post.log_likelihood) == pytest.approx(z, rel=1e-10)
+        np.testing.assert_allclose(post.color_post, cp, rtol=1e-10, atol=1e-15)
+        np.testing.assert_allclose(post.pair_post, pp, rtol=1e-10, atol=1e-15)
+        best_logp, best_colors = _oracles.best_path(hmm, hmm.encode(seq).tolist())
+        assert ann == Annotation(best_colors) == Annotation([1, 1, 1, 1])
+        assert logp == pytest.approx(best_logp, rel=1e-12)
+
+
+class TestBoundedMemory:
+    def test_five_subtypes_by_3000_columns(self):
+        # alphahat and betahat as (n, S) arrays would need 1.44 GB here.
+        msa = synthetic_subtypes(5, 3000, divergence=0.15, seed=11)
+        hmm = build_jumping_hmm(msa, JumpingHmmSpec(jump_prob=0.01, pseudocount=0.1))
+        assert hmm.n_states == 30005
+        a, b, c, d, _ = msa.names
+        rec = simulate_recombinant(
+            msa, [(a, (1, 1100)), (d, (1101, 2000)), (b, (2001, 3000))],
+            mutation_rate=0.05, seed=12)
+        assert len(rec.seq) == 3000
+        tracemalloc.start()
+        try:
+            post = forward_backward(hmm, rec.seq)
+            vit, _ = viterbi_decode(hmm, rec.seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 150e6, f"peak traced memory {peak / 1e6:.0f} MB"
+        herd, _ = decode_from_posteriors(post, window_scores(post, 10), GainParams(10, 1.0),
+                                         color_graph(hmm))
+        assert (boundary_metrics(herd, rec.truth, 10).f1
+                >= boundary_metrics(vit, rec.truth, 10).f1)
 
 
 class TestSharedOperator:

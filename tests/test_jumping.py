@@ -105,6 +105,14 @@ class TestProfiles:
         with pytest.raises(ValueError, match="illegal"):
             make_alignment({"A": ["axa"], "B": ["ccc"]})
 
+    def test_illegal_alignment_character_names_sequence_and_column(self):
+        with pytest.raises(ValueError, match=r"illegal character 'x' in subtype 'A' "
+                                             r"sequence 1 at column 3$"):
+            make_alignment({"A": ["aaxa"], "B": ["cccc"]})
+        with pytest.raises(ValueError, match=r"illegal character 'N' in subtype 'B' "
+                                             r"sequence 2 at column 2$"):
+            make_alignment({"A": ["aaaa"], "B": ["cccc", "cNcN"]})
+
 
 class TestAssembly:
     def test_emitting_state_count_and_validity(self, m1):
