@@ -201,9 +201,7 @@ class TransitionOperator:
         """
         if self.is_sparse:
             lat = self.ragged_passes(obs)
-            color_post = self._ragged_color_posteriors(lat)
-            return (lat.scales, color_post,
-                    self._ragged_pair_posteriors(obs, lat, color_post), lat.dropped)
+            return (lat.scales, *self._ragged_posteriors(obs, lat), lat.dropped)
         alphahat, betahat, scales = self.scaled_passes(obs)
         color_post = self._dense_color_posteriors(alphahat, betahat)
         return (scales, color_post,
@@ -334,25 +332,6 @@ class TransitionOperator:
             out[:, c] = np.einsum("ij,ij->i", alphahat[:, sel], betahat[:, sel])
         return out
 
-    def _ragged_color_posteriors(self, lat):
-        """(n, C) color posteriors summed over the ragged rows."""
-        n, n_colors = lat.scales.size, len(self.color_sel)
-        out = np.empty((n, n_colors))
-        step = self._chunk_positions(n)
-        for k0 in range(0, n, step):
-            k1 = min(k0 + step, n)
-            lo, hi = lat.indptr[k0], lat.indptr[k1]
-            key = np.repeat(np.arange(0, (k1 - k0) * n_colors, n_colors),
-                            np.diff(lat.indptr[k0:k1 + 1]))
-            key += self.colors[lat.idx[lo:hi]]
-            out[k0:k1] = np.bincount(key, lat.alpha[lo:hi] * lat.beta[lo:hi],
-                                     minlength=(k1 - k0) * n_colors).reshape(-1, n_colors)
-        return out
-
-    def _chunk_positions(self, n):
-        """Positions per chunk: an (S, chunk) float array fills CHUNK_BYTES."""
-        return max(1, min(n, CHUNK_BYTES // (8 * self.initial.size)))
-
     def _dense_pair_posteriors(self, obs, alphahat, betahat, scales, color_post):
         """(n-1, C, C) color-pair posteriors from the cross-color blocks.
 
@@ -374,28 +353,31 @@ class TransitionOperator:
                 pair[:, c1, c2] = np.einsum("kr,kr->k", a[:, rows], w @ block)
         return self._finish_pair(pair, scales, color_post)
 
-    def _ragged_pair_posteriors(self, obs, lat, color_post):
-        """(n-1, C, C) color-pair posteriors from ragged rows.
+    def _ragged_posteriors(self, obs, lat):
+        """(color_post, pair_post) from ragged rows.
 
-        The same sums as the dense kernels, over chunks of m gaps: rows
-        k0..k0+m of alpha and w are scattered into two zeroed state-major
-        (S, m + 1) buffers of about CHUNK_BYTES, so every block product
-        and dot product runs on contiguous rows; gap k pairs column k - k0
-        of alpha with column k - k0 + 1 of the block product of w.
+        The pair sums are the dense kernels' cross-block sums over chunks
+        of m gaps: rows k0..k0+m of alpha and w are scattered into two
+        zeroed state-major (S, m + 1) buffers of about CHUNK_BYTES, so
+        every block product and dot product runs on contiguous rows; gap k
+        pairs column k - k0 of alpha with column k - k0 + 1 of the block
+        product of w. The same rows' color posteriors take one bincount.
         """
-        n = obs.size
-        pair = self._empty_pair(n)
-        if n < 2:
-            return pair
+        n, n_colors, n_states = obs.size, len(self.color_sel), self.initial.size
         indptr, idx = lat.indptr, lat.idx
-        m = self._chunk_positions(n - 1)
-        a_buf, w_buf = np.zeros((self.initial.size, m + 1)), np.zeros((self.initial.size, m + 1))
+        color_post, pair = np.empty((n, n_colors)), self._empty_pair(n)
+        m = max(1, min(n - 1, CHUNK_BYTES // (8 * n_states)))
+        a_buf, w_buf = np.zeros((n_states, m + 1)), np.zeros((n_states, m + 1))
         a_flat, w_flat = a_buf.reshape(-1), w_buf.reshape(-1)
-        for k0 in range(0, n - 1, m):
+        for k0 in range(0, max(n - 1, 1), m):
             k1 = min(k0 + m, n - 1)
             lo, hi = indptr[k0], indptr[k1 + 1]
-            at = idx[lo:hi] * (m + 1) + np.repeat(np.arange(k1 - k0 + 1),
-                                                  np.diff(indptr[k0:k1 + 2]))
+            col = np.repeat(np.arange(k1 - k0 + 1), np.diff(indptr[k0:k1 + 2]))
+            key = col * n_colors + self.colors[idx[lo:hi]]
+            color_post[k0:k1 + 1] = np.bincount(
+                key, lat.alpha[lo:hi] * lat.beta[lo:hi],
+                minlength=(k1 - k0 + 1) * n_colors).reshape(-1, n_colors)
+            at = idx[lo:hi] * (m + 1) + col
             a_flat[at] = lat.alpha[lo:hi]
             w_flat[at] = lat.w[lo:hi]
             for c2, _, _, blocks in self.cross:
@@ -404,7 +386,7 @@ class TransitionOperator:
                                                     (block @ w_buf)[:, 1:k1 - k0 + 1])
             a_flat[at] = 0.0
             w_flat[at] = 0.0
-        return self._finish_pair(pair, lat.scales, color_post)
+        return color_post, self._finish_pair(pair, lat.scales, color_post)
 
     def _empty_pair(self, n):
         n_colors = len(self.color_sel)
