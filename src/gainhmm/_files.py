@@ -1,0 +1,26 @@
+"""Opening output files."""
+
+from __future__ import annotations
+
+import os
+import stat
+
+
+def create(path):
+    """Open `path` for writing text as a new file.
+
+    An existing regular file is unlinked first, not truncated. On ext4
+    (mounted with the default auto_da_alloc), truncating a file, or
+    renaming over it, while its last contents still wait for write-back
+    makes the open wait for that write-back: about 40 ms a file on a
+    shared disk, so a command that rewrites a dozen outputs ran at the
+    disk's pace instead of its own. Unlinking drops the old contents
+    without waiting. Symbolic links, other non-regular files and files
+    that cannot be unlinked are opened in place, as before.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except OSError:
+        pass  # missing or not removable: open() reports what matters
+    return open(path, "w")

@@ -17,6 +17,7 @@ import os
 import sys
 import time
 
+from ._files import create
 from .gain import GainParams, decode_from_posteriors, window_scores
 from .inference import forward_backward, posterior_decode, viterbi_decode
 from .jumping import JumpingHmmSpec, build_jumping_hmm
@@ -188,11 +189,11 @@ def cmd_bench(args):
                         "posterior": t_fb + t_post,
                         "herd": t_fb + t_herd}[decoder]
                 timing.append((decoder, w, g, wall * 1e3))
-                with open(os.path.join(preds_dir, f"{decoder}_W{w}_g{g:g}.tsv"), "w") as fh:
+                with create(os.path.join(preds_dir, f"{decoder}_W{w}_g{g:g}.tsv")) as fh:
                     fh.write(text)
 
     header = ("decoder", "W", "gamma", "alpha", "tolerance", "n_queries") + METRIC_COLUMNS
-    with open(args.out, "w") as fh:
+    with create(args.out) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             cells = [str(row["decoder"]), str(row["W"]), f"{row['gamma']:g}",
@@ -207,10 +208,10 @@ def cmd_bench(args):
         "seed": args.seed,
         "rows": rows,
     }
-    with open(args.out + ".json", "w") as fh:
+    with create(args.out + ".json") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    with open(args.out + ".timing.csv", "w") as fh:
+    with create(args.out + ".timing.csv") as fh:
         fh.write("decoder,W,gamma,wall_ms\n")
         for decoder, w, g, ms in timing:
             fh.write(f"{decoder},{w},{g:g},{ms:.3f}\n")

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from ._files import create
+
 # Row sums within ACCEPT of 1 are kept bit-for-bit; within REPAIR they are
 # silently renormalized (decimal-text rounding); beyond REPAIR they are
 # rejected as genuine mistakes.
@@ -384,7 +386,7 @@ def hmm_to_dict(hmm):
 
 def save_model(hmm, path):
     """Write the model file (JSON, probabilities as decimal text)."""
-    with open(path, "w") as fh:
+    with create(path) as fh:
         json.dump(hmm_to_dict(hmm), fh, indent=1)
         fh.write("\n")
 

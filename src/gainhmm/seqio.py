@@ -7,6 +7,7 @@ inclusive coordinates, one line per maximal same-color segment.
 
 from __future__ import annotations
 
+from ._files import create
 from .jumping import SubtypeAlignment
 from .model import Annotation
 
@@ -56,7 +57,7 @@ def read_fasta(path):
 
 def write_fasta(path, records, width=70):
     """Write (id, seq) pairs or FastaRecords as FASTA."""
-    with open(path, "w") as fh:
+    with create(path) as fh:
         for rec in records:
             if isinstance(rec, FastaRecord):
                 rid, seq, attrs = rec.id, rec.seq, rec.attrs
@@ -102,7 +103,7 @@ def format_segments(entries, color_names):
 def write_segments(path, entries, color_names):
     """Write (seq_id, Annotation) pairs as a segment TSV."""
     text = format_segments(entries, color_names)
-    with open(path, "w") as fh:
+    with create(path) as fh:
         fh.write(text)
 
 

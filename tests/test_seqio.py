@@ -1,6 +1,9 @@
+import os
+
 import pytest
 
 from gainhmm import Annotation
+from gainhmm._files import create
 from gainhmm.seqio import (
     FastaRecord,
     read_fasta,
@@ -77,3 +80,27 @@ class TestSegments:
         path.write_text("seq_id\tstart\tend\tcolor_id\tcolor_name\nq1\t1\t2\n")
         with pytest.raises(ValueError, match=":2"):
             read_segments(path)
+
+
+class TestOutputFiles:
+    def test_rewrite_replaces_the_file(self, tmp_path):
+        path = tmp_path / "seg.tsv"
+        write_segments(path, [("q1", Annotation([0, 0, 1]))], ["A", "B"])
+        old_inode = os.stat(path).st_ino
+        with open(path) as held:  # a reader of the old file keeps its contents
+            write_segments(path, [], ["A"])
+            assert held.read().count("\n") == 3
+        assert os.stat(path).st_ino != old_inode
+        assert read_segments(path) == {}
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.fasta", tmp_path / "link.fasta"
+        target.write_text(">old\nacgt\n")
+        link.symlink_to(target)
+        write_fasta(link, [("new", "tt")])
+        assert link.is_symlink()
+        assert [r.id for r in read_fasta(target)] == ["new"]
+
+    def test_missing_directory_still_fails(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            create(tmp_path / "no" / "such.tsv")
