@@ -9,11 +9,11 @@ it on the model, which is immutable, so every later call and every thread
 shares one copy.
 
 Models store their transitions as CSR whatever their size; this module
-alone decides how to run them. Up to DENSE_STATE_LIMIT states the
-operator densifies the matrix once and runs dense kernels over (n, S)
-arrays (BLAS products, a dense max, gradual underflow). At S = 48 CSR
-kernels cost more than dense ones: scipy's per-call dispatch more than
-doubles the forward loop's time.
+alone decides how to run the passes and Viterbi. Up to DENSE_STATE_LIMIT
+states the operator densifies the matrix once and runs dense kernels
+over (n, S) arrays (BLAS products, a dense max, gradual underflow). At
+S = 48 CSR kernels cost more than dense ones: scipy's per-call dispatch
+more than doubles the forward loop's time.
 
 Above the limit the kernels keep only the active states of each position,
 as ragged rows, so memory grows with the active entries, not with n * S:
@@ -34,6 +34,11 @@ as ragged rows, so memory grows with the active entries, not with n * S:
   record is run again at the smallest normal double (a subnormal flush);
   when the beam empties a Viterbi step, Viterbi runs again with no beam.
   Only a position that still has no path raises ZeroLikelihoodError.
+
+Both kernel families hand their passes to one posterior assembly. It
+sums the pair posteriors from the cross-color blocks, as CSR (rows, S)
+products over chunks of gaps copied state-major into buffers of about
+CHUNK_BYTES, and takes the color posteriors of the same rows.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ CUT = 1e-20
 # when they hold fewer than this share of the nonzeros.
 GATHER_SHARE = 1 / 16
 
-# Bytes per dense position chunk in the sparse pair posteriors.
+# Bytes per state-major position buffer in the posterior assembly.
 CHUNK_BYTES = 1 << 20
 
 _BUILD_LOCK = threading.Lock()
@@ -122,14 +127,14 @@ class TransitionOperator:
             probability of symbol a
         log_emis_rows, log_initial: their logarithms
         colors: each state's color
-        color_sel: per-color state selectors (slices when evenly spaced)
-        cross: per target color c2 with cross-color transitions into it,
-            (c2, cols, emis_cols, blocks) with cols the states of c2 that
-            other colors reach and emis_cols their emission table; each
-            block is (c1, rows, block) over the states rows of c1 that
-            reach c2. Dense kernels: block[j, i] = T[rows[i], cols[j]].
-            Sparse kernels: block is CSR with block[i, v] = T[rows[i], v]
-            for every state v, so it multiplies (S, m) buffers in place
+        n_colors: the number of colors
+        color_indicator: (S, C) 0/1 map of states onto colors (dense
+            kernels only)
+        cross: (c1, c2, rows, block) per ordered color pair c1 != c2 with
+            transitions between them: rows are the states of c1 that reach
+            c2 (a slice when evenly spaced), and block is a (rows, S) CSR
+            matrix holding T[rows[i], v] for the states v of c2, so it
+            multiplies the (S, m) buffers of the posterior assembly
         diag_colors: colors c whose block T[c, c] has a nonzero
     """
 
@@ -142,8 +147,7 @@ class TransitionOperator:
             self.log_emis_rows = np.log(self.emis_rows)
             self.log_initial = np.log(hmm.initial)
         self.colors = colors = hmm.state_colors
-        self.color_sel = [_selector(np.flatnonzero(colors == c))
-                          for c in range(hmm.n_colors)]
+        self.n_colors = hmm.n_colors
 
         if self.is_sparse:
             self.backward_t = t
@@ -161,32 +165,25 @@ class TransitionOperator:
             self.forward_t = self.backward_t.T
             with np.errstate(divide="ignore"):
                 self.log_t = np.log(self.backward_t)
+            self.color_indicator = hmm.color_indicator()
         r = np.repeat(np.arange(hmm.n_states), np.diff(t.indptr))
         c, v = t.indices, t.data
         same = colors[r] == colors[c]
         self.diag_colors = np.unique(colors[r[same]]).tolist()
         self.cross = self._cross_blocks(hmm, r[~same], c[~same], v[~same])
 
-    def _cross_blocks(self, hmm, r, c, v):
+    @staticmethod
+    def _cross_blocks(hmm, r, c, v):
         """The `cross` table from the cross-color entries T[r, c] = v."""
-        from_color, to_color = hmm.state_colors[r], hmm.state_colors[c]
+        pair = hmm.state_colors[c] * hmm.n_colors + hmm.state_colors[r]
         out = []
-        for c2 in np.unique(to_color).tolist():
-            into = to_color == c2
-            cols = np.unique(c[into])
-            blocks = []
-            for c1 in np.unique(from_color[into]).tolist():
-                e = into & (from_color == c1)
-                rows = np.unique(r[e])
-                ri = np.searchsorted(rows, r[e])
-                if self.is_sparse:
-                    block = sparse.csr_array((v[e], (ri, c[e])), shape=(rows.size, hmm.n_states))
-                else:
-                    block = np.zeros((cols.size, rows.size))
-                    block[np.searchsorted(cols, c[e]), ri] = v[e]
-                blocks.append((c1, _selector(rows), block))
-            out.append((c2, _selector(cols),
-                        np.ascontiguousarray(self.emis_rows[:, cols]), blocks))
+        for key in np.unique(pair).tolist():
+            c2, c1 = divmod(key, hmm.n_colors)
+            e = pair == key
+            rows = np.unique(r[e])
+            block = sparse.csr_array((v[e], (np.searchsorted(rows, r[e]), c[e])),
+                                     shape=(rows.size, hmm.n_states))
+            out.append((c1, c2, _selector(rows), block))
         return out
 
     # -- posteriors -----------------------------------------------------
@@ -201,11 +198,11 @@ class TransitionOperator:
         """
         if self.is_sparse:
             lat = self.ragged_passes(obs)
-            return (lat.scales, *self._ragged_posteriors(obs, lat), lat.dropped)
-        alphahat, betahat, scales = self.scaled_passes(obs)
-        color_post = self._dense_color_posteriors(alphahat, betahat)
-        return (scales, color_post,
-                self._dense_pair_posteriors(obs, alphahat, betahat, scales, color_post), 0.0)
+            scales, dropped = lat.scales, lat.dropped
+        else:
+            lat = self.scaled_passes(obs)
+            scales, dropped = lat[2], 0.0
+        return (scales, *self._chunked_posteriors(obs, lat, scales), dropped)
 
     def scaled_passes(self, obs):
         """Dense scaled forward and backward passes over encoded symbols.
@@ -325,81 +322,59 @@ class TransitionOperator:
             np.divide(b, scale_list[t + 1], out=beta[lo:mid])
         return beta, w
 
-    def _dense_color_posteriors(self, alphahat, betahat):
-        """(n, C) color posteriors as per-color sums of alphahat * betahat."""
-        out = np.empty((alphahat.shape[0], len(self.color_sel)))
-        for c, sel in enumerate(self.color_sel):
-            out[:, c] = np.einsum("ij,ij->i", alphahat[:, sel], betahat[:, sel])
-        return out
+    def _chunked_posteriors(self, obs, lat, scales):
+        """(color_post, pair_post) from `Ragged` rows or dense passes.
 
-    def _dense_pair_posteriors(self, obs, alphahat, betahat, scales, color_post):
-        """(n-1, C, C) color-pair posteriors from the cross-color blocks.
-
-        The off-diagonal entry (c1, c2) at gap k is the dot product of
-        alphahat[k, rows] with (w[k, cols] @ block), where
-        w[k, v] = emis[v, obs[k+1]] betahat[k+1, v] / scales[k+1]. Each
-        diagonal entry follows from the backward identity
+        lat is a `Ragged` or the (alphahat, betahat, scales) of
+        `scaled_passes`. The off-diagonal pair sums run over chunks of m
+        gaps: the alphahat and w = emis[., obs[t]] * betahat rows
+        k0..k0+m go state-major into two (S, m + 1) buffers of about
+        CHUNK_BYTES, so every block product and dot product runs on
+        contiguous rows; gap k pairs column k - k0 of alpha with column
+        k - k0 + 1 of the block product of w. Ragged rows are scattered
+        into zeroed buffers and their color posteriors take one bincount;
+        dense rows are copied in transposed and their color posteriors are
+        (alphahat * betahat) times the color indicator. Each diagonal pair
+        entry follows from the backward identity
         sum_c2 pair[k, c, c2] = color_post[k, c], clamped at 0.
         """
-        n = obs.size
-        pair = self._empty_pair(n)
-        if n < 2:
-            return pair
-        nxt, a = obs[1:], alphahat[:-1]
-        for c2, cols, emis_cols, blocks in self.cross:
-            w = emis_cols[nxt]
-            w *= betahat[1:, cols]
-            for c1, rows, block in blocks:
-                pair[:, c1, c2] = np.einsum("kr,kr->k", a[:, rows], w @ block)
-        return self._finish_pair(pair, scales, color_post)
-
-    def _ragged_posteriors(self, obs, lat):
-        """(color_post, pair_post) from ragged rows.
-
-        The pair sums are the dense kernels' cross-block sums over chunks
-        of m gaps: rows k0..k0+m of alpha and w are scattered into two
-        zeroed state-major (S, m + 1) buffers of about CHUNK_BYTES, so
-        every block product and dot product runs on contiguous rows; gap k
-        pairs column k - k0 of alpha with column k - k0 + 1 of the block
-        product of w. The same rows' color posteriors take one bincount.
-        """
-        n, n_colors, n_states = obs.size, len(self.color_sel), self.initial.size
-        indptr, idx = lat.indptr, lat.idx
-        color_post, pair = np.empty((n, n_colors)), self._empty_pair(n)
+        n, n_colors, n_states = obs.size, self.n_colors, self.initial.size
+        ragged = isinstance(lat, Ragged)
+        color_post = np.empty((n, n_colors))
+        pair = np.zeros((max(n - 1, 0), n_colors, n_colors))
         m = max(1, min(n - 1, CHUNK_BYTES // (8 * n_states)))
         a_buf, w_buf = np.zeros((n_states, m + 1)), np.zeros((n_states, m + 1))
         a_flat, w_flat = a_buf.reshape(-1), w_buf.reshape(-1)
         for k0 in range(0, max(n - 1, 1), m):
             k1 = min(k0 + m, n - 1)
-            lo, hi = indptr[k0], indptr[k1 + 1]
-            col = np.repeat(np.arange(k1 - k0 + 1), np.diff(indptr[k0:k1 + 2]))
-            key = col * n_colors + self.colors[idx[lo:hi]]
-            color_post[k0:k1 + 1] = np.bincount(
-                key, lat.alpha[lo:hi] * lat.beta[lo:hi],
-                minlength=(k1 - k0 + 1) * n_colors).reshape(-1, n_colors)
-            at = idx[lo:hi] * (m + 1) + col
-            a_flat[at] = lat.alpha[lo:hi]
-            w_flat[at] = lat.w[lo:hi]
-            for c2, _, _, blocks in self.cross:
-                for c1, rows, block in blocks:
-                    pair[k0:k1, c1, c2] = np.einsum("rk,rk->k", a_buf[rows][:, :k1 - k0],
-                                                    (block @ w_buf)[:, 1:k1 - k0 + 1])
-            a_flat[at] = 0.0
-            w_flat[at] = 0.0
-        return color_post, self._finish_pair(pair, lat.scales, color_post)
-
-    def _empty_pair(self, n):
-        n_colors = len(self.color_sel)
-        return np.zeros((max(n - 1, 0), n_colors, n_colors))
-
-    def _finish_pair(self, pair, scales, color_post):
-        """Divide by the scales and fill the diagonal from color_post."""
+            if ragged:
+                indptr, idx = lat.indptr, lat.idx
+                lo, hi = indptr[k0], indptr[k1 + 1]
+                col = np.repeat(np.arange(k1 - k0 + 1), np.diff(indptr[k0:k1 + 2]))
+                key = col * n_colors + self.colors[idx[lo:hi]]
+                color_post[k0:k1 + 1] = np.bincount(
+                    key, lat.alpha[lo:hi] * lat.beta[lo:hi],
+                    minlength=(k1 - k0 + 1) * n_colors).reshape(-1, n_colors)
+                at = idx[lo:hi] * (m + 1) + col
+                a_flat[at] = lat.alpha[lo:hi]
+                w_flat[at] = lat.w[lo:hi]
+            else:
+                alpha, beta = lat[0][k0:k1 + 1], lat[1][k0:k1 + 1]
+                a_buf[:, :k1 - k0 + 1] = alpha.T
+                w_buf[:, :k1 - k0 + 1] = (self.emis_rows[obs[k0:k1 + 1]] * beta).T
+                color_post[k0:k1 + 1] = (alpha * beta) @ self.color_indicator
+            for c1, c2, rows, block in self.cross:
+                pair[k0:k1, c1, c2] = np.einsum("rk,rk->k", a_buf[rows][:, :k1 - k0],
+                                                (block @ w_buf)[:, 1:k1 - k0 + 1])
+            if ragged:
+                a_flat[at] = 0.0
+                w_flat[at] = 0.0
         pair /= scales[1:, None, None]
         if self.diag_colors:
             off = pair.sum(axis=2)
             for c in self.diag_colors:
                 pair[:, c, c] = np.maximum(color_post[:-1, c] - off[:, c], 0.0)
-        return pair
+        return color_post, pair
 
     # -- Viterbi --------------------------------------------------------
 

@@ -127,9 +127,8 @@ def cmd_bench(args):
     if missing:
         raise ValueError(f"no truth segments for record {missing[0]!r}")
 
-    w_grid = _parse_sweep(args.sweep_W, int, "--sweep-W") if args.sweep_W else [args.W]
-    g_grid = (_parse_sweep(args.sweep_gamma, float, "--sweep-gamma")
-              if args.sweep_gamma else [args.gamma])
+    w_grid = _parse_sweep(args.W, int, "--W/--sweep-W")
+    g_grid = _parse_sweep(args.gamma, float, "--gamma/--sweep-gamma")
 
     # Forward-backward and the W/gamma-independent decoders run once per
     # query; the gain decoder reruns per grid point on cached posteriors.
@@ -261,15 +260,15 @@ def build_parser():
     p.add_argument("--in", dest="input", required=True, help="query FASTA")
     p.add_argument("--truth", required=True, help="truth segment TSV")
     p.add_argument("--out", required=True, help="metrics CSV to write")
-    p.add_argument("--W", type=int, default=10)
-    p.add_argument("--gamma", type=float, default=0.2)
+    p.add_argument("--W", "--sweep-W", dest="W", default="10",
+                   help="boundary window half-width, or a comma-separated grid of them")
+    p.add_argument("--gamma", "--sweep-gamma", dest="gamma", default="0.2",
+                   help="false boundary penalty, or a comma-separated grid of them")
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--tolerance", type=int, default=10,
                    help="boundary match tolerance for metrics")
     p.add_argument("--seed", type=int, default=0,
                    help="recorded for config replay; bench itself is deterministic")
-    p.add_argument("--sweep-W", help="comma-separated W grid")
-    p.add_argument("--sweep-gamma", help="comma-separated gamma grid")
     p.set_defaults(func=cmd_bench)
     return parser
 

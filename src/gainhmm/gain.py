@@ -76,13 +76,21 @@ def window_scores(post, window):
     return WindowScores(scores=scores, window=int(window))
 
 
+def _check_window(windows, params):
+    if windows.window != params.window:
+        raise ValueError(f"window scores for W = {windows.window} "
+                         f"do not match the parameters' W = {params.window}")
+
+
 def expected_gain(annotation, post, windows, params):
     """Expected gain of a fixed coloring under the posterior.
 
     This is the exact objective the decoder maximizes: for every boundary
     (k, c, c2) of the coloring it adds (1 + gamma) * S[k, c, c2] - gamma,
-    plus alpha times the summed posterior of the chosen colors.
+    plus alpha times the summed posterior of the chosen colors. windows
+    must be summed at params.window.
     """
+    _check_window(windows, params)
     if len(annotation) != post.length:
         raise ValueError("annotation length does not match posterior length")
     if annotation.colors.max() >= post.n_colors:
@@ -103,11 +111,13 @@ def decode_from_posteriors(post, windows, params, graph):
     Transitions are restricted to the ColorGraph. Ties prefer continuing
     the current color over placing a boundary, then the smallest
     predecessor color id; the final color breaks ties toward the smallest
-    id. Returns (annotation, objective value).
+    id. windows must be summed at params.window. Returns (annotation,
+    objective value).
 
     Runs in two exact passes: a per-position loop that keeps only the best
     scores, then one vectorised argmax that recovers every back-pointer.
     """
+    _check_window(windows, params)
     if not graph.start.any():
         raise ValueError("no allowed start color")
     bonus = params.alpha * post.color_post

@@ -73,7 +73,9 @@ def write_fasta(path, records, width=70):
 def read_subtype_alignment(path):
     """Subtype alignment from FASTA with subtype=<name> header attributes.
 
-    Subtype order follows first appearance in the file.
+    Subtype order follows first appearance in the file. Sequences keep
+    their case, so errors quote them as written; the alignment and the
+    model builders fold it.
     """
     records = read_fasta(path)
     if not records:
@@ -87,7 +89,7 @@ def read_subtype_alignment(path):
         if subtype not in groups:
             names.append(subtype)
             groups[subtype] = []
-        groups[subtype].append(rec.seq.lower())
+        groups[subtype].append(rec.seq)
     return SubtypeAlignment(names=tuple(names), groups=groups, length=length)
 
 

@@ -269,14 +269,15 @@ def reference_viterbi(hmm, seq):
         indptr, indices = t_t.indptr, t_t.indices
         with np.errstate(divide="ignore"):
             log_data = np.log(t_t.data)
+        # reduceat over the nonempty rows only: their starts increase
+        # strictly, so each segment ends where the next nonempty row begins
         nonempty = np.diff(indptr) > 0
-        starts = np.minimum(indptr[:-1], max(t_t.nnz - 1, 0))
+        starts = indptr[:-1][nonempty]
         for t in range(1, n):
             best = np.full(n_states, -np.inf)
             if indices.size:
                 cand = scores[t - 1][indices] + log_data
-                seg = np.maximum.reduceat(cand, starts)
-                best[nonempty] = seg[nonempty]
+                best[nonempty] = np.maximum.reduceat(cand, starts)
             scores[t] = best + log_eseq[t]
 
         def predecessor(t, state):

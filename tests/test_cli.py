@@ -63,6 +63,23 @@ class TestBuildModel:
         err = capsys.readouterr().err
         assert "illegal character 'x' in subtype 'B' sequence 1 at column 3" in err
 
+    def test_upper_case_alignment_error_names_character_as_written(self, tmp_path, capsys):
+        msa = tmp_path / "msa.fasta"
+        write_fasta(msa, [FastaRecord("a1", "ACGT", {"subtype": "A"}),
+                          FastaRecord("b1", "ACNT", {"subtype": "B"})])
+        assert run("build-model", "--in", msa, "--out", tmp_path / "m.json") == 1
+        err = capsys.readouterr().err
+        assert "illegal character 'N' in subtype 'B' sequence 1 at column 3" in err
+
+    def test_upper_case_alignment_builds_the_same_model(self, tmp_path, msa_path):
+        upper = tmp_path / "upper.fasta"
+        write_fasta(upper, [FastaRecord(r.id, r.seq.upper(), r.attrs)
+                            for r in read_fasta(msa_path)])
+        lower_model, upper_model = tmp_path / "lower.json", tmp_path / "upper.json"
+        assert run("build-model", "--in", msa_path, "--out", lower_model) == 0
+        assert run("build-model", "--in", upper, "--out", upper_model) == 0
+        assert upper_model.read_bytes() == lower_model.read_bytes()
+
 
 class TestDecode:
     def test_herd_segments(self, tmp_path, t1_model_path):
@@ -240,6 +257,21 @@ class TestBench:
         assert run("bench", *args, "--out", a) == 0
         assert run("bench", *args, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_grid_option_spellings_agree(self, tmp_path, msa_path):
+        model, fasta, truth = self.setup_run(tmp_path, msa_path, count=1)
+        args = ["--model", model, "--in", fasta, "--truth", truth, "--tolerance", 10]
+        a, b = tmp_path / "a" / "bench.csv", tmp_path / "b" / "bench.csv"
+        a.parent.mkdir()
+        b.parent.mkdir()
+        assert run("bench", *args, "--out", a, "--W", "5,10", "--gamma", "0.2,1") == 0
+        assert run("bench", *args, "--out", b,
+                   "--sweep-W", "5,10", "--sweep-gamma", "0.2,1") == 0
+        files = ["bench.csv", "bench.csv.json"] + [
+            f"bench.csv.preds/{p.name}" for p in (a.parent / "bench.csv.preds").iterdir()]
+        assert len(files) == 14
+        for name in files:
+            assert (a.parent / name).read_bytes() == (b.parent / name).read_bytes()
 
     def test_missing_truth_record(self, tmp_path, msa_path, capsys):
         model, fasta, _ = self.setup_run(tmp_path, msa_path)

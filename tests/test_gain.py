@@ -236,6 +236,14 @@ class TestExpectedGain:
         assert expected_gain(Annotation([1, 1, 1, 1]), post, ws,
                              GainParams(1, 0.7)) == 0.0
 
+    def test_window_mismatch(self, t1):
+        post = forward_backward(t1, "xy")
+        ws = window_scores(post, 0)
+        with pytest.raises(ValueError, match="W = 0 .* W = 3"):
+            expected_gain(Annotation([0, 1]), post, ws, GainParams(3, 0.2))
+        with pytest.raises(ValueError, match="W = 0 .* W = 3"):
+            decode_from_posteriors(post, ws, GainParams(3, 0.2), color_graph(t1))
+
     def test_length_mismatch(self, t1):
         post = forward_backward(t1, "xy")
         ws = window_scores(post, 0)

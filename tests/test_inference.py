@@ -364,15 +364,23 @@ def decode_instances(draw):
 # gather over the active rows, or run the full CSR product.
 PRODUCTS = {"gather": 2.0, "full": 0.0}
 
+# CHUNK_BYTES per state that make the posterior assembly take one or three
+# gaps per chunk.
+CHUNKS = {"one gap": 8, "three gaps": 24}
+
 
 class TestAgainstReference:
     """The operator kernels against the decoders they replaced."""
 
     @settings(max_examples=200, deadline=None)
-    @given(decode_instances(), st.sampled_from(["chosen", "gather", "full"]))
-    def test_matches_reference(self, instance, product):
+    @given(decode_instances(), st.sampled_from(["chosen", "gather", "full"]),
+           st.sampled_from(["default", "one gap", "three gaps"]))
+    def test_matches_reference(self, instance, product, chunk):
         share = PRODUCTS.get(product, _transition.GATHER_SHARE)
-        with mock.patch.object(_transition, "GATHER_SHARE", share):
+        chunk_bytes = (_transition.CHUNK_BYTES if chunk == "default"
+                       else CHUNKS[chunk] * instance[0].n_states)
+        with mock.patch.object(_transition, "GATHER_SHARE", share), \
+                mock.patch.object(_transition, "CHUNK_BYTES", chunk_bytes):
             assert_matches_reference(*instance)
 
     def test_flush_on_long_jumping_query(self):
