@@ -12,6 +12,7 @@ from .gain import (
     GainParams,
     WindowScores,
     decode_from_posteriors,
+    decode_grid,
     expected_gain,
     gain_decode,
     window_scores,
@@ -82,6 +83,7 @@ __all__ = [
     "build_profiles",
     "color_graph",
     "decode_from_posteriors",
+    "decode_grid",
     "expected_gain",
     "forward_backward",
     "gain_decode",

@@ -18,23 +18,26 @@ import sys
 import time
 
 from ._files import create
-from .gain import GainParams, decode_from_posteriors, window_scores
+from .gain import GainParams, decode_from_posteriors, decode_grid, window_scores
 from .inference import forward_backward, posterior_decode, viterbi_decode
 from .jumping import JumpingHmmSpec, build_jumping_hmm
 from .metrics import aggregate, base_accuracy, boundary_metrics
 from .model import InvalidModelError, color_graph, load_model, save_model
 from .seqio import format_segments, read_fasta, read_segments, \
-    read_subtype_alignment, write_fasta, write_segments
+    read_subtype_alignment, segment_rows, write_fasta, write_segments
 from .simulate import random_recombinants
 
 DECODERS = ("viterbi", "posterior", "herd")
 
 
 def _parse_sweep(text, cast, flag):
-    values = [v for v in text.split(",") if v.strip()]
+    values = [cast(v) for v in text.split(",") if v.strip()]
     if not values:
         raise ValueError(f"{flag} needs a nonempty comma-separated list")
-    return [cast(v) for v in values]
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"{flag} lists the value {v} twice")
+    return values
 
 
 def _distinct_paths(*paths):
@@ -116,6 +119,21 @@ METRIC_COLUMNS = ("boundary_sensitivity", "boundary_precision", "boundary_f1",
                   "exact_f1", "base_accuracy")
 
 
+def _check_truth(records, truth, n_colors):
+    """Reject truth that cannot be scored against the queries, naming the record."""
+    for rec in records:
+        if rec.id not in truth:
+            raise ValueError(f"no truth segments for record {rec.id!r}")
+        annotation = truth[rec.id]
+        if len(annotation) != len(rec.seq):
+            raise ValueError(f"record {rec.id!r}: truth covers {len(annotation)} "
+                             f"positions, the sequence has {len(rec.seq)}")
+        top = int(annotation.colors.max())
+        if top >= n_colors:
+            raise ValueError(f"record {rec.id!r}: truth color id {top} is not "
+                             f"in the model ({n_colors} colors)")
+
+
 def cmd_bench(args):
     _distinct_paths(("--model", args.model), ("--in", args.input),
                     ("--truth", args.truth), ("--out", args.out))
@@ -123,18 +141,18 @@ def cmd_bench(args):
     graph = color_graph(hmm)
     records = read_fasta(args.input)
     truth = read_segments(args.truth)
-    missing = [r.id for r in records if r.id not in truth]
-    if missing:
-        raise ValueError(f"no truth segments for record {missing[0]!r}")
+    _check_truth(records, truth, hmm.n_colors)
 
     w_grid = _parse_sweep(args.W, int, "--W/--sweep-W")
     g_grid = _parse_sweep(args.gamma, float, "--gamma/--sweep-gamma")
+    grid = [GainParams(window=w, gamma=g, alpha=args.alpha) for w in w_grid for g in g_grid]
 
     # Forward-backward and the W/gamma-independent decoders run once per
-    # query; the gain decoder reruns per grid point on cached posteriors.
-    posts, windows_by_w = [], {w: [] for w in w_grid}
+    # query, and so does the gain decoder: one decode_grid call covers every
+    # grid point on the query's posteriors.
     base_preds = {"viterbi": [], "posterior": []}
-    t_fb = t_vit = t_post = 0.0
+    herd_preds = [[] for _ in grid]
+    t_fb = t_vit = t_post = t_grid = 0.0
     for rec in records:
         try:
             t0 = time.perf_counter()
@@ -144,52 +162,60 @@ def cmd_bench(args):
             t2 = time.perf_counter()
             pd = posterior_decode(post)
             t3 = time.perf_counter()
+            windows = {w: window_scores(post, w) for w in w_grid}
+            t4 = time.perf_counter()
+            decoded = decode_grid(post, [(windows[p.window], p) for p in grid], graph)
+            t5 = time.perf_counter()
         except ValueError as e:
             raise ValueError(f"record {rec.id!r}: {e}") from None
         t_vit += t1 - t0
         t_fb += t2 - t1
         t_post += t3 - t2
-        posts.append(post)
+        t_grid += t5 - t4
         base_preds["viterbi"].append(annot)
         base_preds["posterior"].append(pd)
-        for w in w_grid:
-            windows_by_w[w].append(window_scores(post, w))
+        for preds, (annotation, _) in zip(herd_preds, decoded):
+            preds.append(annotation)
 
     preds_dir = args.out + ".preds"
     os.makedirs(preds_dir, exist_ok=True)
     ids = [r.id for r in records]
+    table_header = format_segments([], hmm.color_names)  # an empty table is its header
+    # Many grid points give a query the same prediction, so each distinct
+    # (query, prediction) is scored and rendered once.
+    seen = [{} for _ in ids]
 
     def score_and_render(preds):
-        per_query = [_bench_metrics(p, truth[i], args.tolerance)
-                     for p, i in zip(preds, ids)]
-        means = aggregate(per_query)["mean"]
-        return means, format_segments(list(zip(ids, preds)), hmm.color_names)
+        per_query, lines = [], [table_header]
+        for rid, pred, known in zip(ids, preds, seen):
+            hit = known.get(pred)
+            if hit is None:
+                hit = known[pred] = (
+                    _bench_metrics(pred, truth[rid], args.tolerance),
+                    segment_rows(rid, pred, hmm.color_names))
+            per_query.append(hit[0])
+            lines.append(hit[1])
+        return aggregate(per_query)["mean"], "".join(lines)
 
     # The Viterbi and posterior predictions do not depend on W or gamma, so
     # they are scored and rendered once and reused at every grid point.
     base_results = {d: score_and_render(p) for d, p in base_preds.items()}
+    # A herd row reports forward-backward plus its share of the grid pass.
+    wall = {"viterbi": t_vit, "posterior": t_fb + t_post,
+            "herd": t_fb + t_grid / len(grid)}
     rows, timing = [], []
-    for w in w_grid:
-        for g in g_grid:
-            params = GainParams(window=w, gamma=g, alpha=args.alpha)
-            t0 = time.perf_counter()
-            herd_preds = [
-                decode_from_posteriors(post, win, params, graph)[0]
-                for post, win in zip(posts, windows_by_w[w])]
-            t_herd = time.perf_counter() - t0
-            results = dict(base_results, herd=score_and_render(herd_preds))
-            for decoder in DECODERS:
-                means, text = results[decoder]
-                row = {"decoder": decoder, "W": w, "gamma": g, "alpha": args.alpha,
-                       "tolerance": args.tolerance, "n_queries": len(ids)}
-                row.update({k: means[k] for k in METRIC_COLUMNS})
-                rows.append(row)
-                wall = {"viterbi": t_vit,
-                        "posterior": t_fb + t_post,
-                        "herd": t_fb + t_herd}[decoder]
-                timing.append((decoder, w, g, wall * 1e3))
-                with create(os.path.join(preds_dir, f"{decoder}_W{w}_g{g:g}.tsv")) as fh:
-                    fh.write(text)
+    for params, preds in zip(grid, herd_preds):
+        w, g = params.window, params.gamma
+        results = dict(base_results, herd=score_and_render(preds))
+        for decoder in DECODERS:
+            means, text = results[decoder]
+            row = {"decoder": decoder, "W": w, "gamma": g, "alpha": args.alpha,
+                   "tolerance": args.tolerance, "n_queries": len(ids)}
+            row.update({k: means[k] for k in METRIC_COLUMNS})
+            rows.append(row)
+            timing.append((decoder, w, g, wall[decoder] * 1e3))
+            with create(os.path.join(preds_dir, f"{decoder}_W{w}_g{g:g}.tsv")) as fh:
+                fh.write(text)
 
     header = ("decoder", "W", "gamma", "alpha", "tolerance", "n_queries") + METRIC_COLUMNS
     with create(args.out) as fh:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._transition import CHUNK_BYTES
 from .inference import forward_backward
 from .model import Annotation, color_graph
 
@@ -114,56 +115,122 @@ def decode_from_posteriors(post, windows, params, graph):
     id. windows must be summed at params.window. Returns (annotation,
     objective value).
 
-    Runs in two exact passes: a per-position loop that keeps only the best
-    scores, then one vectorised argmax that recovers every back-pointer.
+    This is decode_grid at one grid point.
     """
-    _check_window(windows, params)
+    return decode_grid(post, [(windows, params)], graph)[0]
+
+
+def _value_pass(steps, prev_rows, rows, buf, bonus_rows):
+    """rows[j] = max over axis 1 of (steps[j] + prev_rows[j]), + bonus_rows[j].
+
+    The gain DP's per-position loop; bonus_rows None adds nothing. Out
+    arguments are passed by position: keyword parsing costs about 5 % here.
+    """
+    add, best = np.add, np.maximum.reduce
+    if bonus_rows is None:
+        for gap_step, prev, row in zip(steps, prev_rows, rows):
+            add(gap_step, prev, buf)
+            best(buf, 1, None, row)
+    else:
+        for gap_step, prev, row, row_bonus in zip(steps, prev_rows, rows, bonus_rows):
+            add(gap_step, prev, buf)
+            best(buf, 1, None, row)
+            add(row, row_bonus, row)
+
+
+def decode_grid(post, points, graph):
+    """Gain DP at many grid points of one posterior set, in one pass.
+
+    points is a sequence of (WindowScores, GainParams) pairs; each
+    WindowScores must be summed at its params.window. Returns one
+    (annotation, objective value) per point, each equal to what
+    decode_from_posteriors gives at that point, ties broken the same way,
+    and raises its errors. This is the cheap way to sweep W, gamma and
+    alpha on cached posteriors: every point shares one loop over positions.
+
+    Runs in two exact passes per chunk of gaps: a per-position loop that
+    keeps only the best scores of all points, then one vectorised argmax
+    that recovers the chunk's back-pointers.
+    """
+    points = list(points)
+    for windows, params in points:
+        _check_window(windows, params)
     if not graph.start.any():
         raise ValueError("no allowed start color")
-    bonus = params.alpha * post.color_post
-    n, n_colors = bonus.shape
-    gamma = params.gamma
+    if not points:
+        return []
+    n, n_colors = post.color_post.shape
+    n_points = len(points)
+    gammas = np.array([params.gamma for _, params in points])
+    alphas = np.array([params.alpha for _, params in points])
 
-    # step[j, c2, c] is what moving from color c to c2 across gap j+1
-    # earns: the boundary reward where the graph allows it, 0 for an
-    # allowed stay, -inf otherwise.
-    step = np.empty((n - 1, n_colors, n_colors))
-    np.multiply(windows.scores.transpose(0, 2, 1), 1.0 + gamma, out=step)
-    step -= gamma
+    # score[j, c, g]: best objective of point g over colorings of positions
+    # 1..j+1 that end in color c. The point axis is innermost, so each numpy
+    # call of the loop below runs over all points at once. The alpha bonus
+    # is added only when some point has one: no score is ever -0.0, so
+    # adding 0.0 would change nothing.
+    score = np.empty((n, n_colors, n_points))
+    bonus = None
+    if alphas.any():
+        bonus = post.color_post[:, :, None] * alphas
+        score[0] = np.where(graph.start[:, None], bonus[0], -np.inf)
+    else:
+        score[0] = np.where(graph.start[:, None], 0.0, -np.inf)
+    back = np.empty((n_points, n - 1, n_colors), dtype=np.int64)
+
     diag = np.arange(n_colors)
-    step[:, diag, diag] = 0.0
-    step[:, ~graph.pairs.T] = -np.inf
-
-    # Value pass: only the best score per (position, color). A maximum does
-    # not depend on candidate order, so ties need no care here.
-    score = np.empty((n, n_colors))
-    score[0] = np.where(graph.start, bonus[0], -np.inf)
-    buf = np.empty((n_colors, n_colors))
-    for gap_step, prev, row, row_bonus in zip(step, score, score[1:], bonus[1:]):
-        np.add(gap_step, prev, out=buf)
-        np.maximum.reduce(buf, axis=1, out=row)
-        row += row_bonus
-
-    end = int(np.argmax(score[n - 1]))
-    value = float(score[n - 1, end])
-    if value == -np.inf:
-        raise ValueError("no color sequence is feasible under the ColorGraph")
-
-    # Back-pointers for all gaps at once. Every candidate is the same single
-    # addition as in the value pass, so it reproduces those maxima exactly.
+    blocked = ~graph.pairs.T
     # Each target color lists its candidates stay first, then the other
     # colors ascending, so the first maximum prefers continuation and then
     # the smallest predecessor.
-    step += score[:-1, None, :]
     order = np.array([[c2] + [c for c in range(n_colors) if c != c2]
                       for c2 in range(n_colors)], dtype=np.int64)
-    cand = step[:, diag[:, None], order]
-    back = order[diag, cand.argmax(axis=2)].tolist()
+    buf = np.empty((n_colors, n_colors, n_points))
+    size = max(1, CHUNK_BYTES // (8 * n_points * n_colors * n_colors))
+    for lo in range(0, n - 1, size):
+        hi = min(lo + size, n - 1)
+        # step[j, c2, c, g] is what moving from color c to c2 across gap
+        # lo+j+1 earns at point g: the boundary reward where the graph
+        # allows it, 0 for an allowed stay, -inf otherwise.
+        step = np.empty((hi - lo, n_colors, n_colors, n_points))
+        for g, ((windows, _), gamma) in enumerate(zip(points, gammas)):
+            np.multiply(windows.scores[lo:hi].transpose(0, 2, 1), 1.0 + gamma,
+                        out=step[..., g])
+        step -= gammas
+        step[:, diag, diag] = 0.0
+        step[:, blocked] = -np.inf
 
-    colors = [end]
-    for gap_back in reversed(back):
-        colors.append(gap_back[colors[-1]])
-    return Annotation(colors[::-1]), value
+        # Value pass: only the best score per (position, color, point). A
+        # maximum does not depend on candidate order, so ties need no care.
+        # One point loops over 2-d rows: numpy's cost per call grows with
+        # the number of axes.
+        prev_rows = score[lo:hi]
+        loop = (step, prev_rows, score[lo + 1:hi + 1], buf,
+                None if bonus is None else bonus[lo + 1:hi + 1])
+        if n_points == 1:
+            loop = [None if a is None else a[..., 0] for a in loop]
+        _value_pass(*loop)
+
+        # Back-pointers of the chunk. Every candidate is the same single
+        # addition as in the value pass, so it reproduces those maxima
+        # exactly.
+        step += prev_rows[:, None]
+        cand = step[:, diag[:, None], order]
+        picked = order[diag[:, None], cand.argmax(axis=2)]
+        back[:, lo:hi] = picked.transpose(2, 0, 1)
+
+    ends = np.argmax(score[n - 1], axis=0)
+    values = score[n - 1, ends, np.arange(n_points)]
+    if (values == -np.inf).any():
+        raise ValueError("no color sequence is feasible under the ColorGraph")
+
+    out = []
+    for end, value, point_back in zip(ends.tolist(), values.tolist(), back):
+        colors = [end]
+        for gap_back in reversed(point_back.tolist()):
+            colors.append(gap_back[colors[-1]])
+        out.append((Annotation(colors[::-1]), value))
+    return out
 
 
 def gain_decode(hmm, seq, params):

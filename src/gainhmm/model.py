@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 from scipy import sparse
@@ -384,11 +385,72 @@ def hmm_to_dict(hmm):
     }
 
 
+def _json_value(x):
+    """JSON text of a scalar, as json.dumps writes it."""
+    return encode_basestring_ascii(x) if isinstance(x, str) else json.dumps(x)
+
+
+def _json_key(x):
+    """JSON text of a dict key, as json.dumps writes it (keys become strings)."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    return json.dumps({x: None})[1:-len(": null}")]
+
+
+def _json_block(open_, close, items, depth):
+    """An indent=1 JSON array or object at `depth` from encoded items."""
+    if not items:
+        return open_ + close
+    pad = "\n" + " " * (depth + 1)
+    return open_ + pad + ("," + pad).join(items) + "\n" + " " * depth + close
+
+
+def _model_json(hmm):
+    """json.dumps(hmm_to_dict(hmm), indent=1) + "\n", written directly.
+
+    json.dumps with an indent never takes the C encoder, and the pure-Python
+    one spent most of save_model's time. Every state id and symbol is
+    encoded once, and probabilities are float repr, as json writes them.
+    Returns the text in pieces, one per transition row, so no piece is
+    the size of the file.
+    """
+    ids = hmm.state_ids
+    id_keys = [_json_key(sid) for sid in ids]
+    sym_keys = [_json_key(sym) for sym in hmm.alphabet]
+    colors = [_json_block("{", "}", [f'"id": {i}', f'"name": {_json_value(name)}'], 2)
+              for i, name in enumerate(hmm.color_names)]
+    states = []
+    for sid, color, row in zip(ids, hmm.state_colors.tolist(), hmm.emissions.tolist()):
+        emission = _json_block("{", "}", [f"{key}: {p!r}" for key, p in zip(sym_keys, row)
+                                          if p != 0.0], 3)
+        states.append(_json_block("{", "}", [f'"id": {_json_value(sid)}',
+                                             f'"color": {color}',
+                                             f'"emission": {emission}'], 2))
+    initial = [f"{key}: {p!r}" for key, p in zip(id_keys, hmm.initial.tolist()) if p != 0.0]
+    pieces = ["".join([
+        '{\n "alphabet": ', _json_block("[", "]", [_json_value(s) for s in hmm.alphabet], 1),
+        ',\n "colors": ', _json_block("[", "]", colors, 1),
+        ',\n "states": ', _json_block("[", "]", states, 1),
+        ',\n "initial": ', _json_block("{", "}", initial, 1),
+        ',\n "transitions": {'])]
+    # A model has states and every transition row sums to 1, so neither the
+    # transitions object nor any of its rows is empty.
+    t = hmm.transitions
+    sep = "\n  "
+    for key, lo, hi in zip(id_keys, t.indptr.tolist(), t.indptr[1:].tolist()):
+        row = [f"{id_keys[j]}: {p!r}"
+               for j, p in zip(t.indices[lo:hi].tolist(), t.data[lo:hi].tolist())]
+        pieces.append(f"{sep}{key}: " + _json_block("{", "}", row, 2))
+        sep = ",\n  "
+    pieces.append("\n }\n}\n")
+    return pieces
+
+
 def save_model(hmm, path):
     """Write the model file (JSON, probabilities as decimal text)."""
+    pieces = _model_json(hmm)  # first: a model json cannot encode leaves the old file
     with create(path) as fh:
-        json.dump(hmm_to_dict(hmm), fh, indent=1)
-        fh.write("\n")
+        fh.writelines(pieces)
 
 
 def load_model(path):

@@ -93,13 +93,16 @@ def read_subtype_alignment(path):
     return SubtypeAlignment(names=tuple(names), groups=groups, length=length)
 
 
+def segment_rows(seq_id, annotation, color_names):
+    """Segment TSV lines of one annotated record, without the header."""
+    return "".join(f"{seq_id}\t{start}\t{end}\t{color}\t{color_names[color]}\n"
+                   for start, end, color in annotation.segments)
+
+
 def format_segments(entries, color_names):
     """Text of the segment TSV for (seq_id, Annotation) pairs."""
-    lines = ["\t".join(SEGMENT_HEADER) + "\n"]
-    for seq_id, annotation in entries:
-        for start, end, color in annotation.segments:
-            lines.append(f"{seq_id}\t{start}\t{end}\t{color}\t{color_names[color]}\n")
-    return "".join(lines)
+    return "\t".join(SEGMENT_HEADER) + "\n" + "".join(
+        segment_rows(seq_id, annotation, color_names) for seq_id, annotation in entries)
 
 
 def write_segments(path, entries, color_names):

@@ -281,6 +281,60 @@ class TestBench:
                    "--out", tmp_path / "o.csv") == 1
         assert "no truth" in capsys.readouterr().err
 
+    def test_short_truth_names_record_and_lengths(self, tmp_path, msa_path, capsys):
+        model, fasta, truth = self.setup_run(tmp_path, msa_path)
+        lines = truth.read_text().splitlines(keepends=True)
+        last = max(i for i, line in enumerate(lines) if line.startswith("q0000\t"))
+        cells = lines[last].split("\t")
+        cells[2] = str(int(cells[2]) - 5)
+        lines[last] = "\t".join(cells)
+        truth.write_text("".join(lines))
+        length = len(read_fasta(fasta)[0].seq)
+        assert run("bench", "--model", model, "--in", fasta, "--truth", truth,
+                   "--out", tmp_path / "o.csv") == 1
+        err = capsys.readouterr().err
+        assert f"record 'q0000': truth covers {length - 5} positions, " \
+               f"the sequence has {length}" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_truth_color_outside_model(self, tmp_path, msa_path, capsys):
+        model, fasta, truth = self.setup_run(tmp_path, msa_path)
+        head, first, *rest = truth.read_text().splitlines(keepends=True)
+        cells = first.split("\t")
+        cells[3] = "7"
+        truth.write_text("".join([head, "\t".join(cells)] + rest))
+        assert run("bench", "--model", model, "--in", fasta, "--truth", truth,
+                   "--out", tmp_path / "o.csv") == 1
+        assert "record 'q0000': truth color id 7 is not in the model (3 colors)" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, values, message", [
+        ("--W", "5,5", "--W/--sweep-W lists the value 5 twice"),
+        ("--sweep-W", "10,5,010", "--W/--sweep-W lists the value 10 twice"),
+        ("--gamma", "0.2,0.2", "--gamma/--sweep-gamma lists the value 0.2 twice"),
+        ("--sweep-gamma", "0.2,1,0.20", "--gamma/--sweep-gamma lists the value 0.2 twice"),
+    ])
+    def test_repeated_grid_value_rejected(self, tmp_path, msa_path, capsys,
+                                          flag, values, message):
+        model, fasta, truth = self.setup_run(tmp_path, msa_path, count=1)
+        assert run("bench", "--model", model, "--in", fasta, "--truth", truth,
+                   "--out", tmp_path / "o.csv", flag, values) == 1
+        assert message in capsys.readouterr().err
+
+    def test_herd_predictions_equal_decode(self, tmp_path, msa_path):
+        model, fasta, truth = self.setup_run(tmp_path, msa_path)
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--model", model, "--in", fasta, "--truth", truth,
+                   "--out", out, "--W", "0,10", "--gamma", "0.2,1", "--alpha", 0.5) == 0
+        for w in (0, 10):
+            for g in ("0.2", "1"):
+                decoded = tmp_path / f"herd_W{w}_g{g}.tsv"
+                assert run("decode", "--model", model, "--in", fasta, "--out", decoded,
+                           "--decoder", "herd", "--W", w, "--gamma", g,
+                           "--alpha", 0.5) == 0
+                assert (tmp_path / "bench.csv.preds" / decoded.name).read_bytes() == \
+                    decoded.read_bytes()
+
     def test_empty_sweep_rejected(self, tmp_path, msa_path, capsys):
         model, fasta, truth = self.setup_run(tmp_path, msa_path, count=1)
         assert run("bench", "--model", model, "--in", fasta, "--truth", truth,

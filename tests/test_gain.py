@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gainhmm import (
     PosteriorSet,
     color_graph,
     decode_from_posteriors,
+    decode_grid,
     expected_gain,
     forward_backward,
     gain_decode,
@@ -19,6 +21,7 @@ from gainhmm import (
     viterbi_decode,
     window_scores,
 )
+from gainhmm import gain
 from gainhmm.oracles import (
     brute_force_best_annotation,
     brute_force_expected_gain,
@@ -153,20 +156,40 @@ COARSE = st.sampled_from([0.0, 0.25, 0.5, 1.0])
 
 
 @st.composite
-def dp_instances(draw):
-    """(post, windows, params, graph) over random ColorGraphs, some infeasible."""
+def dp_posteriors(draw):
+    """(post, graph) over random ColorGraphs, some infeasible."""
     n_colors = draw(st.integers(min_value=1, max_value=5))
-    n = draw(st.integers(min_value=1, max_value=40))
+    n = draw(st.one_of(st.sampled_from([1, 2]), st.integers(min_value=1, max_value=40)))
     start = draw(arrays(bool, n_colors))
     pairs = draw(arrays(bool, (n_colors, n_colors)))
     color_post = draw(arrays(float, (n, n_colors), elements=COARSE))
     pair_post = draw(arrays(float, (n - 1, n_colors, n_colors), elements=COARSE))
-    params = GainParams(window=draw(st.integers(min_value=0, max_value=5)),
-                        gamma=draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])),
-                        alpha=draw(st.sampled_from([0.0, 1.0])))
     post = PosteriorSet(length=n, log_likelihood=0.0,
                         color_post=color_post, pair_post=pair_post)
-    return post, window_scores(post, params.window), params, ColorGraph(start, pairs)
+    return post, ColorGraph(start, pairs)
+
+
+GAIN_PARAMS = st.builds(GainParams, window=st.integers(min_value=0, max_value=5),
+                        gamma=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                        alpha=st.sampled_from([0.0, 1.0]))
+
+
+@st.composite
+def dp_instances(draw):
+    """(post, windows, params, graph) over random ColorGraphs, some infeasible."""
+    post, graph = draw(dp_posteriors())
+    params = draw(GAIN_PARAMS)
+    return post, window_scores(post, params.window), params, graph
+
+
+@st.composite
+def grid_instances(draw):
+    """(post, points, graph, gaps per chunk): 1-6 points mixing W, gamma and alpha."""
+    post, graph = draw(dp_posteriors())
+    params = draw(st.lists(GAIN_PARAMS, min_size=1, max_size=6))
+    windows = {p.window: window_scores(post, p.window) for p in params}
+    gaps = draw(st.integers(min_value=1, max_value=max(1, post.length - 1)))
+    return post, [(windows[p.window], p) for p in params], graph, gaps
 
 
 def dp_outcome(decode, instance):
@@ -211,6 +234,43 @@ class TestReferenceDp:
         instance = self.single_color_instance(3, start, stay)
         assert dp_outcome(fast_dp, instance) == ("error", message)
         assert dp_outcome(_oracles.reference_gain_dp, instance) == ("error", message)
+        post, windows, params, graph = instance
+        points = [(windows, params), (windows, GainParams(1, 2.0))]
+        with pytest.raises(ValueError, match=message):
+            decode_grid(post, points, graph)
+
+
+class TestDecodeGrid:
+    """Every grid point against the one-point decoder and the reference loop, with ==."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_instances())
+    def test_points_match_one_point_decode_and_reference(self, instance):
+        post, points, graph, gaps = instance
+        singles = [dp_outcome(fast_dp, (post, w, p, graph)) for w, p in points]
+        assert singles == [dp_outcome(_oracles.reference_gain_dp, (post, w, p, graph))
+                           for w, p in points]
+        # A chunk of `gaps` gaps, down to one, so records span several chunks.
+        chunk_bytes = gaps * 8 * len(points) * post.n_colors ** 2
+        with mock.patch.object(gain, "CHUNK_BYTES", chunk_bytes):
+            try:
+                got = [(a.colors.tolist(), v) for a, v in decode_grid(post, points, graph)]
+            except ValueError as e:
+                got = "error", str(e)
+        assert got == (singles[0] if singles[0][0] == "error" else singles)
+
+    def test_window_mismatch_at_any_point(self, t1):
+        post = forward_backward(t1, "xyxy")
+        w0, w1 = window_scores(post, 0), window_scores(post, 1)
+        good = [(w0, GainParams(0, 0.2)), (w1, GainParams(1, 0.5, alpha=1.0))]
+        for k in range(len(good) + 1):
+            points = good[:k] + [(w0, GainParams(3, 0.2))] + good[k:]
+            with pytest.raises(ValueError, match="W = 0 .* W = 3"):
+                decode_grid(post, points, color_graph(t1))
+
+    def test_no_points(self, t1):
+        post = forward_backward(t1, "xy")
+        assert decode_grid(post, [], color_graph(t1)) == []
 
 
 class TestExpectedGain:

@@ -1,6 +1,8 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from gainhmm import (
@@ -226,6 +228,30 @@ class TestSerialization:
             np.testing.assert_array_equal(again.transitions_dense(),
                                           hmm.transitions_dense())
             np.testing.assert_array_equal(again.emissions, hmm.emissions)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 6),
+           sparsity=st.sampled_from([0.0, 0.5]), unicode_names=st.booleans(),
+           zero_initial=st.booleans(),
+           alphabet=st.sampled_from([None, [0, 1, 2], [0.5, True, None], ["é", "x", "\x7f"]]))
+    def test_file_is_json_dumps_of_dict(self, tmp_path_factory, seed, n_states, sparsity,
+                                        unicode_names, zero_initial, alphabet):
+        rng = np.random.default_rng(seed)
+        n_colors = int(rng.integers(1, n_states + 1))
+        hmm = random_model(rng, n_states, n_colors, n_symbols=3, sparsity=sparsity)
+        ids, names = hmm.state_ids, hmm.color_names
+        if unicode_names:
+            ids = [f"état-{i}\u2192\U0001f600\"\\" for i in range(n_states)]
+            names = [f"név {c}\t\u00e9" for c in range(n_colors)]
+        initial = hmm.initial.copy()
+        if zero_initial and n_states > 1:
+            initial[rng.permutation(n_states)[:n_states - 1]] = 0.0
+            initial[initial > 0.0] = 1.0
+        hmm = Hmm(ids, hmm.state_colors, names, alphabet or hmm.alphabet, initial,
+                  hmm.transitions, hmm.emissions)
+        path = tmp_path_factory.mktemp("save") / "model.json"
+        save_model(hmm, path)
+        assert path.read_bytes() == (json.dumps(hmm_to_dict(hmm), indent=1) + "\n").encode()
 
     def test_zero_entries_omitted(self, one_state):
         d = hmm_to_dict(one_state)
