@@ -164,7 +164,8 @@ class TransitionOperator:
             self.backward_t = t.toarray()
             self.forward_t = self.backward_t.T
             with np.errstate(divide="ignore"):
-                self.log_t = np.log(self.backward_t)
+                # row v lists log T[u, v] over the predecessors u
+                self.log_t_t = np.ascontiguousarray(np.log(self.forward_t))
             self.color_indicator = hmm.color_indicator()
         r = np.repeat(np.arange(hmm.n_states), np.diff(t.indptr))
         c, v = t.indices, t.data
@@ -214,23 +215,34 @@ class TransitionOperator:
         """
         t_t, t_mat, emis = self.forward_t, self.backward_t, self.emis_rows
         n, n_states = obs.size, self.initial.size
+        syms = obs.tolist()
+        dot, mul, div, total = np.dot, np.multiply, np.divide, np.add.reduce
 
+        # Each step runs in place in its own output row: no step allocates.
         alphahat = np.empty((n, n_states))
         scales = np.empty(n)
-        a = self.initial * emis[obs[0]]
-        for t in range(n):
+        mul(self.initial, emis[syms[0]], alphahat[0])
+        prev = None
+        for t, (sym, row) in enumerate(zip(syms, alphahat)):
             if t:
-                a = (t_t @ alphahat[t - 1]) * emis[obs[t]]
-            scales[t] = a.sum()
-            if scales[t] <= 0.0:
+                dot(t_t, prev, row)
+                mul(row, emis[sym], row)
+            scale = total(row)
+            if scale <= 0.0:
                 raise _impossible(t)
-            np.divide(a, scales[t], out=alphahat[t])
+            scales[t] = scale
+            div(row, scale, row)
+            prev = row
 
         betahat = np.empty((n, n_states))
         betahat[n - 1] = 1.0
-        for t in range(n - 2, -1, -1):
-            np.divide(t_mat @ (emis[obs[t + 1]] * betahat[t + 1]), scales[t + 1],
-                      out=betahat[t])
+        buf = np.empty(n_states)
+        # rows n-2 .. 0, each from row t+1 with symbol and scale t+1
+        for row, nxt, sym, scale in zip(betahat[-2::-1], betahat[:0:-1], syms[:0:-1],
+                                        scales.tolist()[:0:-1]):
+            mul(emis[sym], nxt, buf)
+            dot(t_mat, buf, row)
+            div(row, scale, row)
 
         return alphahat, betahat, scales
 
@@ -381,10 +393,11 @@ class TransitionOperator:
     def viterbi_path(self, obs):
         """(state path, log probability) of the best path over encoded symbols.
 
-        DP ties break toward the smallest state index: the traceback
-        re-derives each predecessor as the first argmax over the stored
-        scores. Raises ZeroLikelihoodError naming the first position at
-        which every state scores -inf.
+        DP ties break toward the smallest state index: the dense forward
+        loop records each first-argmax predecessor as it goes, and the
+        sparse traceback re-derives each predecessor as the first argmax
+        over the stored scores. Raises ZeroLikelihoodError naming the
+        first position at which every state scores -inf.
         """
         if self.is_sparse:
             try:
@@ -392,32 +405,55 @@ class TransitionOperator:
             except ZeroLikelihoodError:
                 rows = self._beam_scores(obs, np.inf)
             return self._beam_traceback(rows)
-        return self._dense_traceback(self._dense_scores(obs))
+        return self._dense_viterbi(obs)
 
-    def _dense_scores(self, obs):
-        """(n, S) max-product scores: scores[t, v] is the log probability
-        of the best state path that emits obs[:t+1] and ends in v."""
-        log_emis = self.log_emis_rows
-        scores = np.empty((obs.size, self.log_initial.size))
-        scores[0] = self.log_initial + log_emis[obs[0]]
-        for t in range(1, obs.size):
-            row = scores[t]
-            np.max(scores[t - 1][:, None] + self.log_t, axis=0, out=row)
-            row += log_emis[obs[t]]
-        return scores
+    def _dense_viterbi(self, obs):
+        """Dense max-product with back-pointers kept by the forward loop.
 
-    def _dense_traceback(self, scores):
-        """(path, log probability) from (n, S) scores."""
-        n = scores.shape[0]
-        best_end = int(np.argmax(scores[n - 1]))
-        best_logp = float(scores[n - 1, best_end])
+        Step t adds the previous score row to log T transposed, so row v of
+        an (S, S) buffer holds each predecessor's candidate score for v
+        along its contiguous axis, and the first argmax of that row is the
+        smallest best predecessor. S <= DENSE_STATE_LIMIT = 256, so every
+        back-pointer fits in a uint8: (n, S) bytes in all.
+        """
+        log_emis, n_states = self.log_emis_rows, self.log_initial.size
+        syms = obs.tolist()
+        back = np.empty((obs.size, n_states), dtype=np.uint8)
+        buf = np.empty((n_states, n_states))
+        flat, best = buf.reshape(-1), np.empty(n_states, dtype=np.intp)
+        row_starts = np.arange(0, n_states * n_states, n_states)
+        add, argmax = np.add, np.argmax
+        row = self.log_initial + log_emis[syms[0]]
+        for back_row, sym in zip(back[1:], syms[1:]):
+            add(self.log_t_t, row, buf)
+            argmax(buf, 1, best)
+            back_row[...] = best
+            add(best, row_starts, best)
+            row = flat[best]
+            add(row, log_emis[sym], row)
+
+        end = int(np.argmax(row))
+        best_logp = float(row[end])
         if best_logp == -np.inf:
-            raise _impossible(int(np.argmax(scores.max(axis=1) == -np.inf)))
-        path = np.empty(n, dtype=np.int64)
-        path[n - 1] = best_end
-        for t in range(n - 1, 0, -1):
-            path[t - 1] = np.argmax(scores[t - 1] + self.log_t[:, path[t]])
-        return path, best_logp
+            raise _impossible(self._dense_first_dead(obs))
+        pointers = memoryview(back.reshape(-1))
+        path = [end]
+        for at in range(n_states * (obs.size - 1), 0, -n_states):
+            path.append(pointers[at + path[-1]])
+        return np.array(path[::-1], dtype=np.int64), best_logp
+
+    def _dense_first_dead(self, obs):
+        """The first position at which every dense Viterbi score is -inf.
+
+        Replays the scores with a check at every step, so only a record
+        with no path at all pays for it; obs must be such a record.
+        """
+        row = self.log_initial + self.log_emis_rows[obs[0]]
+        t = 0
+        while row.max() > -np.inf:
+            t += 1
+            row = np.max(self.log_t_t + row, axis=1) + self.log_emis_rows[obs[t]]
+        return t
 
     def _beam_scores(self, obs, width):
         """Ragged max-product scores: per position (states, scores) of the
