@@ -1,9 +1,20 @@
 import copy
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gainhmm import build_hmm
+
+# On CI (GitHub Actions sets CI) a failing example prints the
+# @reproduce_failure blob that replays it, and no example database is kept.
+# Everything else, example counts and deadlines included, comes from the
+# profile already loaded (recent Hypothesis versions load their own "ci"
+# profile when they detect CI).
+settings.register_profile("ci", settings.default, print_blob=True, database=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 # Two-state two-color fixture used throughout; all four length-2 state
 # paths have distinct probabilities, so decoder disagreements are visible.

@@ -273,6 +273,79 @@ class TestDecodeGrid:
         assert decode_grid(post, [], color_graph(t1)) == []
 
 
+@st.composite
+def sparse_grid_instances(draw):
+    """(post, points, graph, gaps per chunk) with boundary mass at a few gaps.
+
+    Long stretches where no score changes are what the value pass skips;
+    coarse values make ties at the spikes. The grid holds 1-6 points, with
+    alpha 0 at every point or mixed.
+    """
+    n_colors = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=600))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    color_post = rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, n_colors))
+    pair_post = np.zeros((n - 1, n_colors, n_colors))
+    if n > 1:
+        spikes = draw(st.lists(st.integers(min_value=0, max_value=n - 2), max_size=6))
+        for gap in spikes:
+            pair_post[gap] = draw(arrays(float, (n_colors, n_colors), elements=COARSE))
+    post = PosteriorSet(length=n, log_likelihood=0.0,
+                        color_post=color_post, pair_post=pair_post)
+    graph = ColorGraph(draw(arrays(bool, n_colors)), draw(arrays(bool, (n_colors, n_colors))))
+    params = draw(st.lists(st.builds(GainParams, window=st.integers(min_value=0, max_value=30),
+                                     gamma=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                                     alpha=st.sampled_from([0.0, 1.0])),
+                           min_size=1, max_size=6))
+    if draw(st.booleans()):
+        params = [GainParams(p.window, p.gamma) for p in params]
+    windows = {p.window: window_scores(post, p.window) for p in params}
+    gaps = draw(st.integers(min_value=1, max_value=max(1, n - 1)))
+    return post, [(windows[p.window], p) for p in params], graph, gaps
+
+
+class TestSkipAhead:
+    """The value pass's skips over stable stretches change no result (==)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_grid_instances())
+    def test_points_match_one_point_decode_and_reference(self, instance):
+        post, points, graph, gaps = instance
+        singles = [dp_outcome(fast_dp, (post, w, p, graph)) for w, p in points]
+        assert singles == [dp_outcome(_oracles.reference_gain_dp, (post, w, p, graph))
+                           for w, p in points]
+        chunk_bytes = gaps * 8 * len(points) * post.n_colors ** 2
+        with mock.patch.object(gain, "CHUNK_BYTES", chunk_bytes):
+            try:
+                got = [(a.colors.tolist(), v) for a, v in decode_grid(post, points, graph)]
+            except ValueError as e:
+                got = "error", str(e)
+        assert got == (singles[0] if singles[0][0] == "error" else singles)
+
+    def test_long_stable_stretches(self):
+        # Spikes 700 gaps apart: from _BLOCK_START = 4, the block doubles to
+        # its cap of 256 gaps after 4 + 8 + ... + 128 = 252 stable gaps.
+        rng = np.random.default_rng(5)
+        n, n_colors = 3000, 3
+        pair_post = np.zeros((n - 1, n_colors, n_colors))
+        for gap in (700, 1400, 2100, 2800):
+            pair_post[gap] = rng.choice([0.0, 0.25, 0.5, 1.0], size=(n_colors, n_colors))
+        post = PosteriorSet(length=n, log_likelihood=0.0,
+                            color_post=rng.choice([0.25, 0.5], size=(n, n_colors)),
+                            pair_post=pair_post)
+        graph = ColorGraph(np.ones(n_colors, bool), np.ones((n_colors, n_colors), bool))
+        points = [(window_scores(post, w), GainParams(w, g)) for w in (0, 3) for g in (0.0, 0.5)]
+        plain = mock.Mock(wraps=gain._plain_pass)
+        with mock.patch.object(gain, "_plain_pass", plain):
+            got = [(a.colors.tolist(), v) for a, v in decode_grid(post, points, graph)]
+        assert sum(len(c.args[0]) for c in plain.call_args_list) < (n - 1) / 10
+        for (windows, params), outcome in zip(points, got):
+            instance = (post, windows, params, graph)
+            assert outcome == dp_outcome(fast_dp, instance)
+            assert outcome == dp_outcome(_oracles.reference_gain_dp, instance)
+        assert any(len(set(colors)) > 1 for colors, _ in got)
+
+
 class TestExpectedGain:
     def test_evaluator_matches_dp_objective(self, t1):
         rng = np.random.default_rng(47)

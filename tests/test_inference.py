@@ -23,6 +23,7 @@ from gainhmm import (
     color_graph,
     decode_from_posteriors,
     forward_backward,
+    gain_decode,
     posterior_decode,
     random_recombinants,
     simulate_recombinant,
@@ -404,6 +405,73 @@ class TestAgainstReference:
         assert 0.0 < lat.dropped < ref_alpha.size * _transition.CUT
         np.testing.assert_array_equal(lat.scales, ref_scales)
         assert_matches_reference(hmm, seq)
+
+
+class TestPosteriorProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(decode_instances())
+    def test_rows_sum_to_one(self, instance):
+        post = forward_backward(*instance)
+        np.testing.assert_allclose(post.pair_post.sum(axis=(1, 2)), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(post.color_post.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(decode_instances())
+    def test_decoders_ignore_query_case(self, instance):
+        hmm, seq = instance
+        assert all(s.islower() for s in hmm.alphabet)
+        params = GainParams(window=2, gamma=0.5)
+        lower, upper = (
+            (viterbi_decode(hmm, s)[0], posterior_decode(forward_backward(hmm, s)),
+             gain_decode(hmm, s, params)[0])
+            for s in (seq, seq.upper()))
+        assert lower == upper
+
+
+class TestDenseViterbi:
+    """Viterbi's dense kernel, which keeps uint8 back-pointers, against the
+    reference decoder."""
+
+    @pytest.mark.parametrize("n_states, n_colors, seed", [(5, 2, 1), (40, 3, 2), (256, 4, 0)])
+    def test_quarter_models_match_reference(self, n_states, n_colors, seed):
+        rng = np.random.default_rng(seed)
+        hmm = quarter_model(rng, n_states, n_colors, 3, as_csr=False)
+        op = _transition.operator_of(hmm)
+        assert not op.is_sparse
+        _, seq = sample_path(hmm, 400, seed=seed)
+        ann, logp = viterbi_decode(hmm, seq)
+        ref_ann, ref_logp = _oracles.reference_viterbi(hmm, seq)
+        assert ann == ref_ann
+        assert logp == ref_logp
+        if n_states == 256:
+            # the largest index a uint8 back-pointer holds is read back
+            assert 255 in op.viterbi_path(hmm.encode(seq))[0][:-1].tolist()
+
+    def test_late_death_names_position(self):
+        # s_A emits only x and never leaves itself; the first y is at 150.
+        spec = t1_spec()
+        spec["states"][0]["emission"] = {"x": 1.0}
+        spec["initial"] = {"s_A": 1.0}
+        spec["transitions"]["s_A"] = {"s_A": 1.0}
+        hmm = build_hmm(spec)
+        seq = "x" * 149 + "y" + "x" * 50
+        for decode in (forward_backward, viterbi_decode):
+            with pytest.raises(ZeroLikelihoodError, match="at position 150$"):
+                decode(hmm, seq)
+
+    def test_memory_of_a_long_query(self):
+        # An (n, S) float64 score array alone would take 7.7 MB here.
+        rng = np.random.default_rng(9)
+        hmm = random_model(rng, n_states=48, n_colors=4, n_symbols=4)
+        seq = random_seq(rng, hmm.alphabet, 20_000)
+        _transition.operator_of(hmm)
+        tracemalloc.start()
+        try:
+            viterbi_decode(hmm, seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, f"peak traced memory {peak / 1e6:.2f} MB"
 
 
 class TestCutFallback:
