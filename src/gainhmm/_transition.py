@@ -10,8 +10,10 @@ shares one copy.
 
 Models store their transitions as CSR whatever their size; this module
 alone decides how to run the passes and Viterbi. Up to DENSE_STATE_LIMIT
-states the operator densifies the matrix once and runs dense kernels
-over (n, S) arrays (BLAS products, a dense max, gradual underflow). At
+states the operator densifies the matrix once and runs dense kernels:
+forward and backward fill (n, S) arrays in place with BLAS products and
+gradual underflow, and Viterbi's forward loop records every state's best
+predecessor in an (n, S) uint8 array, which the traceback follows. At
 S = 48 CSR kernels cost more than dense ones: scipy's per-call dispatch
 more than doubles the forward loop's time.
 
@@ -413,19 +415,19 @@ class TransitionOperator:
         Step t adds the previous score row to log T transposed, so row v of
         an (S, S) buffer holds each predecessor's candidate score for v
         along its contiguous axis, and the first argmax of that row is the
-        smallest best predecessor. S <= DENSE_STATE_LIMIT = 256, so every
-        back-pointer fits in a uint8: (n, S) bytes in all.
+        smallest best predecessor. Back-pointers take the smallest unsigned
+        type that holds a state index: at S <= 256, (n, S) bytes in all.
         """
-        log_emis, n_states = self.log_emis_rows, self.log_initial.size
+        log_t_t, log_emis, n_states = self.log_t_t, self.log_emis_rows, self.log_initial.size
         syms = obs.tolist()
-        back = np.empty((obs.size, n_states), dtype=np.uint8)
+        back = np.empty((obs.size, n_states), dtype=np.min_scalar_type(n_states - 1))
         buf = np.empty((n_states, n_states))
         flat, best = buf.reshape(-1), np.empty(n_states, dtype=np.intp)
         row_starts = np.arange(0, n_states * n_states, n_states)
         add, argmax = np.add, np.argmax
         row = self.log_initial + log_emis[syms[0]]
         for back_row, sym in zip(back[1:], syms[1:]):
-            add(self.log_t_t, row, buf)
+            add(log_t_t, row, buf)
             argmax(buf, 1, best)
             back_row[...] = best
             add(best, row_starts, best)

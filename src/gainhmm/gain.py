@@ -144,9 +144,11 @@ def _plain_pass(steps, rows, buf, bonus_rows=None):
 
 # Block sizes of _skip_pass: a block test starts at _BLOCK_START gaps and
 # doubles up to _BLOCK_CAP while no score changes; after a change the plain
-# loop runs _BURST gaps. On 20 kb segmenter_long queries (C = 4), where
-# 1.4-14.5 % of gaps change a score, these took the one-point pass from
-# about 30 to 10 ms; halving or doubling any of them moved it by under 10 %.
+# loop runs a burst of _BURST gaps or more. On two 20 kb segmenter_long
+# queries (C = 4, 2 vCPU), where 3-17 % of gaps change a score at
+# W in {10, 25} and gamma in {0.5, 4}, these took a one-point decode at
+# alpha = 0 from 30 to 10 ms; halving or doubling any one of them moved
+# that by under 10 %.
 _BLOCK_START, _BLOCK_CAP, _BURST = 4, 256, 8
 
 
@@ -160,7 +162,7 @@ def _skip_pass(steps, rows, buf):
     single addition and maximum: those rows are stored and the pass jumps
     past them.
     """
-    m, j, size = len(steps), 0, _BLOCK_START
+    m, j, size, burst = len(steps), 0, _BLOCK_START, _BURST
     while j < m:
         v = rows[j]
         block = np.maximum.reduce(steps[j:j + size] + v, 2)
@@ -173,8 +175,12 @@ def _skip_pass(steps, rows, buf):
             continue
         rows[j + 1:j + k + 2] = block[:k + 1]
         j += k + 1
-        _plain_pass(steps[j:j + _BURST], rows[j:j + _BURST + 1], buf)
-        j += _BURST
+        # A test that changed at its first row skipped nothing, so the next
+        # burst is _BURST gaps longer: where scores change at most gaps (as
+        # with many grid points), tests become rare.
+        burst = min(burst + _BURST, _BLOCK_CAP) if k == 0 else _BURST
+        _plain_pass(steps[j:j + burst], rows[j:j + burst + 1], buf)
+        j += burst
         size = _BLOCK_START
 
 
@@ -273,14 +279,15 @@ def decode_grid(post, points, graph):
     # color; between two of them every position keeps its successor's
     # color. Their rows go into one flat list, not one list per gap.
     out = []
-    for end, value, point_back in zip(ends.tolist(), values.tolist(), back):
-        moving = np.flatnonzero((point_back != diag).any(axis=1))
+    moves = (back != diag).any(axis=2)
+    for end, value, point_back, point_moves in zip(ends.tolist(), values.tolist(), back, moves):
+        moving = point_moves.nonzero()[0]
         flat = point_back[moving[::-1]].ravel().tolist()
         runs = [end]
         for row in range(0, len(flat), n_colors):
             runs.append(flat[row + runs[-1]])
-        lengths = np.diff(moving, prepend=-1, append=n - 1)
-        out.append((Annotation(np.repeat(runs[::-1], lengths)), value))
+        edges = np.concatenate(([-1], moving, [n - 1]))
+        out.append((Annotation(np.array(runs[::-1]).repeat(edges[1:] - edges[:-1])), value))
     return out
 
 

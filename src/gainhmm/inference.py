@@ -70,10 +70,12 @@ def viterbi_decode(hmm, seq):
     """Most probable state path, reported as its coloring.
 
     Returns (annotation, log probability of the best path). DP ties break
-    toward the smallest state index. The forward pass keeps per-position
-    scores only (on sparse models, those within a beam of each
-    position's best); the traceback re-derives each predecessor by argmax
-    over the stored scores, which reproduces the forward tie-break.
+    toward the smallest state index. On dense kernels the forward pass
+    records each state's best predecessor (one byte per state and
+    position) and the traceback follows them. On sparse kernels it keeps
+    the scores within a beam of each position's best, and the traceback
+    re-derives each predecessor by argmax over them, which reproduces the
+    forward tie-break.
     Raises ZeroLikelihoodError naming the first position at which every
     state scores -inf.
     """
