@@ -1,12 +1,12 @@
 """The transition operator the decoders run on, built once per model.
 
 Everything the per-position loops of `inference` read that depends only
-on the model lives here: the transition matrix and its transpose in the
-layout each pass wants, the emission table with one contiguous row per
-symbol, and the cross-color transition blocks the pair posteriors are
-summed from. `operator_of` builds it on a model's first decode and caches
-it on the model, which is immutable, so every later call and every thread
-shares one copy.
+on the model lives here: the transitions in the layout each pass wants,
+the emission table with one contiguous row per symbol, and the
+cross-color transitions the pair posteriors are summed from.
+`operator_of` builds it on a model's first decode and caches it on the
+model, which is immutable, so every later call and every thread shares
+one copy.
 
 Models store their transitions as CSR whatever their size; this module
 alone decides how to run the passes and Viterbi. Up to DENSE_STATE_LIMIT
@@ -17,20 +17,24 @@ predecessor in an (n, S) uint8 array, which the traceback follows. At
 S = 48 CSR kernels cost more than dense ones: scipy's per-call dispatch
 more than doubles the forward loop's time.
 
-Above the limit the kernels keep only the active states of each position,
-as ragged rows, so memory grows with the active entries, not with n * S:
+Above the limit the operator keeps its tables in a state order of its
+own (`_level_order`); inputs and outputs stay in file order. On a
+jumping model that order is the column-major layout (I0 of every
+profile, then M1 of every profile, ...), every transition points
+forward, and the states active at one position lie in one short window
+[lo, hi) of positions. Each step works on the CSR rows lo..hi-1, one
+slice, so memory grows with the windows, not with n * S:
 
-- Forward keeps a scaled entry alphahat[t, v] only when it is above CUT,
-  a cut relative to the row (alphahat rows sum to 1); `dropped` adds up
-  what it removes. Backward computes betahat on alphahat's support
-  alone, so the posteriors are those of the cut lattice.
-- Viterbi keeps the scores within -ln(CUT) of each position's best (a
-  beam). The traceback re-derives each predecessor from the stored
-  ragged scores with the dense kernels' tie rule.
-- Each forward and backward step picks its product from the out-degree
-  sum of the active states: below GATHER_SHARE of the nonzeros it
-  gathers over their CSR rows, otherwise it runs the full CSR product on
-  the cut row as one dense vector.
+- Forward keeps the window from the first to the last scaled entry
+  alphahat[t, v] above CUT, a cut relative to the row (alphahat rows
+  sum to 1); `dropped` adds up what falls outside. Backward computes
+  betahat on the same windows, so the posteriors are those of the cut
+  lattice.
+- Viterbi keeps the window from the first to the last score within
+  -ln(CUT) of the position's best (a beam), each score the maximum over
+  its predecessor row. Those rows list states by file index, so the
+  traceback, which re-derives each predecessor from the stored windows,
+  keeps the dense kernels' tie rule.
 - Neither cut is provably exact: a path can sink below the cut and later
   carry the sequence alone. When the cut empties a forward step, the
   record is run again at the smallest normal double (a subnormal flush);
@@ -38,9 +42,10 @@ as ragged rows, so memory grows with the active entries, not with n * S:
   Only a position that still has no path raises ZeroLikelihoodError.
 
 Both kernel families hand their passes to one posterior assembly. It
-sums the pair posteriors from the cross-color blocks, as CSR (rows, S)
-products over chunks of gaps copied state-major into buffers of about
-CHUNK_BYTES, and takes the color posteriors of the same rows.
+sums the pair posteriors from the cross-color transitions over chunks of
+gaps copied state-major into buffers (all S states for dense passes, the
+chunk's windows for sparse ones) and takes the color posteriors of the
+same rows.
 """
 
 from __future__ import annotations
@@ -56,23 +61,21 @@ from .model import ZeroLikelihoodError
 # State count above which the operator runs sparse kernels.
 DENSE_STATE_LIMIT = 256
 
-# Relative cut of the sparse kernels: scaled forward entries at or below
-# it are dropped, and the Viterbi beam is -ln(CUT) wide.
+# Relative cut of the sparse kernels: a window ends at the scaled forward
+# entries above it, and the Viterbi beam is -ln(CUT) wide.
 CUT = 1e-20
 
-# A sparse forward or backward step gathers over the active states' rows
-# when they hold fewer than this share of the nonzeros.
-GATHER_SHARE = 1 / 16
-
-# Bytes per state-major position buffer in the posterior assembly.
+# Bytes per state-major position buffer in the dense posterior assembly;
+# the sparse one takes as many gaps per chunk.
 CHUNK_BYTES = 1 << 20
 
 _BUILD_LOCK = threading.Lock()
 
-# Ragged rows: row t holds states idx[indptr[t]:indptr[t + 1]] (ascending)
-# with alphahat, betahat and w = emis[., obs[t]] * betahat there (w is 0 in
-# row 0); dropped is the alphahat mass the cut removed over the record.
-Ragged = namedtuple("Ragged", "indptr idx alpha beta w scales dropped")
+# Window rows: row t holds the states at positions lo[t] .. lo[t] + k - 1
+# of the operator's order, k = indptr[t + 1] - indptr[t], with alphahat,
+# betahat and w = emis[., obs[t]] * betahat there (w is 0 in row 0);
+# dropped is the alphahat mass outside the windows over the record.
+Ragged = namedtuple("Ragged", "indptr lo alpha beta w scales dropped")
 
 
 def operator_of(hmm):
@@ -89,8 +92,7 @@ def operator_of(hmm):
 def _selector(idx):
     """A sorted state index array as a slice when it is evenly spaced.
 
-    Slicing gives a view, where an index array would copy; jumping
-    models keep each profile's match states two apart.
+    Slicing gives a view, where an index array would copy.
     """
     if idx.size == 1:
         return slice(int(idx[0]), int(idx[0]) + 1)
@@ -101,13 +103,30 @@ def _selector(idx):
     return idx
 
 
-def _spans(indptr, rows, counts):
-    """Positions of the CSR entries of `rows`, row after row.
+def _level_order(t):
+    """State indices by longest-path level over t minus its self-loops.
 
-    counts[i] is the entry count of rows[i]; rows must not be empty.
+    Kahn's algorithm; ties go by index, and the states it leaves (on or
+    behind a cycle) come last, in index order. When self-loops are the
+    only cycles, every transition goes to the same or a later position.
     """
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1]) + np.repeat(indptr[rows] - ends + counts, counts)
+    n = t.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(t.indptr))
+    off = rows != t.indices
+    succ, ptr = t.indices[off].tolist(), np.searchsorted(rows[off], np.arange(n + 1)).tolist()
+    indeg = np.bincount(t.indices[off], minlength=n).tolist()
+    queue = [v for v in range(n) if not indeg[v]]
+    level = [n if d else 0 for d in indeg]  # states Kahn's algorithm leaves keep n
+    # The queue runs level by level, so the predecessor that frees a state
+    # last has its deepest level.
+    for u in queue:
+        nxt = level[u] + 1
+        for v in succ[ptr[u]:ptr[u + 1]]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                level[v] = nxt
+                queue.append(v)
+    return np.argsort(level, kind="stable")
 
 
 def _impossible(t):
@@ -119,75 +138,84 @@ class TransitionOperator:
 
     Attributes:
         is_sparse: the model has more than DENSE_STATE_LIMIT states; turns
-            on the ragged kernels
-        forward_t: T transposed (CSR for sparse kernels, an ndarray view
-            for dense ones); rows list each state's predecessors in
-            ascending order
-        backward_t: T itself
+            on the window kernels
+        order: the file index of the state at each position of the
+            tables below (the identity for dense kernels)
         initial: the model's initial distribution
         emis_rows: (A, S) emissions, row a holds every state's
             probability of symbol a
         log_emis_rows, log_initial: their logarithms
         colors: each state's color
         n_colors: the number of colors
-        color_indicator: (S, C) 0/1 map of states onto colors (dense
-            kernels only)
-        cross: (c1, c2, rows, block) per ordered color pair c1 != c2 with
-            transitions between them: rows are the states of c1 that reach
-            c2 (a slice when evenly spaced), and block is a (rows, S) CSR
-            matrix holding T[rows[i], v] for the states v of c2, so it
-            multiplies the (S, m) buffers of the posterior assembly
         diag_colors: colors c whose block T[c, c] has a nonzero
+        cross: dense kernels: (c1, c2, rows, block) per ordered color pair
+            c1 != c2 with transitions between them: rows are the states
+            of c1 that reach c2 (a slice when evenly spaced), and block is
+            a (rows, S) CSR matrix holding T[rows[i], v] for the states v
+            of c2. Sparse kernels: (c1, c2, src, dst, val) with the
+            entries T[src, dst] = val between them, src ascending.
+        forward_t, backward_t, log_t_t, color_indicator: (dense kernels)
+            T transposed, T, log T transposed (C-ordered), and the (S, C)
+            0/1 map of states onto colors
+        succ, pred: (sparse kernels) (indptr, indices, data) of T and
+            (indptr, indices, log data) of T transposed, each row listing
+            its states by file index; a state with no predecessor lists
+            itself at -inf
+        reach: (sparse kernels) lists (floor, ceil): rows u and later reach
+            no position below floor[u], rows up to u none from ceil[u] on
     """
 
     def __init__(self, hmm):
-        t = hmm.transitions
-        self.is_sparse = hmm.n_states > DENSE_STATE_LIMIT
-        self.initial = hmm.initial
-        self.emis_rows = np.ascontiguousarray(hmm.emissions.T)
+        t, n_states = hmm.transitions, hmm.n_states
+        self.is_sparse = n_states > DENSE_STATE_LIMIT
+        self.order = order = _level_order(t) if self.is_sparse else np.arange(n_states)
+        self.initial = hmm.initial[order]
+        self.emis_rows = np.ascontiguousarray(hmm.emissions[order].T)
         with np.errstate(divide="ignore"):
             self.log_emis_rows = np.log(self.emis_rows)
-            self.log_initial = np.log(hmm.initial)
-        self.colors = colors = hmm.state_colors
-        self.n_colors = hmm.n_colors
-
+            self.log_initial = np.log(self.initial)
+        self.colors = colors = hmm.state_colors[order]
+        self.n_colors = n_colors = hmm.n_colors
+        rank = np.empty_like(order)
+        rank[order] = np.arange(n_states)
+        # t's entries in its own (row-major) order, as positions
+        r = rank[np.repeat(np.arange(n_states), np.diff(t.indptr))]
+        c, v = rank[t.indices], t.data
+        at = np.arange(n_states + 1)
         if self.is_sparse:
-            self.backward_t = t
-            # rows of the transpose list each state's predecessors in
-            # ascending order, so first-max ties pick the smallest index
-            self.forward_t = sparse.csr_array(t.T)
-            self.forward_t.sort_indices()
-            self.out_degree = np.diff(t.indptr)
-            self.out_degree_f = self.out_degree.astype(np.float64)
+            # Stable sorts keep t's order within each row: file index order. A
+            # state with no predecessor gets itself at -inf, so every max has one.
+            lone = np.flatnonzero(np.bincount(c, minlength=n_states) == 0)
+            pr, pc = np.concatenate((r, lone)), np.concatenate((c, lone))
             with np.errstate(divide="ignore"):
-                self.log_t_data = np.log(t.data)
-                self.pred_log = np.log(self.forward_t.data)
-        else:
+                plog = np.log(np.concatenate((v, np.zeros(lone.size))))
+            by_pred = np.argsort(pc, kind="stable")
+            self.pred = (np.searchsorted(pc[by_pred], at), pr[by_pred], plog[by_pred])
+            by_row = np.argsort(r, kind="stable")
+            r, c, v = r[by_row], c[by_row], v[by_row]
+            ptr = np.searchsorted(r, at)
+            self.succ = (ptr, c, v)
+            low = np.minimum(np.minimum.reduceat(c, ptr[:-1]), at[:-1])
+            high = np.maximum(np.maximum.reduceat(c, ptr[:-1]), at[:-1]) + 1
+            self.reach = (np.minimum.accumulate(low[::-1])[::-1].tolist(),
+                          np.maximum.accumulate(high).tolist())
+        same = colors[r] == colors[c]
+        self.diag_colors = np.flatnonzero(np.bincount(colors[r[same]], minlength=n_colors)).tolist()
+        pair = colors[r] * n_colors + colors[c]
+        keys = np.bincount(pair[~same], minlength=n_colors * n_colors)
+        self.cross = [(key // n_colors, key % n_colors, r[e], c[e], v[e])
+                      for key in np.flatnonzero(keys).tolist() for e in [pair == key]]
+        if not self.is_sparse:
             self.backward_t = t.toarray()
             self.forward_t = self.backward_t.T
             with np.errstate(divide="ignore"):
                 # row v lists log T[u, v] over the predecessors u
                 self.log_t_t = np.ascontiguousarray(np.log(self.forward_t))
             self.color_indicator = hmm.color_indicator()
-        r = np.repeat(np.arange(hmm.n_states), np.diff(t.indptr))
-        c, v = t.indices, t.data
-        same = colors[r] == colors[c]
-        self.diag_colors = np.unique(colors[r[same]]).tolist()
-        self.cross = self._cross_blocks(hmm, r[~same], c[~same], v[~same])
-
-    @staticmethod
-    def _cross_blocks(hmm, r, c, v):
-        """The `cross` table from the cross-color entries T[r, c] = v."""
-        pair = hmm.state_colors[c] * hmm.n_colors + hmm.state_colors[r]
-        out = []
-        for key in np.unique(pair).tolist():
-            c2, c1 = divmod(key, hmm.n_colors)
-            e = pair == key
-            rows = np.unique(r[e])
-            block = sparse.csr_array((v[e], (np.searchsorted(rows, r[e]), c[e])),
-                                     shape=(rows.size, hmm.n_states))
-            out.append((c1, c2, _selector(rows), block))
-        return out
+            for i, (c1, c2, src, dst, val) in enumerate(self.cross):
+                rows = np.unique(src)
+                self.cross[i] = (c1, c2, _selector(rows), sparse.csr_array(
+                    (val, (np.searchsorted(rows, src), dst)), shape=(rows.size, n_states)))
 
     # -- posteriors -----------------------------------------------------
 
@@ -249,7 +277,7 @@ class TransitionOperator:
         return alphahat, betahat, scales
 
     def ragged_passes(self, obs):
-        """Sparse forward and backward passes as `Ragged` rows.
+        """Sparse forward and backward passes as `Ragged` window rows.
 
         Runs at CUT and, when the cut empties a step, once more at the
         smallest normal double.
@@ -258,82 +286,65 @@ class TransitionOperator:
             fwd = self._ragged_forward(obs, CUT)
         except ZeroLikelihoodError:
             fwd = self._ragged_forward(obs, np.finfo(np.float64).tiny)
-        indptr, idx, alpha, scales, gathered, dropped = fwd
-        beta, w = self._ragged_backward(obs, indptr, idx, scales, gathered)
-        return Ragged(indptr, idx, alpha, beta, w, scales, dropped)
+        indptr, lo, alpha, scales, dropped = fwd
+        beta, w = self._ragged_backward(obs, indptr, lo, scales)
+        return Ragged(indptr, lo, alpha, beta, w, scales, dropped)
 
     def _ragged_forward(self, obs, cut):
-        """(indptr, idx, alpha, scales, gathered, dropped) keeping alphahat above `cut`.
-
-        gathered[t] records whether the product out of row t gathered.
-        """
-        t_t, t_mat, emis = self.forward_t, self.backward_t, self.emis_rows
-        n_states = self.initial.size
-        limit = GATHER_SHARE * t_mat.nnz
-        x, keep_f, dropped = np.zeros(n_states), np.empty(n_states), np.zeros(n_states)
-        idx_rows, val_rows, scales, gathered = [], [], [], []
-        a = self.initial.copy()
+        """(indptr, lo, alpha, scales, dropped) of the windows of alphahat above `cut`."""
+        (ptr, succ, data), floor = self.succ, self.reach[0]
+        ptr_list, degree, emis = ptr.tolist(), np.diff(ptr), self.emis_rows
+        los, rows, scales, dropped = [], [], [], 0.0
         for t, sym in enumerate(obs.tolist()):
             if t:
-                if gather:
-                    counts = self.out_degree[idx]
-                    pos = _spans(t_mat.indptr, idx, counts)
-                    a = np.bincount(t_mat.indices[pos], t_mat.data[pos] * np.repeat(val, counts),
-                                    minlength=n_states)
-                else:
-                    a = t_t @ x
-            a *= emis[sym]
+                # the window rows' entries, one slice; targets from `base` on
+                base = floor[lo]
+                s, e = ptr_list[lo], ptr_list[hi]
+                a = np.bincount(succ[s:e] - base, data[s:e] * np.repeat(x, degree[lo:hi]))
+                a *= emis[sym][base:base + a.size]
+            else:
+                base, a = 0, self.initial * emis[sym]
             scale = a.sum()
             if scale <= 0.0:
                 raise _impossible(t)
             scales.append(scale)
             a /= scale
             keep = a > cut
-            idx = keep.nonzero()[0]
-            val = a[idx]
-            idx_rows.append(idx)
-            val_rows.append(val)
-            # keep as 0.0/1.0: one dot product gives the out-degree sum of
-            # the active states, one multiply the cut row
-            np.copyto(keep_f, keep)
-            gather = bool(self.out_degree_f.dot(keep_f) < limit)
-            gathered.append(gather)
-            if gather:
-                a[idx] = 0.0
-            else:
-                np.multiply(a, keep_f, out=x)  # input of the next product
-                a -= x  # exactly the entries at or below the cut
-            dropped += a
+            first, end = int(keep.argmax()), a.size - int(keep[::-1].argmax())
+            if first:
+                dropped += np.add.reduce(a[:first])
+            if end < a.size:
+                dropped += np.add.reduce(a[end:])
+            lo, hi, x = base + first, base + end, a[first:end]
+            los.append(lo)
+            rows.append(x)
         indptr = np.zeros(obs.size + 1, dtype=np.int64)
-        np.cumsum([r.size for r in idx_rows], out=indptr[1:])
-        return (indptr, np.concatenate(idx_rows), np.concatenate(val_rows), np.array(scales),
-                gathered, float(dropped.sum()))
+        np.cumsum([r.size for r in rows], out=indptr[1:])
+        return indptr, np.array(los), np.concatenate(rows), np.array(scales), float(dropped)
 
-    def _ragged_backward(self, obs, indptr, idx, scales, gathered):
-        """(beta, w) on alphahat's support, in the layout of `idx`.
+    def _ragged_backward(self, obs, indptr, lo, scales):
+        """(beta, w) on alphahat's windows, in the layout of alpha.
 
         w holds emis[v, obs[t]] * betahat[t, v], the weight the pair
         posteriors read; it is 0 in row 0, which no gap reads.
         """
-        t_mat, emis, out_degree = self.backward_t, self.emis_rows, self.out_degree
-        beta, w = np.empty(idx.size), np.empty(idx.size)
+        ptr, succ, data = self.succ
+        emis, ptr_list = self.emis_rows, ptr.tolist()
+        beta, w = np.empty(indptr[-1]), np.empty(indptr[-1])
         beta[indptr[-2]:] = 1.0
         w[:indptr[1]] = 0.0
         y = np.zeros(self.initial.size)
-        bounds, syms, scale_list = indptr.tolist(), obs.tolist(), scales.tolist()
+        bounds, los, syms, scale_list = indptr.tolist(), lo.tolist(), obs.tolist(), scales.tolist()
         for t in range(obs.size - 2, -1, -1):
-            lo, mid, hi = bounds[t], bounds[t + 1], bounds[t + 2]
-            nxt, rows = idx[mid:hi], idx[lo:mid]
-            y[nxt] = np.multiply(emis[syms[t + 1]][nxt], beta[mid:hi], out=w[mid:hi])
-            if gathered[t]:
-                counts = out_degree[rows]
-                pos = _spans(t_mat.indptr, rows, counts)
-                b = np.add.reduceat(t_mat.data[pos] * y[t_mat.indices[pos]],
-                                    np.cumsum(counts) - counts)
-            else:
-                b = (t_mat @ y)[rows]
+            p0, p1, p2 = bounds[t], bounds[t + 1], bounds[t + 2]
+            lo0, lo1 = los[t], los[t + 1]
+            nxt = slice(lo1, lo1 + p2 - p1)
+            y[nxt] = np.multiply(emis[syms[t + 1]][nxt], beta[p1:p2], out=w[p1:p2])
+            s, e = ptr_list[lo0], ptr_list[lo0 + p1 - p0]
+            np.add.reduceat(data[s:e] * y.take(succ[s:e]), ptr[lo0:lo0 + p1 - p0] - s,
+                            out=beta[p0:p1])
             y[nxt] = 0.0
-            np.divide(b, scale_list[t + 1], out=beta[lo:mid])
+            beta[p0:p1] /= scale_list[t + 1]
         return beta, w
 
     def _chunked_posteriors(self, obs, lat, scales):
@@ -341,48 +352,56 @@ class TransitionOperator:
 
         lat is a `Ragged` or the (alphahat, betahat, scales) of
         `scaled_passes`. The off-diagonal pair sums run over chunks of m
-        gaps: the alphahat and w = emis[., obs[t]] * betahat rows
-        k0..k0+m go state-major into two (S, m + 1) buffers of about
-        CHUNK_BYTES, so every block product and dot product runs on
-        contiguous rows; gap k pairs column k - k0 of alpha with column
-        k - k0 + 1 of the block product of w. Ragged rows are scattered
-        into zeroed buffers and their color posteriors take one bincount;
-        dense rows are copied in transposed and their color posteriors are
-        (alphahat * betahat) times the color indicator. Each diagonal pair
-        entry follows from the backward identity
-        sum_c2 pair[k, c, c2] = color_post[k, c], clamped at 0.
+        gaps, m * S * 8 about CHUNK_BYTES: the alphahat and w =
+        emis[., obs[t]] * betahat rows k0..k0+m go state-major into two
+        (states, m + 1) buffers; gap k pairs column k - k0 of alpha with
+        column k - k0 + 1 of w. Dense rows fill all S states, and their
+        color posteriors are (alphahat * betahat) times the color
+        indicator. Window rows fill the chunk's windows plus one zero row
+        for every state outside them, and their color posteriors take one
+        bincount. Each diagonal pair entry follows from the backward
+        identity sum_c2 pair[k, c, c2] = color_post[k, c], clamped at 0.
         """
         n, n_colors, n_states = obs.size, self.n_colors, self.initial.size
         ragged = isinstance(lat, Ragged)
         color_post = np.empty((n, n_colors))
         pair = np.zeros((max(n - 1, 0), n_colors, n_colors))
         m = max(1, min(n - 1, CHUNK_BYTES // (8 * n_states)))
-        a_buf, w_buf = np.zeros((n_states, m + 1)), np.zeros((n_states, m + 1))
-        a_flat, w_flat = a_buf.reshape(-1), w_buf.reshape(-1)
+        if ragged:
+            indptr, counts = lat.indptr, np.diff(lat.indptr)
+            # entry i of row t is at position i - shift[t] of the order
+            shift, ends = indptr[:-1] - lat.lo, lat.lo + counts
+        else:
+            a_buf, w_buf = np.zeros((n_states, m + 1)), np.zeros((n_states, m + 1))
         for k0 in range(0, max(n - 1, 1), m):
             k1 = min(k0 + m, n - 1)
+            mm = k1 - k0
             if ragged:
-                indptr, idx = lat.indptr, lat.idx
-                lo, hi = indptr[k0], indptr[k1 + 1]
-                col = np.repeat(np.arange(k1 - k0 + 1), np.diff(indptr[k0:k1 + 2]))
-                key = col * n_colors + self.colors[idx[lo:hi]]
-                color_post[k0:k1 + 1] = np.bincount(
-                    key, lat.alpha[lo:hi] * lat.beta[lo:hi],
-                    minlength=(k1 - k0 + 1) * n_colors).reshape(-1, n_colors)
-                at = idx[lo:hi] * (m + 1) + col
-                a_flat[at] = lat.alpha[lo:hi]
-                w_flat[at] = lat.w[lo:hi]
+                first, last, rows = indptr[k0], indptr[k1 + 1], slice(k0, k1 + 1)
+                base, top = lat.lo[rows].min(), ends[rows].max()
+                col = np.repeat(np.arange(mm + 1), counts[rows])
+                # each entry's row in the buffers, whose last row stays 0
+                at = np.arange(first, last) - np.repeat(shift[rows] + base, counts[rows])
+                color_post[rows] = np.bincount(
+                    col * n_colors + self.colors[at + base],
+                    lat.alpha[first:last] * lat.beta[first:last],
+                    minlength=(mm + 1) * n_colors).reshape(-1, n_colors)
+                a_buf, w_buf = np.zeros((2, top - base + 1, mm + 1))
+                a_buf[at, col] = lat.alpha[first:last]
+                w_buf[at, col] = lat.w[first:last]
+                for c1, c2, src, dst, val in self.cross:
+                    i0, i1 = np.searchsorted(src, (base, top))
+                    to = np.clip(dst[i0:i1] - base, -1, top - base)
+                    pair[k0:k1, c1, c2] = val[i0:i1] @ (a_buf[src[i0:i1] - base, :mm]
+                                                        * w_buf[to, 1:])
             else:
                 alpha, beta = lat[0][k0:k1 + 1], lat[1][k0:k1 + 1]
-                a_buf[:, :k1 - k0 + 1] = alpha.T
-                w_buf[:, :k1 - k0 + 1] = (self.emis_rows[obs[k0:k1 + 1]] * beta).T
+                a_buf[:, :mm + 1] = alpha.T
+                w_buf[:, :mm + 1] = (self.emis_rows[obs[k0:k1 + 1]] * beta).T
                 color_post[k0:k1 + 1] = (alpha * beta) @ self.color_indicator
-            for c1, c2, rows, block in self.cross:
-                pair[k0:k1, c1, c2] = np.einsum("rk,rk->k", a_buf[rows][:, :k1 - k0],
-                                                (block @ w_buf)[:, 1:k1 - k0 + 1])
-            if ragged:
-                a_flat[at] = 0.0
-                w_flat[at] = 0.0
+                for c1, c2, rows, block in self.cross:
+                    pair[k0:k1, c1, c2] = np.einsum("rk,rk->k", a_buf[rows][:, :mm],
+                                                    (block @ w_buf)[:, 1:mm + 1])
         pair /= scales[1:, None, None]
         if self.diag_colors:
             off = pair.sum(axis=2)
@@ -398,8 +417,9 @@ class TransitionOperator:
         DP ties break toward the smallest state index: the dense forward
         loop records each first-argmax predecessor as it goes, and the
         sparse traceback re-derives each predecessor as the first argmax
-        over the stored scores. Raises ZeroLikelihoodError naming the
-        first position at which every state scores -inf.
+        over the stored windows along a predecessor row in index order.
+        Raises ZeroLikelihoodError naming the first position at which
+        every state scores -inf.
         """
         if self.is_sparse:
             try:
@@ -458,43 +478,49 @@ class TransitionOperator:
         return t
 
     def _beam_scores(self, obs, width):
-        """Ragged max-product scores: per position (states, scores) of the
-        states within `width` of the position's best score."""
-        t_mat, log_emis = self.backward_t, self.log_emis_rows
-        best = np.empty(self.initial.size)
-        row = self.log_initial.copy()
+        """Max-product windows: per position (lo - 1, scores) over the states
+        lo .. hi - 1, the first to the last within `width` of the position's
+        best score, with one -inf on either side."""
+        (pptr, preds, plog), (floor, ceil) = self.pred, self.reach
+        pptr_list, log_emis, pad = pptr.tolist(), self.log_emis_rows, [-np.inf]
+        full = np.full(self.initial.size, -np.inf)  # the last window's scores
         rows = []
         for t, sym in enumerate(obs.tolist()):
             if t:
-                counts = self.out_degree[idx]
-                pos = _spans(t_mat.indptr, idx, counts)
-                best.fill(-np.inf)
-                np.maximum.at(best, t_mat.indices[pos],
-                              np.repeat(score, counts) + self.log_t_data[pos])
-                row = best
-            row += log_emis[sym]
-            top = row.max()
-            if top == -np.inf:
+                # best predecessor of every position the window reaches
+                base, top = floor[lo], ceil[hi - 1]
+                full[lo:hi] = score[1:-1]
+                s, e = pptr_list[base], pptr_list[top]
+                row = np.fmax.reduceat(full.take(preds[s:e]) + plog[s:e], pptr[base:top] - s)
+                full[lo:hi] = -np.inf
+                row += log_emis[sym][base:top]
+            else:
+                base, row = 0, self.log_initial + log_emis[sym]
+            best = row.max()
+            if best == -np.inf:
                 raise _impossible(t)
-            idx = (row > top - width).nonzero()[0]
-            score = row[idx]
-            rows.append((idx, score))
+            keep = row > best - width
+            first, end = int(keep.argmax()), row.size - int(keep[::-1].argmax())
+            lo, hi, score = base + first, base + end, np.concatenate((pad, row[first:end], pad))
+            rows.append((lo - 1, score))
         return rows
 
     def _beam_traceback(self, rows):
-        """(path, log probability) from ragged scores; states missing from
-        a row score -inf there."""
-        idx, score = rows[-1]
-        n = len(rows)
-        path = np.empty(n, dtype=np.int64)
-        end = int(np.argmax(score))
-        path[n - 1], best_logp = idx[end], float(score[end])
-        indptr, indices = self.forward_t.indptr, self.forward_t.indices
-        for t in range(n - 1, 0, -1):
-            lo, hi = indptr[path[t]], indptr[path[t] + 1]
-            preds = indices[lo:hi]
-            idx, score = rows[t - 1]
-            at = np.minimum(np.searchsorted(idx, preds), idx.size - 1)
-            cand = np.where(idx[at] == preds, score[at], -np.inf) + self.pred_log[lo:hi]
-            path[t - 1] = preds[np.argmax(cand)]
-        return path, best_logp
+        """(path, log probability) from the windows of `_beam_scores`, as
+        file indices. Each predecessor is the first maximum over the
+        predecessor row (file index order), with every state outside the
+        window at -inf; ties at the end go to the smallest file index."""
+        pptr, preds, plog = self.pred
+        bounds, order = pptr.tolist(), self.order
+        start, score = rows[-1]
+        best_logp = score.max()
+        ties = np.flatnonzero(score == best_logp) + start
+        v = int(ties[np.argmin(order[ties])])
+        path = [v]
+        for start, score in rows[-2::-1]:
+            s, e = bounds[v], bounds[v + 1]
+            # positions outside the window clip to its -inf ends
+            cand = score.take(preds[s:e] - start, mode="clip") + plog[s:e]
+            v = int(preds[s + int(cand.argmax())])
+            path.append(v)
+        return order[path[::-1]], float(best_logp)

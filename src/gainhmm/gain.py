@@ -223,7 +223,7 @@ def decode_grid(post, points, graph):
         score[0] = np.where(graph.start[:, None], bonus[0], -np.inf)
     else:
         score[0] = np.where(graph.start[:, None], 0.0, -np.inf)
-    back = np.empty((n_points, n - 1, n_colors), dtype=np.int64)
+    back = np.empty((n_points, n - 1, n_colors), dtype=np.min_scalar_type(n_colors - 1))
 
     diag = np.arange(n_colors)
     blocked = ~graph.pairs.T

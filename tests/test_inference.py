@@ -279,15 +279,17 @@ class TestImpossiblePosition:
                 decode(hmm, "yx")
 
 
-def sparse_kernel_copy(hmm):
+def sparse_kernel_copy(hmm, order=_transition._level_order):
     """A copy of the model that decodes with the sparse kernels at any size.
 
     The operator is built on the copy's first decode and cached, so
-    building it here with the dense limit patched to 0 fixes its kernels.
+    building it here with the dense limit patched to 0 fixes its kernels;
+    `order` maps the transitions to the state order they run in.
     """
     twin = Hmm(hmm.state_ids, hmm.state_colors, hmm.color_names, hmm.alphabet,
                hmm.initial, hmm.transitions, hmm.emissions)
-    with mock.patch.object(_transition, "DENSE_STATE_LIMIT", 0):
+    with mock.patch.object(_transition, "DENSE_STATE_LIMIT", 0), \
+            mock.patch.object(_transition, "_level_order", order):
         assert _transition.operator_of(twin).is_sparse
     return twin
 
@@ -361,9 +363,13 @@ def decode_instances(draw):
     return hmm, seq
 
 
-# GATHER_SHARE values that make every sparse forward and backward step
-# gather over the active rows, or run the full CSR product.
-PRODUCTS = {"gather": 2.0, "full": 0.0}
+# State orders for the sparse kernels: their own level order, and file
+# order and its reverse. On a jumping model the level order makes every
+# transition point forward and windows short; in file order windows are
+# wide, and reversed every transition but the self-loops points backward.
+ORDERS = {"level": _transition._level_order,
+          "identity": lambda t: np.arange(t.shape[0]),
+          "reversed": lambda t: np.arange(t.shape[0])[::-1].copy()}
 
 # CHUNK_BYTES per state that make the posterior assembly take one or three
 # gaps per chunk.
@@ -374,15 +380,16 @@ class TestAgainstReference:
     """The operator kernels against the decoders they replaced."""
 
     @settings(max_examples=200, deadline=None)
-    @given(decode_instances(), st.sampled_from(["chosen", "gather", "full"]),
+    @given(decode_instances(), st.sampled_from(sorted(ORDERS)),
            st.sampled_from(["default", "one gap", "three gaps"]))
-    def test_matches_reference(self, instance, product, chunk):
-        share = PRODUCTS.get(product, _transition.GATHER_SHARE)
+    def test_matches_reference(self, instance, order, chunk):
+        hmm, seq = instance
+        if _transition.operator_of(hmm).is_sparse:
+            hmm = sparse_kernel_copy(hmm, ORDERS[order])
         chunk_bytes = (_transition.CHUNK_BYTES if chunk == "default"
-                       else CHUNKS[chunk] * instance[0].n_states)
-        with mock.patch.object(_transition, "GATHER_SHARE", share), \
-                mock.patch.object(_transition, "CHUNK_BYTES", chunk_bytes):
-            assert_matches_reference(*instance)
+                       else CHUNKS[chunk] * hmm.n_states)
+        with mock.patch.object(_transition, "CHUNK_BYTES", chunk_bytes):
+            assert_matches_reference(hmm, seq)
 
     def test_flush_on_long_jumping_query(self):
         # A query four times the profile length drives the scaled forward
@@ -400,11 +407,107 @@ class TestAgainstReference:
         assert np.count_nonzero(below) > 1000
 
         lat = op.ragged_passes(obs)
-        assert np.all(lat.alpha > _transition.CUT)
-        assert lat.idx.size < ref_alpha.size / 10
+        # every window starts and ends at an entry above the cut
+        assert np.all(lat.alpha[lat.indptr[:-1]] > _transition.CUT)
+        assert np.all(lat.alpha[lat.indptr[1:] - 1] > _transition.CUT)
+        assert lat.alpha.size < ref_alpha.size / 10
         assert 0.0 < lat.dropped < ref_alpha.size * _transition.CUT
-        np.testing.assert_array_equal(lat.scales, ref_scales)
+        # the window sums add in the level order, not in file order
+        np.testing.assert_allclose(lat.scales, ref_scales, rtol=1e-14, atol=0)
         assert_matches_reference(hmm, seq)
+
+
+def positions(order):
+    """The position of every state in a state order."""
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank
+
+
+class TestLevelOrder:
+    """The state order the sparse kernels run in."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(decode_instances())
+    def test_permutation_of_all_states(self, instance):
+        hmm = instance[0]
+        order = _transition._level_order(hmm.transitions)
+        np.testing.assert_array_equal(np.sort(order), np.arange(hmm.n_states))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 60),
+           st.sampled_from([0.0, 0.999]) | st.floats(0.0, 0.999),
+           st.sampled_from([0.0, 0.01, 0.5]), st.integers(0, 2**30))
+    def test_jumping_models_run_forward(self, n_profiles, length, delete_self, jump_prob, seed):
+        msa = synthetic_subtypes(n_profiles, length, divergence=0.3, seed=seed)
+        hmm = build_jumping_hmm(msa, JumpingHmmSpec(jump_prob=jump_prob, pseudocount=0.5,
+                                                    delete_self=delete_self))
+        t = hmm.transitions
+        order = _transition._level_order(t)
+        # I0 of every profile, then M1 of every profile, I1, ...
+        block = 2 * length + 1
+        np.testing.assert_array_equal(
+            order, (np.arange(block)[:, None] + block * np.arange(n_profiles)).ravel())
+        rank = positions(order)
+        rows = np.repeat(np.arange(hmm.n_states), np.diff(t.indptr))
+        assert np.all(rank[t.indices] >= rank[rows])
+
+    def test_cycles_come_last_in_index_order(self):
+        # States 0..299 form a ring with self-loops, 300..339 a chain that
+        # leaves it, and 340..349 are sources feeding it.
+        n = 350
+        trans = np.zeros((n, n))
+        ring = np.arange(300)
+        trans[ring, ring] = 0.5
+        trans[ring, (ring + 1) % 300] = 0.5
+        trans[150, 151] = trans[150, 300] = 0.25
+        chain = np.arange(300, 339)
+        trans[chain, chain + 1] = 1.0
+        trans[339, 339] = 1.0
+        trans[340:, 5] = 1.0
+        initial = np.zeros(n)
+        initial[[0, 340]] = 0.5
+        rng = np.random.default_rng(3)
+        hmm = Hmm([f"s{i}" for i in range(n)], np.arange(n) % 3, ["a", "b", "c"], ["x", "y"],
+                  initial, sparse.csr_array(trans), quarter_rows(rng, n, 2))
+        order = _transition._level_order(hmm.transitions)
+        np.testing.assert_array_equal(order, np.r_[340:350, 0:340])
+        op = _transition.operator_of(hmm)
+        assert op.is_sparse
+        np.testing.assert_array_equal(op.order, order)
+        for seed in range(3):
+            assert_matches_reference(hmm, sample_path(hmm, 80, seed=seed)[1])
+
+    def test_ties_on_a_layered_quarter_model(self):
+        # 30 layers of 10 states under shuffled indices: every state stays
+        # with 0.5 and moves to two states of the next layer (the last
+        # layer: of itself) with 0.25 each, so the level order is not
+        # index order, and with quarter-probability emissions many paths
+        # score exactly alike.
+        rng = np.random.default_rng(7)
+        n_layers, width = 30, 10
+        n = n_layers * width
+        layers = rng.permutation(n).reshape(n_layers, width)
+        trans = np.zeros((n, n))
+        for layer, nxt in zip(layers, np.vstack((layers[1:], layers[-1:]))):
+            for u in layer:
+                trans[u, u] = 0.5
+                trans[u, rng.choice(nxt, size=2, replace=False)] += 0.25
+        initial = np.zeros(n)
+        initial[layers[0, :4]] = 0.25
+        hmm = Hmm([f"s{i}" for i in range(n)], rng.integers(3, size=n), ["a", "b", "c"],
+                  ["x", "y", "z"], initial, sparse.csr_array(trans), quarter_rows(rng, n, 3))
+        op = _transition.operator_of(hmm)
+        assert op.is_sparse
+        assert not np.array_equal(op.order, np.arange(n))
+        rank = positions(op.order)
+        assert np.all(np.diff(rank[layers].max(axis=1)) > 0)
+        for seed in range(10):
+            _, seq = sample_path(hmm, 60, seed=seed)
+            ann, logp = viterbi_decode(hmm, seq)
+            ref_ann, ref_logp = _oracles.reference_viterbi(hmm, seq)
+            assert ann == ref_ann
+            assert logp == ref_logp
 
 
 class TestPosteriorProperties:
@@ -478,7 +581,7 @@ class TestCutFallback:
     """A path the cut or the beam removes is recovered when it alone survives."""
 
     @staticmethod
-    def model():
+    def model(order):
         # s_B starts with mass 1e-25, far below the cut and the beam, and
         # is the only state that emits y.
         spec = t1_spec()
@@ -486,15 +589,14 @@ class TestCutFallback:
         spec["states"][1]["emission"] = {"x": 0.5, "y": 0.5}
         spec["initial"] = {"s_A": 1.0, "s_B": 1e-25}
         spec["transitions"] = {"s_A": {"s_A": 1.0}, "s_B": {"s_B": 1.0}}
-        return sparse_kernel_copy(build_hmm(spec))
+        return sparse_kernel_copy(build_hmm(spec), ORDERS[order])
 
-    @pytest.mark.parametrize("product", sorted(PRODUCTS))
-    def test_decoders_match_oracles(self, product):
-        hmm, seq = self.model(), "xxxy"
-        with mock.patch.object(_transition, "GATHER_SHARE", PRODUCTS[product]):
-            assert_matches_reference(hmm, seq)
-            post = forward_backward(hmm, seq)
-            ann, logp = viterbi_decode(hmm, seq)
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_decoders_match_oracles(self, order):
+        hmm, seq = self.model(order), "xxxy"
+        assert_matches_reference(hmm, seq)
+        post = forward_backward(hmm, seq)
+        ann, logp = viterbi_decode(hmm, seq)
         z, cp, pp = _oracles.posteriors(hmm, hmm.encode(seq).tolist())
         assert math.exp(post.log_likelihood) == pytest.approx(z, rel=1e-10)
         np.testing.assert_allclose(post.color_post, cp, rtol=1e-10, atol=1e-15)
