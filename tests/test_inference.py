@@ -412,8 +412,7 @@ class TestAgainstReference:
         assert np.all(lat.alpha[lat.indptr[1:] - 1] > _transition.CUT)
         assert lat.alpha.size < ref_alpha.size / 10
         assert 0.0 < lat.dropped < ref_alpha.size * _transition.CUT
-        # the window sums add in the level order, not in file order
-        np.testing.assert_allclose(lat.scales, ref_scales, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(lat.scales, ref_scales)
         assert_matches_reference(hmm, seq)
 
 
