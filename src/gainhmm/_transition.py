@@ -69,9 +69,11 @@ DENSE_STATE_LIMIT = 256
 # entries above it, and the Viterbi beam is -ln(CUT) wide.
 CUT = 1e-20
 
-# Bytes per state-major position buffer in the dense posterior assembly;
-# the sparse one takes as many gaps per chunk.
+# Bytes per state-major position buffer in the dense posterior assembly.
 CHUNK_BYTES = 1 << 20
+
+# Bytes per window buffer in the sparse posterior assembly.
+WINDOW_CHUNK_BYTES = 1 << 19
 
 _BUILD_LOCK = threading.Lock()
 
@@ -96,6 +98,28 @@ def operator_of(hmm):
             if op is None:
                 op = hmm._operator = TransitionOperator(hmm)
     return op
+
+
+def _window_chunks(lo, ends, n_gaps, budget):
+    """Gap ranges (k0, k1) of the sparse assembly, at least one gap each.
+
+    Gaps k0 .. k1 - 1 fill two (top - base + 1, k1 - k0 + 1) buffers,
+    base and top the least start and the greatest end of the windows of
+    rows k0 .. k1. Each range takes the most gaps that keep a buffer
+    within `budget` entries: windows drift along the state order, so a
+    long range spans far more states than one window.
+    """
+    k0 = 0
+    while True:
+        cap = min(n_gaps - k0, max(1, budget // (ends[k0] - lo[k0] + 1) - 1))
+        rows = slice(k0, k0 + cap + 1)
+        span = np.maximum.accumulate(ends[rows]) - np.minimum.accumulate(lo[rows]) + 1
+        fits = np.searchsorted(span * np.arange(1, cap + 2), budget, side="right")
+        k1 = k0 + min(cap, max(1, fits - 1))
+        yield k0, k1
+        if k1 >= n_gaps:
+            return
+        k0 = k1
 
 
 def _level_order(t):
@@ -354,7 +378,8 @@ class TransitionOperator:
 
         lat is a `Ragged` or the (alphahat, betahat, scales) of
         `scaled_passes`. The off-diagonal pair sums run over chunks of m
-        gaps, m * S * 8 about CHUNK_BYTES: the alphahat and w =
+        gaps, each buffer about CHUNK_BYTES (dense) or WINDOW_CHUNK_BYTES
+        (window rows, see `_window_chunks`): the alphahat and w =
         emis[., obs[t]] * betahat rows k0..k0+m go state-major into two
         (states, m + 1) buffers; gap k pairs column k - k0 of alpha with
         column k - k0 + 1 of w. Dense rows fill all S states, and their
@@ -368,15 +393,16 @@ class TransitionOperator:
         ragged = isinstance(lat, Ragged)
         color_post = np.empty((n, n_colors))
         pair = np.zeros((max(n - 1, 0), n_colors, n_colors))
-        m = max(1, min(n - 1, CHUNK_BYTES // (8 * n_states)))
         if ragged:
             indptr, counts = lat.indptr, np.diff(lat.indptr)
             # entry i of row t is at position i - shift[t] of the order
             shift, ends = indptr[:-1] - lat.lo, lat.lo + counts
+            chunks = _window_chunks(lat.lo, ends, n - 1, WINDOW_CHUNK_BYTES // 8)
         else:
+            m = max(1, min(n - 1, CHUNK_BYTES // (8 * n_states)))
             a_buf, w_buf = np.zeros((n_states, m + 1)), np.zeros((n_states, m + 1))
-        for k0 in range(0, max(n - 1, 1), m):
-            k1 = min(k0 + m, n - 1)
+            chunks = ((k0, min(k0 + m, n - 1)) for k0 in range(0, max(n - 1, 1), m))
+        for k0, k1 in chunks:
             mm = k1 - k0
             if ragged:
                 first, last, rows = indptr[k0], indptr[k1 + 1], slice(k0, k1 + 1)

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from collections.abc import Hashable
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 from scipy import sparse
@@ -24,6 +27,9 @@ from ._files import create
 # rejected as genuine mistakes.
 ROW_SUM_ACCEPT = 1e-9
 ROW_SUM_REPAIR = 1e-6
+
+# Table entries per piece of model-file text that `save_model` joins at once.
+WRITE_BLOCK = 1 << 14
 
 
 class InvalidModelError(ValueError):
@@ -122,10 +128,12 @@ class Hmm:
                 raise InvalidModelError(
                     f"{what} of shape {arr.shape} for {n} states and {n_symbols} symbols")
 
-        n_colors = len(self.color_names)
-        for sid, c in zip(self.state_ids, self.state_colors):
-            if not 0 <= c < n_colors:
-                raise InvalidModelError(f"unknown color {c} for state {sid}")
+        bad = np.flatnonzero((self.state_colors < 0)
+                             | (self.state_colors >= len(self.color_names)))
+        if bad.size:
+            i = bad[0]
+            raise InvalidModelError(
+                f"unknown color {self.state_colors[i]} for state {self.state_ids[i]}")
 
         self.initial /= _row_divisors(
             self.initial.sum(keepdims=True), np.any(self.initial < 0.0, keepdims=True),
@@ -299,65 +307,231 @@ class Annotation:
         return [(int(k + 1), int(cols[k]), int(cols[k + 1])) for k in ks]
 
 
+def _probability(p, what):
+    """float(p), or InvalidModelError naming `what` when p is not a number."""
+    try:
+        return float(p)
+    except (TypeError, ValueError, OverflowError):
+        shown = "null" if p is None else repr(p)
+        raise InvalidModelError(f"{what} is {shown}, not a number") from None
+
+
+def _items(table, what):
+    """table.items(), or InvalidModelError when `table` is not an object."""
+    try:
+        return table.items()
+    except AttributeError:
+        raise InvalidModelError(f"{what} is not a JSON object") from None
+
+
+def _floats(values, count):
+    """float64 array of `count` probabilities; None if any is not a plain number.
+
+    np.fromiter converts as float() does, except that it reads None as
+    NaN, so an array with a NaN is refused too: the caller's walk tells a
+    null from a NaN in the file.
+    """
+    try:
+        out = np.fromiter(values, np.float64, count)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return None if np.isnan(out).any() else out
+
+
+def _indices(lookup, keys, count):
+    """Index array of `count` keys through dict `lookup`; None if one is missing."""
+    try:
+        return np.fromiter(map(lookup.__getitem__, keys), np.int64, count)
+    except (KeyError, TypeError):
+        return None
+
+
+def _all_dicts(items):
+    return all(map(isinstance, items, repeat(dict)))
+
+
+def _bad_states(states):
+    """The InvalidModelError for states whose ids cannot be read."""
+    if isinstance(states, (list, tuple)):
+        for i, s in enumerate(states, 1):
+            if not isinstance(s, dict):
+                return InvalidModelError(f"state {i} is not a JSON object")
+            if "id" not in s:
+                return InvalidModelError(f"state {i} has no 'id'")
+    return InvalidModelError("states is not a JSON array")
+
+
+def _positions(keys, what):
+    """{key: position in keys}, the last position for a repeated key."""
+    try:
+        return dict(zip(keys, range(len(keys))))
+    except TypeError:
+        bad = next(i for i, key in enumerate(keys) if not isinstance(key, Hashable))
+        raise InvalidModelError(f"{what} {bad + 1} is {keys[bad]!r}, not a string") from None
+
+
+def _states_table(states, shape, n_colors, sym_index):
+    """(state colors, emissions of `shape`) of the state objects, in bulk.
+
+    None when any check fails; `_walk_states` then names the offender.
+    """
+    if not _all_dicts(states):
+        return None
+    try:
+        colors = list(map(itemgetter("color"), states))
+    except KeyError:
+        return None
+    if not all(map(isinstance, colors, repeat(int))):
+        return None
+    try:
+        colors = np.fromiter(colors, np.int64, shape[0])
+    except OverflowError:
+        return None
+    if np.any((colors < 0) | (colors >= n_colors)):
+        return None
+    tables = [s.get("emission", {}) for s in states]
+    if not _all_dicts(tables):
+        return None
+    counts = np.fromiter(map(len, tables), np.int64, shape[0])
+    total = int(counts.sum())
+    cols = _indices(sym_index, chain.from_iterable(tables), total)
+    vals = _floats(chain.from_iterable(map(dict.values, tables)), total)
+    if cols is None or vals is None:
+        return None
+    emissions = np.zeros(shape)
+    emissions[np.repeat(np.arange(shape[0]), counts), cols] = vals
+    return colors, emissions
+
+
+def _walk_states(states, shape, n_colors, sym_index):
+    """`_states_table` one entry at a time, raising at the first offender."""
+    colors, emissions = [], np.zeros(shape)
+    for i, s in enumerate(states):
+        sid = s["id"]
+        try:
+            c = s["color"]
+        except KeyError:
+            raise InvalidModelError(f"state {sid} has no 'color'") from None
+        if not (isinstance(c, int) and 0 <= c < n_colors):
+            raise InvalidModelError(f"unknown color reference {c!r} for state {sid}")
+        colors.append(c)
+        for sym, p in _items(s.get("emission", {}), f"emission of state {sid}"):
+            if sym not in sym_index:
+                raise InvalidModelError(f"emission symbol {sym!r} of state {sid} not in alphabet")
+            emissions[i, sym_index[sym]] = _probability(
+                p, f"emission {sym!r} of state {sid}")
+    return colors, emissions
+
+
+def _initial_table(initial, index):
+    """(state indices, probabilities) of the initial object, in bulk, or None."""
+    if not isinstance(initial, dict):
+        return None
+    at = _indices(index, initial, len(initial))
+    vals = _floats(initial.values(), len(initial))
+    return None if at is None or vals is None else (at, vals)
+
+
+def _walk_initial(initial, index):
+    """`_initial_table` one entry at a time, raising at the first offender."""
+    at, vals = [], []
+    for sid, p in _items(initial, "initial"):
+        if sid not in index:
+            raise InvalidModelError(f"unknown state {sid!r} in initial")
+        at.append(index[sid])
+        vals.append(_probability(p, f"initial probability of state {sid!r}"))
+    return np.array(at, dtype=np.int64), np.array(vals, dtype=np.float64)
+
+
+def _transition_table(transitions, index):
+    """(rows, cols, probabilities) of the transitions object, in bulk, or None."""
+    if not isinstance(transitions, dict):
+        return None
+    rows = list(transitions.values())
+    if not _all_dicts(rows):
+        return None
+    src = _indices(index, transitions, len(rows))
+    counts = np.fromiter(map(len, rows), np.int64, len(rows))
+    total = int(counts.sum())
+    dst = _indices(index, chain.from_iterable(rows), total)
+    vals = _floats(chain.from_iterable(map(dict.values, rows)), total)
+    if src is None or dst is None or vals is None:
+        return None
+    return np.repeat(src, counts), dst, vals
+
+
+def _walk_transitions(transitions, index):
+    """`_transition_table` one entry at a time, raising at the first offender."""
+    rows, cols, vals = [], [], []
+    for sid, row in _items(transitions, "transitions"):
+        if sid not in index:
+            raise InvalidModelError(f"unknown state {sid!r} in transitions")
+        for tid, p in _items(row, f"transition row of state {sid!r}"):
+            if tid not in index:
+                raise InvalidModelError(f"unknown state {tid!r} in transitions")
+            rows.append(index[sid])
+            cols.append(index[tid])
+            vals.append(_probability(p, f"transition {sid!r} -> {tid!r}"))
+    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+            np.array(vals, dtype=np.float64))
+
+
 def build_hmm(spec):
     """Construct a validated Hmm from a parsed model description.
 
     `spec` is the dict form of the model file: keys alphabet, colors,
     states (list of {id, color, emission}), initial (state -> prob) and
     transitions (state -> {state: prob}). Omitted probabilities are zero.
+    A probability is anything float() takes, numeric strings included.
+
+    Each table is read in bulk, with no Python step per entry. When a
+    bulk check fails, the table is walked entry by entry, in file order,
+    to raise InvalidModelError for the first offender; a walk that finds
+    none (a NaN in the file) returns the same table.
     """
     try:
-        alphabet = list(spec["alphabet"])
+        alphabet = spec["alphabet"]
         colors = spec["colors"]
         states = spec["states"]
         initial = spec["initial"]
         transitions = spec["transitions"]
     except KeyError as e:
         raise InvalidModelError(f"model file missing key {e.args[0]!r}") from None
+    except TypeError:
+        raise InvalidModelError("model description is not a JSON object") from None
+    try:
+        alphabet = list(alphabet)
+    except TypeError:
+        raise InvalidModelError("alphabet is not a JSON array") from None
     if not alphabet:
         raise InvalidModelError("empty alphabet")
 
-    color_ids = [c["id"] for c in colors]
-    if color_ids != list(range(len(color_ids))):
-        raise InvalidModelError("color ids must be 0..C-1 in order")
-    color_names = [str(c["name"]) for c in colors]
+    try:
+        color_ids = [c["id"] for c in colors]
+        if color_ids != list(range(len(color_ids))):
+            raise InvalidModelError("color ids must be 0..C-1 in order")
+        color_names = [str(c["name"]) for c in colors]
+    except (KeyError, TypeError):
+        raise InvalidModelError("colors is not a JSON array of {id, name} objects") from None
 
-    state_ids = [s["id"] for s in states]
-    index = {sid: i for i, sid in enumerate(state_ids)}
+    try:
+        state_ids = list(map(itemgetter("id"), states))
+    except (KeyError, TypeError):
+        raise _bad_states(states) from None
+    index = _positions(state_ids, "id of state")
     n = len(state_ids)
     if n == 0:
         raise InvalidModelError("model has no states")
+    sym_index = _positions(alphabet, "alphabet symbol")
 
-    state_colors = []
-    emissions = np.zeros((n, len(alphabet)))
-    sym_index = {s: j for j, s in enumerate(alphabet)}
-    for i, s in enumerate(states):
-        c = s["color"]
-        if not (isinstance(c, int) and 0 <= c < len(color_names)):
-            raise InvalidModelError(f"unknown color reference {c!r} for state {s['id']}")
-        state_colors.append(c)
-        for sym, p in s.get("emission", {}).items():
-            if sym not in sym_index:
-                raise InvalidModelError(
-                    f"emission symbol {sym!r} of state {s['id']} not in alphabet")
-            emissions[i, sym_index[sym]] = float(p)
-
+    shape = (n, len(alphabet))
+    table = _states_table(states, shape, len(color_names), sym_index)
+    state_colors, emissions = table or _walk_states(states, shape, len(color_names), sym_index)
+    at, vals = _initial_table(initial, index) or _walk_initial(initial, index)
     init = np.zeros(n)
-    for sid, p in initial.items():
-        if sid not in index:
-            raise InvalidModelError(f"unknown state {sid!r} in initial")
-        init[index[sid]] = float(p)
-
-    rows, cols, vals = [], [], []
-    for sid, row in transitions.items():
-        if sid not in index:
-            raise InvalidModelError(f"unknown state {sid!r} in transitions")
-        for tid, p in row.items():
-            if tid not in index:
-                raise InvalidModelError(f"unknown state {tid!r} in transitions")
-            rows.append(index[sid])
-            cols.append(index[tid])
-            vals.append(float(p))
+    init[at] = vals
+    rows, cols, vals = (_transition_table(transitions, index)
+                        or _walk_transitions(transitions, index))
     trans = sparse.coo_array((vals, (rows, cols)), shape=(n, n))
 
     return Hmm(state_ids, state_colors, color_names, alphabet, init, trans, emissions)
@@ -405,43 +579,71 @@ def _json_block(open_, close, items, depth):
     return open_ + pad + ("," + pad).join(items) + "\n" + " " * depth + close
 
 
+def _rows_json(heads, indptr, keys, key_of, values, sep, tail):
+    """Pieces of the text of a table of `key: value` rows, none of them empty.
+
+    Row r is heads[r], then its items `keys[key_of[e]] + repr(values[e])`,
+    e = indptr[r] .. indptr[r + 1] - 1, joined by `sep`, then `tail`.
+    Each distinct value is formatted once; the text is joined WRITE_BLOCK
+    items at a time, so no temporary is the size of the table.
+    """
+    distinct, inverse = np.unique(values, return_inverse=True)
+    texts = np.array([repr(v) for v in distinct.tolist()], dtype=object)
+    starts = indptr[:-1]
+    heads = heads.copy()
+    heads[1:] = tail + heads[1:]
+    pieces = []
+    for lo in range(0, values.size, WRITE_BLOCK):
+        hi = min(lo + WRITE_BLOCK, values.size)
+        block = np.empty((hi - lo, 3), dtype=object)
+        block[:, 0] = sep
+        r0, r1 = np.searchsorted(starts, (lo, hi))
+        block[starts[r0:r1] - lo, 0] = heads[r0:r1]
+        block[:, 1] = keys[key_of[lo:hi]]
+        block[:, 2] = texts[inverse[lo:hi]]
+        pieces.append("".join(block.ravel().tolist()))
+    pieces.append(tail)
+    return pieces
+
+
 def _model_json(hmm):
     """json.dumps(hmm_to_dict(hmm), indent=1) + "\n", written directly.
 
     json.dumps with an indent never takes the C encoder, and the pure-Python
     one spent most of save_model's time. Every state id and symbol is
-    encoded once, and probabilities are float repr, as json writes them.
-    Returns the text in pieces, one per transition row, so no piece is
-    the size of the file.
+    encoded once, and every distinct probability formatted once as float
+    repr, as json writes it; the text is assembled from arrays of those
+    strings, with no Python step per probability. Returns the text in
+    pieces, none the size of the file.
     """
-    ids = hmm.state_ids
-    id_keys = [_json_key(sid) for sid in ids]
-    sym_keys = [_json_key(sym) for sym in hmm.alphabet]
+    ids, n, n_symbols = hmm.state_ids, hmm.n_states, len(hmm.alphabet)
+    id_keys = np.array([_json_key(sid) + ": " for sid in ids], dtype=object)
+    sym_keys = np.array([_json_key(sym) + ": " for sym in hmm.alphabet], dtype=object)
     colors = [_json_block("{", "}", [f'"id": {i}', f'"name": {_json_value(name)}'], 2)
               for i, name in enumerate(hmm.color_names)]
-    states = []
-    for sid, color, row in zip(ids, hmm.state_colors.tolist(), hmm.emissions.tolist()):
-        emission = _json_block("{", "}", [f"{key}: {p!r}" for key, p in zip(sym_keys, row)
-                                          if p != 0.0], 3)
-        states.append(_json_block("{", "}", [f'"id": {_json_value(sid)}',
-                                             f'"color": {color}',
-                                             f'"emission": {emission}'], 2))
-    initial = [f"{key}: {p!r}" for key, p in zip(id_keys, hmm.initial.tolist()) if p != 0.0]
     pieces = ["".join([
         '{\n "alphabet": ', _json_block("[", "]", [_json_value(s) for s in hmm.alphabet], 1),
         ',\n "colors": ', _json_block("[", "]", colors, 1),
-        ',\n "states": ', _json_block("[", "]", states, 1),
-        ',\n "initial": ', _json_block("{", "}", initial, 1),
-        ',\n "transitions": {'])]
-    # A model has states and every transition row sums to 1, so neither the
-    # transitions object nor any of its rows is empty.
+        ',\n "states": ['])]
+    # Every row of a model's tables sums to 1, so none is empty.
+    row_seps = ["\n  "] + [",\n  "] * (n - 1)
+    heads = np.array([f'{sep}{{\n   "id": {_json_value(sid)},\n   "color": {c},'
+                      '\n   "emission": {\n    '
+                      for sep, sid, c in zip(row_seps, ids, hmm.state_colors.tolist())],
+                     dtype=object)
+    emis = hmm.emissions.ravel()
+    at = np.flatnonzero(emis)
+    indptr = np.searchsorted(at, np.arange(n + 1) * n_symbols)
+    pieces += _rows_json(heads, indptr, sym_keys, at % n_symbols, emis[at],
+                         ",\n    ", "\n   }\n  }")
+    at = np.flatnonzero(hmm.initial)
+    pieces.append('\n ],\n "initial": ')
+    pieces += _rows_json(np.array(["{\n  "], dtype=object), np.array([0, at.size]), id_keys, at,
+                         hmm.initial[at], ",\n  ", "\n }")
+    pieces.append(',\n "transitions": {')
     t = hmm.transitions
-    sep = "\n  "
-    for key, lo, hi in zip(id_keys, t.indptr.tolist(), t.indptr[1:].tolist()):
-        row = [f"{id_keys[j]}: {p!r}"
-               for j, p in zip(t.indices[lo:hi].tolist(), t.data[lo:hi].tolist())]
-        pieces.append(f"{sep}{key}: " + _json_block("{", "}", row, 2))
-        sep = ",\n  "
+    heads = np.array(row_seps, dtype=object) + id_keys + "{\n   "
+    pieces += _rows_json(heads, t.indptr, id_keys, t.indices, t.data, ",\n   ", "\n  }")
     pieces.append("\n }\n}\n")
     return pieces
 

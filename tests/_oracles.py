@@ -12,6 +12,9 @@ sparse max-product. `full_jumping_graph`, `silent_closure` and
 `reference_assemble_jumping_hmm` are the jumping-model assembly as it
 was before the closed-form delete chains: the full state graph with
 silent delete states, a generic closure over it, and a merge.
+`reference_build_hmm` and `reference_model_json` are the model-file
+reader and writer as they were before the bulk ones: one loop step per
+probability, one `float` and one `repr` each.
 """
 
 import itertools
@@ -20,8 +23,9 @@ import math
 import numpy as np
 from scipy import sparse
 
-from gainhmm import Annotation, Hmm, PosteriorSet, ZeroLikelihoodError
+from gainhmm import Annotation, Hmm, InvalidModelError, PosteriorSet, ZeroLikelihoodError
 from gainhmm.jumping import DNA, SILENT_CLOSURE_EPS
+from gainhmm.model import _json_block, _json_key, _json_value
 
 
 def unpack(hmm):
@@ -472,3 +476,94 @@ def reference_assemble_jumping_hmm(profiles, jump_prob, eps=SILENT_CLOSURE_EPS):
         transitions=sparse.coo_array((vals, (rows, cols)), shape=(n, n)),
         emissions=np.array([emit_rows[int(i)] for i in emitting]),
     )
+
+
+def reference_build_hmm(spec):
+    """A validated Hmm from a parsed model description, one entry at a time."""
+    try:
+        alphabet = list(spec["alphabet"])
+        colors = spec["colors"]
+        states = spec["states"]
+        initial = spec["initial"]
+        transitions = spec["transitions"]
+    except KeyError as e:
+        raise InvalidModelError(f"model file missing key {e.args[0]!r}") from None
+    if not alphabet:
+        raise InvalidModelError("empty alphabet")
+
+    color_ids = [c["id"] for c in colors]
+    if color_ids != list(range(len(color_ids))):
+        raise InvalidModelError("color ids must be 0..C-1 in order")
+    color_names = [str(c["name"]) for c in colors]
+
+    state_ids = [s["id"] for s in states]
+    index = {sid: i for i, sid in enumerate(state_ids)}
+    n = len(state_ids)
+    if n == 0:
+        raise InvalidModelError("model has no states")
+
+    state_colors = []
+    emissions = np.zeros((n, len(alphabet)))
+    sym_index = {s: j for j, s in enumerate(alphabet)}
+    for i, s in enumerate(states):
+        c = s["color"]
+        if not (isinstance(c, int) and 0 <= c < len(color_names)):
+            raise InvalidModelError(f"unknown color reference {c!r} for state {s['id']}")
+        state_colors.append(c)
+        for sym, p in s.get("emission", {}).items():
+            if sym not in sym_index:
+                raise InvalidModelError(
+                    f"emission symbol {sym!r} of state {s['id']} not in alphabet")
+            emissions[i, sym_index[sym]] = float(p)
+
+    init = np.zeros(n)
+    for sid, p in initial.items():
+        if sid not in index:
+            raise InvalidModelError(f"unknown state {sid!r} in initial")
+        init[index[sid]] = float(p)
+
+    rows, cols, vals = [], [], []
+    for sid, row in transitions.items():
+        if sid not in index:
+            raise InvalidModelError(f"unknown state {sid!r} in transitions")
+        for tid, p in row.items():
+            if tid not in index:
+                raise InvalidModelError(f"unknown state {tid!r} in transitions")
+            rows.append(index[sid])
+            cols.append(index[tid])
+            vals.append(float(p))
+    trans = sparse.coo_array((vals, (rows, cols)), shape=(n, n))
+
+    return Hmm(state_ids, state_colors, color_names, alphabet, init, trans, emissions)
+
+
+def reference_model_json(hmm):
+    """json.dumps(hmm_to_dict(hmm), indent=1) + "\n", one repr per probability."""
+    ids = hmm.state_ids
+    id_keys = [_json_key(sid) for sid in ids]
+    sym_keys = [_json_key(sym) for sym in hmm.alphabet]
+    colors = [_json_block("{", "}", [f'"id": {i}', f'"name": {_json_value(name)}'], 2)
+              for i, name in enumerate(hmm.color_names)]
+    states = []
+    for sid, color, row in zip(ids, hmm.state_colors.tolist(), hmm.emissions.tolist()):
+        emission = _json_block("{", "}", [f"{key}: {p!r}" for key, p in zip(sym_keys, row)
+                                          if p != 0.0], 3)
+        states.append(_json_block("{", "}", [f'"id": {_json_value(sid)}',
+                                             f'"color": {color}',
+                                             f'"emission": {emission}'], 2))
+    initial = [f"{key}: {p!r}" for key, p in zip(id_keys, hmm.initial.tolist()) if p != 0.0]
+    pieces = ["".join([
+        '{\n "alphabet": ', _json_block("[", "]", [_json_value(s) for s in hmm.alphabet], 1),
+        ',\n "colors": ', _json_block("[", "]", colors, 1),
+        ',\n "states": ', _json_block("[", "]", states, 1),
+        ',\n "initial": ', _json_block("{", "}", initial, 1),
+        ',\n "transitions": {'])]
+    t = hmm.transitions
+    sep = "\n  "
+    for key, lo, hi in zip(id_keys, t.indptr.tolist(), t.indptr[1:].tolist()):
+        row = [f"{id_keys[j]}: {p!r}"
+               for j, p in zip(t.indices[lo:hi].tolist(), t.data[lo:hi].tolist())]
+        pieces.append(f"{sep}{key}: " + _json_block("{", "}", row, 2))
+        sep = ",\n  "
+    pieces.append("\n }\n}\n")
+    return "".join(pieces)

@@ -41,6 +41,46 @@ ONE_STATE_SPEC = {
 }
 
 
+def _set(path, value):
+    """A mutation of ONE_STATE_SPEC that puts `value` at the key path."""
+    def mutate(spec):
+        node = spec
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return spec
+    return mutate
+
+
+def _drop_state_id(spec):
+    del spec["states"][0]["id"]
+    return spec
+
+
+# Malformed one-state model files: (mutation of ONE_STATE_SPEC, the
+# message that load_model must raise as InvalidModelError).
+MALFORMED = {
+    "null-transition": (_set(["transitions", "s", "s"], None),
+                        r"^transition 's' -> 's' is null, not a number$"),
+    "null-emission": (_set(["states", 0, "emission", "x"], None),
+                      r"^emission 'x' of state s is null, not a number$"),
+    "null-initial": (_set(["initial", "s"], None),
+                     r"^initial probability of state 's' is null, not a number$"),
+    "word-probability": (_set(["transitions", "s", "s"], "one"),
+                         r"^transition 's' -> 's' is 'one', not a number$"),
+    "row-as-list": (_set(["transitions", "s"], [1.0]),
+                    r"^transition row of state 's' is not a JSON object$"),
+    "state-without-id": (_drop_state_id, r"^state 1 has no 'id'$"),
+    "states-as-object": (lambda spec: {**spec, "states": {"s": spec["states"][0]}},
+                         r"^states is not a JSON array$"),
+    "top-level-array": (lambda spec: [spec], r"^model description is not a JSON object$"),
+}
+
+
+def malformed_spec(name):
+    return MALFORMED[name][0](copy.deepcopy(ONE_STATE_SPEC))
+
+
 def t1_spec():
     return copy.deepcopy(T1_SPEC)
 

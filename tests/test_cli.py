@@ -7,7 +7,7 @@ from gainhmm import load_model, save_model, build_hmm, synthetic_subtypes
 from gainhmm.cli import main
 from gainhmm.metrics import base_accuracy, boundary_metrics
 from gainhmm.seqio import FastaRecord, read_fasta, read_segments, write_fasta
-from conftest import t1_spec
+from conftest import MALFORMED, malformed_spec, t1_spec
 
 
 @pytest.fixture
@@ -127,6 +127,17 @@ class TestDecode:
             assert run("decode", "--model", model, "--in", tmp_path / f"{name}.fasta",
                        "--out", tmp_path / f"{name}.tsv", "--decoder", "herd") == 0
         assert (tmp_path / "upper.tsv").read_bytes() == (tmp_path / "lower.tsv").read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_model_is_one_error_line(self, tmp_path, capsys, case):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(malformed_spec(case)))
+        fasta = tmp_path / "q.fasta"
+        write_fasta(fasta, [("q1", "xx")])
+        assert run("decode", "--model", model, "--in", fasta, "--out", tmp_path / "o.tsv",
+                   "--decoder", "viterbi") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_unknown_decoder_rejected(self, tmp_path, t1_model_path):
         fasta = tmp_path / "q.fasta"

@@ -371,9 +371,10 @@ ORDERS = {"level": _transition._level_order,
           "identity": lambda t: np.arange(t.shape[0]),
           "reversed": lambda t: np.arange(t.shape[0])[::-1].copy()}
 
-# CHUNK_BYTES per state that make the posterior assembly take one or three
-# gaps per chunk.
-CHUNKS = {"one gap": 8, "three gaps": 24}
+# (CHUNK_BYTES per state, WINDOW_CHUNK_BYTES per state and buffer zero row)
+# that make the posterior assembly take one gap per chunk, or a few: three
+# dense gaps, and at least two window gaps (a buffer never has more rows).
+CHUNKS = {"one gap": (8, 0), "few gaps": (24, 24)}
 
 
 class TestAgainstReference:
@@ -381,14 +382,17 @@ class TestAgainstReference:
 
     @settings(max_examples=200, deadline=None)
     @given(decode_instances(), st.sampled_from(sorted(ORDERS)),
-           st.sampled_from(["default", "one gap", "three gaps"]))
+           st.sampled_from(["default", "one gap", "few gaps"]))
     def test_matches_reference(self, instance, order, chunk):
         hmm, seq = instance
         if _transition.operator_of(hmm).is_sparse:
             hmm = sparse_kernel_copy(hmm, ORDERS[order])
-        chunk_bytes = (_transition.CHUNK_BYTES if chunk == "default"
-                       else CHUNKS[chunk] * hmm.n_states)
-        with mock.patch.object(_transition, "CHUNK_BYTES", chunk_bytes):
+        if chunk == "default":
+            assert_matches_reference(hmm, seq)
+            return
+        dense, window = CHUNKS[chunk]
+        with mock.patch.object(_transition, "CHUNK_BYTES", dense * hmm.n_states), \
+                mock.patch.object(_transition, "WINDOW_CHUNK_BYTES", window * (hmm.n_states + 1)):
             assert_matches_reference(hmm, seq)
 
     def test_flush_on_long_jumping_query(self):
@@ -421,6 +425,33 @@ def positions(order):
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return rank
+
+
+class TestWindowChunks:
+    """The sparse assembly's gap ranges tile the gaps within the buffer budget."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 30)), min_size=1,
+                    max_size=60),
+           st.integers(0, 400))
+    def test_ranges(self, windows, budget):
+        lo = np.array([start for start, _ in windows])
+        ends = lo + np.array([count for _, count in windows])
+        n_gaps = len(windows) - 1
+
+        def size(k0, k1):
+            return (ends[k0:k1 + 1].max() - lo[k0:k1 + 1].min() + 1) * (k1 - k0 + 1)
+
+        chunks = list(_transition._window_chunks(lo, ends, n_gaps, budget))
+        if n_gaps == 0:
+            assert chunks == [(0, 0)]
+            return
+        assert [k0 for k0, _ in chunks] == [0] + [k1 for _, k1 in chunks[:-1]]
+        assert chunks[-1][1] == n_gaps
+        for k0, k1 in chunks:
+            assert k1 > k0
+            assert k1 == k0 + 1 or size(k0, k1) <= budget
+            assert k1 == n_gaps or size(k0, k1 + 1) > budget
 
 
 class TestLevelOrder:

@@ -1,4 +1,6 @@
+import copy
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,13 +21,135 @@ from gainhmm import (
     save_model,
     synthetic_subtypes,
 )
-from conftest import random_model, t1_spec
+from gainhmm import model as model_module
+import _oracles
+from conftest import MALFORMED, ONE_STATE_SPEC, malformed_spec, random_model, t1_spec
 
 
 def with_transitions(hmm, transitions):
     """The model rebuilt from the same fields with `transitions` in place."""
     return Hmm(hmm.state_ids, hmm.state_colors, hmm.color_names, hmm.alphabet,
                hmm.initial, transitions, hmm.emissions)
+
+
+def assert_same_hmm(a, b, dtypes=True):
+    """Equal models, field for field, array dtypes included unless `dtypes` is false.
+
+    A model built from an ndarray may hold int32 CSR indices where one read
+    from a file holds int64.
+    """
+    assert (a.state_ids, a.color_names, a.alphabet) == (b.state_ids, b.color_names, b.alphabet)
+    pairs = [(getattr(a, f), getattr(b, f)) for f in ("state_colors", "initial", "emissions")]
+    pairs += [(getattr(a.transitions, f), getattr(b.transitions, f))
+              for f in ("data", "indices", "indptr")]
+    for x, y in pairs:
+        assert x.dtype == y.dtype or not dtypes
+        np.testing.assert_array_equal(x, y)
+
+
+def assert_builds_like_reference(spec):
+    """build_hmm gives the reference's model, or its InvalidModelError message.
+
+    Where the reference fails with another exception, build_hmm raises
+    InvalidModelError.
+    """
+    try:
+        expected = _oracles.reference_build_hmm(copy.deepcopy(spec))
+    except InvalidModelError as e:
+        with pytest.raises(InvalidModelError) as got:
+            build_hmm(spec)
+        assert str(got.value) == str(e)
+    except (TypeError, KeyError, AttributeError, ValueError, OverflowError):
+        with pytest.raises(InvalidModelError):
+            build_hmm(spec)
+    else:
+        assert_same_hmm(build_hmm(spec), expected)
+
+
+def repeated_model(rng, n_states, n_colors, n_symbols):
+    """Random valid model whose tables repeat a few values along both axes.
+
+    Transition rows split evenly over 1-4 successors, emission rows are
+    permutations of one row, and the initial distribution is uniform.
+    """
+    colors = [i % n_colors for i in range(n_states)]
+    trans = np.zeros((n_states, n_states))
+    for row in trans:
+        k = int(rng.integers(1, min(n_states, 4) + 1))
+        row[rng.choice(n_states, k, replace=False)] = 1.0 / k
+    base = np.full(n_symbols, 0.5 / max(n_symbols - 1, 1))
+    base[0] = 0.5 if n_symbols > 1 else 1.0
+    emis = rng.permuted(np.tile(base, (n_states, 1)), axis=1)
+    return Hmm([f"s{i}" for i in range(n_states)], colors,
+               [f"c{c}" for c in range(n_colors)], ["a", "b", "c", "d"][:n_symbols],
+               np.full(n_states, 1.0 / n_states), trans, emis)
+
+
+def drawn_model(seed, n_states, shape, names, zero_initial, alphabet):
+    """A random valid model: dense, sparse or with repeated values, renamed."""
+    rng = np.random.default_rng(seed)
+    n_colors = int(rng.integers(1, n_states + 1))
+    if shape == "repeated":
+        hmm = repeated_model(rng, n_states, n_colors, n_symbols=3)
+    else:
+        hmm = random_model(rng, n_states, n_colors, n_symbols=3,
+                           sparsity=0.5 if shape == "sparse" else 0.0)
+    ids, color_names = hmm.state_ids, hmm.color_names
+    if names == "unicode":
+        ids = [f"\u00e9tat-{i}\u2192\U0001f600\"\\" for i in range(n_states)]
+        color_names = [f"n\u00e9v {c}\t\u00e9" for c in range(n_colors)]
+    elif names == "numbers":
+        ids = list(range(n_states))
+    initial = hmm.initial.copy()
+    if zero_initial and n_states > 1:
+        initial[rng.permutation(n_states)[:n_states - 1]] = 0.0
+        initial[initial > 0.0] = 1.0
+    return Hmm(ids, hmm.state_colors, color_names, alphabet or hmm.alphabet, initial,
+               hmm.transitions, hmm.emissions)
+
+
+MODEL_DRAWS = dict(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 12),
+                   shape=st.sampled_from(["dense", "sparse", "repeated"]),
+                   names=st.sampled_from(["plain", "unicode", "numbers"]),
+                   zero_initial=st.booleans(),
+                   alphabet=st.sampled_from([None, [0, 1, 2], [0.5, True, None],
+                                             ["\u00e9", "x", "\x7f"]]))
+
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3),
+    st.sampled_from([0.5, -0.5, 1e300, float("inf"), float("nan"), 10**30]),
+    st.sampled_from(["s", "s_A", "s_B", "x", "y", "0.5", "1.0", "one", ""]))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=2),
+    st.dictionaries(st.sampled_from(["s", "s_A", "x", "id", "color", "name"]), inner,
+                    max_size=2)), max_leaves=4)
+
+
+@st.composite
+def mutated_specs(draw):
+    """A valid model description with one or two values replaced, dropped or added."""
+    spec = copy.deepcopy(draw(st.sampled_from([
+        ONE_STATE_SPEC, t1_spec(),
+        hmm_to_dict(random_model(np.random.default_rng(3), 5, 2, n_symbols=2,
+                                 sparsity=0.5))])))
+    for _ in range(draw(st.integers(1, 2))):
+        parent, key, node = None, None, spec
+        while isinstance(node, (dict, list)) and node and draw(st.integers(0, 4)):
+            parent, key = node, draw(st.sampled_from(
+                list(node) if isinstance(node, dict) else range(len(node))))
+            node = node[key]
+        action = draw(st.sampled_from(["replace", "drop", "add"]))
+        if action == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(["s", "s_A", "x", "ghost", "emission"]))] = draw(JSON_VALUES)
+        elif action == "add" and isinstance(node, list):
+            node.append(draw(JSON_VALUES))
+        elif parent is None:
+            spec = draw(JSON_VALUES)
+        elif action == "drop":
+            del parent[key]
+        else:
+            parent[key] = draw(JSON_VALUES)
+    return spec
 
 
 class TestBuildHmm:
@@ -122,6 +246,38 @@ class TestBuildHmm:
             hmm.transitions[0, 0] = 0.5
         with pytest.raises(ValueError):
             hmm.transitions[1, 0] = 0.5  # a structurally new entry
+
+
+class TestMalformedFiles:
+    """A malformed model file fails with InvalidModelError naming the culprit."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_named(self, tmp_path, case):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(malformed_spec(case)))
+        with pytest.raises(InvalidModelError, match=MALFORMED[case][1]):
+            load_model(path)
+
+    def test_numeric_strings_load(self):
+        spec = t1_spec()
+        numbers = build_hmm(spec)
+        spec["initial"] = {"s_A": "0.5", "s_B": " 5e-1 "}
+        spec["states"][0]["emission"]["x"] = "0.9"
+        spec["transitions"]["s_B"] = {"s_A": "0.2", "s_B": 0.8}
+        assert_same_hmm(build_hmm(spec), numbers)
+
+    @pytest.mark.parametrize("alphabet", [["x", "y", "x"], ["x", "x", "y"]])
+    def test_repeated_symbol(self, alphabet):
+        spec = t1_spec()
+        spec["alphabet"] = alphabet
+        assert_builds_like_reference(spec)
+        with pytest.raises(InvalidModelError, match="^duplicate symbol in alphabet$"):
+            build_hmm(spec)
+
+    def test_first_bad_color_named(self):
+        with pytest.raises(InvalidModelError, match=r"^unknown color 5 for state b$"):
+            Hmm(["a", "b", "c"], [0, 5, -1], ["c0"], ["x"], [1.0, 0.0, 0.0],
+                np.eye(3), np.ones((3, 1)))
 
 
 class TestTransitionFormat:
@@ -229,29 +385,17 @@ class TestSerialization:
                                           hmm.transitions_dense())
             np.testing.assert_array_equal(again.emissions, hmm.emissions)
 
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 6),
-           sparsity=st.sampled_from([0.0, 0.5]), unicode_names=st.booleans(),
-           zero_initial=st.booleans(),
-           alphabet=st.sampled_from([None, [0, 1, 2], [0.5, True, None], ["é", "x", "\x7f"]]))
-    def test_file_is_json_dumps_of_dict(self, tmp_path_factory, seed, n_states, sparsity,
-                                        unicode_names, zero_initial, alphabet):
-        rng = np.random.default_rng(seed)
-        n_colors = int(rng.integers(1, n_states + 1))
-        hmm = random_model(rng, n_states, n_colors, n_symbols=3, sparsity=sparsity)
-        ids, names = hmm.state_ids, hmm.color_names
-        if unicode_names:
-            ids = [f"état-{i}\u2192\U0001f600\"\\" for i in range(n_states)]
-            names = [f"név {c}\t\u00e9" for c in range(n_colors)]
-        initial = hmm.initial.copy()
-        if zero_initial and n_states > 1:
-            initial[rng.permutation(n_states)[:n_states - 1]] = 0.0
-            initial[initial > 0.0] = 1.0
-        hmm = Hmm(ids, hmm.state_colors, names, alphabet or hmm.alphabet, initial,
-                  hmm.transitions, hmm.emissions)
+    @settings(max_examples=80, deadline=None)
+    @given(block=st.sampled_from([1, 2, 5, None]), **MODEL_DRAWS)
+    def test_file_is_json_dumps_of_dict(self, tmp_path_factory, block, **draws):
+        # Small write blocks split rows and tables across pieces.
+        hmm = drawn_model(**draws)
         path = tmp_path_factory.mktemp("save") / "model.json"
-        save_model(hmm, path)
-        assert path.read_bytes() == (json.dumps(hmm_to_dict(hmm), indent=1) + "\n").encode()
+        with mock.patch.object(model_module, "WRITE_BLOCK", block or model_module.WRITE_BLOCK):
+            save_model(hmm, path)
+        text = json.dumps(hmm_to_dict(hmm), indent=1) + "\n"
+        assert text == _oracles.reference_model_json(hmm)
+        assert path.read_bytes() == text.encode()
 
     def test_zero_entries_omitted(self, one_state):
         d = hmm_to_dict(one_state)
@@ -337,3 +481,41 @@ class TestAnnotation:
         expect = [(k + 1, colors[k], colors[k + 1])
                   for k in range(len(colors) - 1) if colors[k] != colors[k + 1]]
         assert ann.boundaries == expect
+
+
+class TestBulkModelFiles:
+    """The bulk writer and reader against the per-entry references."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(**MODEL_DRAWS)
+    def test_build_equals_reference(self, **draws):
+        hmm = drawn_model(**draws)
+        assert_builds_like_reference(json.loads(_oracles.reference_model_json(hmm)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_specs())
+    def test_mutated_spec_fails_like_reference(self, spec):
+        assert_builds_like_reference(spec)
+
+    def test_model_larger_than_a_block(self, tmp_path):
+        msa = synthetic_subtypes(3, 400, divergence=0.15, seed=12)
+        hmm = build_jumping_hmm(msa, JumpingHmmSpec(jump_prob=0.01, pseudocount=0.1))
+        assert hmm.transitions.nnz > 2 * model_module.WRITE_BLOCK
+        path = tmp_path / "model.json"
+        save_model(hmm, path)
+        text = path.read_text()
+        assert text == _oracles.reference_model_json(hmm)
+        assert_builds_like_reference(json.loads(text))
+        assert_same_hmm(load_model(path), hmm, dtypes=False)
+
+    def test_emission_table_repeats_along_both_axes(self, tmp_path):
+        # np.unique returns a 2-D inverse for a 2-D table on some numpy
+        # versions and a flat one on others; the writer must not care.
+        emis = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5],
+                         [0.5, 0.25, 0.25]])
+        hmm = Hmm(["a", "b", "c", "d"], [0, 0, 1, 1], ["A", "B"], ["x", "y", "z"],
+                  np.full(4, 0.25), np.full((4, 4), 0.25), emis)
+        path = tmp_path / "model.json"
+        save_model(hmm, path)
+        assert path.read_bytes() == (json.dumps(hmm_to_dict(hmm), indent=1) + "\n").encode()
+        assert_same_hmm(load_model(path), hmm, dtypes=False)
