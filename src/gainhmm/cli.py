@@ -31,7 +31,12 @@ DECODERS = ("viterbi", "posterior", "herd")
 
 
 def _parse_sweep(text, cast, flag):
-    values = [cast(v) for v in text.split(",") if v.strip()]
+    values = []
+    for v in filter(str.strip, text.split(",")):
+        try:
+            values.append(cast(v))
+        except ValueError:
+            raise ValueError(f"{flag} lists {v.strip()!r}, not a valid {cast.__name__}") from None
     if not values:
         raise ValueError(f"{flag} needs a nonempty comma-separated list")
     for i, v in enumerate(values):
@@ -137,15 +142,19 @@ def _check_truth(records, truth, n_colors):
 def cmd_bench(args):
     _distinct_paths(("--model", args.model), ("--in", args.input),
                     ("--truth", args.truth), ("--out", args.out))
-    hmm = load_model(args.model)
-    graph = color_graph(hmm)
-    records = read_fasta(args.input)
-    truth = read_segments(args.truth)
-    _check_truth(records, truth, hmm.n_colors)
-
+    if args.tolerance < 0:
+        raise ValueError("--tolerance must be >= 0")
     w_grid = _parse_sweep(args.W, int, "--W/--sweep-W")
     g_grid = _parse_sweep(args.gamma, float, "--gamma/--sweep-gamma")
     grid = [GainParams(window=w, gamma=g, alpha=args.alpha) for w in w_grid for g in g_grid]
+
+    hmm = load_model(args.model)
+    graph = color_graph(hmm)
+    records = read_fasta(args.input)
+    if not records:
+        raise ValueError(f"{args.input}: no FASTA records to benchmark")
+    truth = read_segments(args.truth)
+    _check_truth(records, truth, hmm.n_colors)
 
     # Forward-backward and the W/gamma-independent decoders run once per
     # query, and so does the gain decoder: one decode_grid call covers every

@@ -140,7 +140,7 @@ def build_profile(name, group, spec):
         raise ValueError(f"subtype {name!r} has zero alignment columns")
     sym_index = {s: i for i, s in enumerate(DNA)}
     counts = np.zeros((length, len(DNA)))
-    for s in group:
+    for k, s in enumerate(group, 1):
         if len(s) != length:
             raise ValueError(f"ragged alignment in subtype {name!r}")
         for i, ch in enumerate(s):
@@ -148,7 +148,7 @@ def build_profile(name, group, spec):
                 sym = sym_index.get(ch.lower())
                 if sym is None:
                     raise ValueError(f"illegal character {ch!r} in subtype {name!r} "
-                                     f"at column {i + 1}")
+                                     f"sequence {k} at column {i + 1}")
                 counts[i, sym] += 1.0
     nongap = counts.sum(axis=1, keepdims=True)
     emission = (counts + spec.pseudocount) / (nongap + len(DNA) * spec.pseudocount)

@@ -24,13 +24,6 @@ class BoundaryReport:
     n_pred: int
     n_truth: int
 
-    def as_dict(self):
-        return {
-            "sensitivity": self.sensitivity,
-            "precision": self.precision,
-            "f1": self.f1,
-        }
-
 
 def _f1(p, r):
     if p + r == 0.0:

@@ -217,9 +217,6 @@ class ColorGraph:
     def n_colors(self):
         return len(self.start)
 
-    def allows_start(self, c):
-        return bool(self.start[c])
-
     def allows_pair(self, c, c2):
         return bool(self.pairs[c, c2])
 
@@ -324,30 +321,20 @@ def _items(table, what):
         raise InvalidModelError(f"{what} is not a JSON object") from None
 
 
-def _floats(values, count):
-    """float64 array of `count` probabilities; None if any is not a plain number.
+def _rows(rows, lookup):
+    """(entries per row, key indices, probabilities) of {key: probability} objects.
 
-    np.fromiter converts as float() does, except that it reads None as
-    NaN, so an array with a NaN is refused too: the caller's walk tells a
-    null from a NaN in the file.
+    Reads the list `rows` in bulk, with no Python step per entry, each key
+    through dict `lookup`. np.fromiter converts as float() does, except
+    that it reads null as NaN. Raises KeyError, TypeError, ValueError or
+    OverflowError where a row is not an object, a key is not in `lookup`
+    or a probability is not a number.
     """
-    try:
-        out = np.fromiter(values, np.float64, count)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return None if np.isnan(out).any() else out
-
-
-def _indices(lookup, keys, count):
-    """Index array of `count` keys through dict `lookup`; None if one is missing."""
-    try:
-        return np.fromiter(map(lookup.__getitem__, keys), np.int64, count)
-    except (KeyError, TypeError):
-        return None
-
-
-def _all_dicts(items):
-    return all(map(isinstance, items, repeat(dict)))
+    counts = np.fromiter(map(len, rows), np.int64, len(rows))
+    total = int(counts.sum())
+    keys = np.fromiter(map(lookup.__getitem__, chain.from_iterable(rows)), np.int64, total)
+    probs = np.fromiter(chain.from_iterable(map(dict.values, rows)), np.float64, total)
+    return counts, keys, probs
 
 
 def _bad_states(states):
@@ -370,43 +357,14 @@ def _positions(keys, what):
         raise InvalidModelError(f"{what} {bad + 1} is {keys[bad]!r}, not a string") from None
 
 
-def _states_table(states, shape, n_colors, sym_index):
-    """(state colors, emissions of `shape`) of the state objects, in bulk.
+def _check_tables(states, initial, transitions, n_colors, index, sym_index):
+    """Raise InvalidModelError for the first entry the bulk reads cannot take.
 
-    None when any check fails; `_walk_states` then names the offender.
+    Walks each state's color and then its emissions, then the initial and
+    the transition probabilities, in file order, and builds nothing. A
+    NaN is a number here: Hmm rejects its row by the row sum.
     """
-    if not _all_dicts(states):
-        return None
-    try:
-        colors = list(map(itemgetter("color"), states))
-    except KeyError:
-        return None
-    if not all(map(isinstance, colors, repeat(int))):
-        return None
-    try:
-        colors = np.fromiter(colors, np.int64, shape[0])
-    except OverflowError:
-        return None
-    if np.any((colors < 0) | (colors >= n_colors)):
-        return None
-    tables = [s.get("emission", {}) for s in states]
-    if not _all_dicts(tables):
-        return None
-    counts = np.fromiter(map(len, tables), np.int64, shape[0])
-    total = int(counts.sum())
-    cols = _indices(sym_index, chain.from_iterable(tables), total)
-    vals = _floats(chain.from_iterable(map(dict.values, tables)), total)
-    if cols is None or vals is None:
-        return None
-    emissions = np.zeros(shape)
-    emissions[np.repeat(np.arange(shape[0]), counts), cols] = vals
-    return colors, emissions
-
-
-def _walk_states(states, shape, n_colors, sym_index):
-    """`_states_table` one entry at a time, raising at the first offender."""
-    colors, emissions = [], np.zeros(shape)
-    for i, s in enumerate(states):
+    for s in states:
         sid = s["id"]
         try:
             c = s["color"]
@@ -414,66 +372,21 @@ def _walk_states(states, shape, n_colors, sym_index):
             raise InvalidModelError(f"state {sid} has no 'color'") from None
         if not (isinstance(c, int) and 0 <= c < n_colors):
             raise InvalidModelError(f"unknown color reference {c!r} for state {sid}")
-        colors.append(c)
         for sym, p in _items(s.get("emission", {}), f"emission of state {sid}"):
             if sym not in sym_index:
                 raise InvalidModelError(f"emission symbol {sym!r} of state {sid} not in alphabet")
-            emissions[i, sym_index[sym]] = _probability(
-                p, f"emission {sym!r} of state {sid}")
-    return colors, emissions
-
-
-def _initial_table(initial, index):
-    """(state indices, probabilities) of the initial object, in bulk, or None."""
-    if not isinstance(initial, dict):
-        return None
-    at = _indices(index, initial, len(initial))
-    vals = _floats(initial.values(), len(initial))
-    return None if at is None or vals is None else (at, vals)
-
-
-def _walk_initial(initial, index):
-    """`_initial_table` one entry at a time, raising at the first offender."""
-    at, vals = [], []
+            _probability(p, f"emission {sym!r} of state {sid}")
     for sid, p in _items(initial, "initial"):
         if sid not in index:
             raise InvalidModelError(f"unknown state {sid!r} in initial")
-        at.append(index[sid])
-        vals.append(_probability(p, f"initial probability of state {sid!r}"))
-    return np.array(at, dtype=np.int64), np.array(vals, dtype=np.float64)
-
-
-def _transition_table(transitions, index):
-    """(rows, cols, probabilities) of the transitions object, in bulk, or None."""
-    if not isinstance(transitions, dict):
-        return None
-    rows = list(transitions.values())
-    if not _all_dicts(rows):
-        return None
-    src = _indices(index, transitions, len(rows))
-    counts = np.fromiter(map(len, rows), np.int64, len(rows))
-    total = int(counts.sum())
-    dst = _indices(index, chain.from_iterable(rows), total)
-    vals = _floats(chain.from_iterable(map(dict.values, rows)), total)
-    if src is None or dst is None or vals is None:
-        return None
-    return np.repeat(src, counts), dst, vals
-
-
-def _walk_transitions(transitions, index):
-    """`_transition_table` one entry at a time, raising at the first offender."""
-    rows, cols, vals = [], [], []
+        _probability(p, f"initial probability of state {sid!r}")
     for sid, row in _items(transitions, "transitions"):
         if sid not in index:
             raise InvalidModelError(f"unknown state {sid!r} in transitions")
         for tid, p in _items(row, f"transition row of state {sid!r}"):
             if tid not in index:
                 raise InvalidModelError(f"unknown state {tid!r} in transitions")
-            rows.append(index[sid])
-            cols.append(index[tid])
-            vals.append(_probability(p, f"transition {sid!r} -> {tid!r}"))
-    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-            np.array(vals, dtype=np.float64))
+            _probability(p, f"transition {sid!r} -> {tid!r}")
 
 
 def build_hmm(spec):
@@ -484,10 +397,12 @@ def build_hmm(spec):
     transitions (state -> {state: prob}). Omitted probabilities are zero.
     A probability is anything float() takes, numeric strings included.
 
-    Each table is read in bulk, with no Python step per entry. When a
-    bulk check fails, the table is walked entry by entry, in file order,
-    to raise InvalidModelError for the first offender; a walk that finds
-    none (a NaN in the file) returns the same table.
+    The state colors and the three tables are read in bulk, with no Python
+    step per entry. Where a read fails or finds a NaN, one ordered check
+    walks the states (color, then emissions), the initial and the
+    transitions in file order and raises InvalidModelError for the first
+    offender. It finds none only where the NaN is in the file as a number;
+    the tables already read then go to Hmm, whose row-sum check rejects it.
     """
     try:
         alphabet = spec["alphabet"]
@@ -524,15 +439,31 @@ def build_hmm(spec):
         raise InvalidModelError("model has no states")
     sym_index = _positions(alphabet, "alphabet symbol")
 
-    shape = (n, len(alphabet))
-    table = _states_table(states, shape, len(color_names), sym_index)
-    state_colors, emissions = table or _walk_states(states, shape, len(color_names), sym_index)
-    at, vals = _initial_table(initial, index) or _walk_initial(initial, index)
+    n_colors = len(color_names)
+    try:
+        refs = list(map(itemgetter("color"), states))
+        state_colors = np.fromiter(refs, np.int64, n)
+        emission = _rows([s.get("emission", {}) for s in states], sym_index)
+        start = _rows([initial], index)
+        sources = np.fromiter(map(index.__getitem__, transitions), np.int64, len(transitions))
+        moves = _rows(list(transitions.values()), index)
+        read = (all(map(isinstance, refs, repeat(int)))
+                and not np.any((state_colors < 0) | (state_colors >= n_colors))
+                and not any(np.isnan(probs).any() for _, _, probs in (emission, start, moves)))
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
+        read = False
+    if not read:
+        # Every failed read has an offender, so this returns only on a NaN.
+        _check_tables(states, initial, transitions, n_colors, index, sym_index)
+
+    counts, cols, probs = emission
+    emissions = np.zeros((n, len(alphabet)))
+    emissions[np.repeat(np.arange(n), counts), cols] = probs
+    _, at, probs = start
     init = np.zeros(n)
-    init[at] = vals
-    rows, cols, vals = (_transition_table(transitions, index)
-                        or _walk_transitions(transitions, index))
-    trans = sparse.coo_array((vals, (rows, cols)), shape=(n, n))
+    init[at] = probs
+    counts, cols, probs = moves
+    trans = sparse.coo_array((probs, (np.repeat(sources, counts), cols)), shape=(n, n))
 
     return Hmm(state_ids, state_colors, color_names, alphabet, init, trans, emissions)
 

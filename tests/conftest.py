@@ -68,6 +68,10 @@ MALFORMED = {
                      r"^initial probability of state 's' is null, not a number$"),
     "word-probability": (_set(["transitions", "s", "s"], "one"),
                          r"^transition 's' -> 's' is 'one', not a number$"),
+    "fractional-color": (_set(["states", 0, "color"], 0.5),
+                         r"^unknown color reference 0\.5 for state s$"),
+    "string-color": (_set(["states", 0, "color"], "0"),
+                     r"^unknown color reference '0' for state s$"),
     "row-as-list": (_set(["transitions", "s"], [1.0]),
                     r"^transition row of state 's' is not a JSON object$"),
     "state-without-id": (_drop_state_id, r"^state 1 has no 'id'$"),

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gainhmm import load_model, save_model, build_hmm, synthetic_subtypes
+from gainhmm import cli, load_model, save_model, build_hmm, synthetic_subtypes
 from gainhmm.cli import main
 from gainhmm.metrics import base_accuracy, boundary_metrics
 from gainhmm.seqio import FastaRecord, read_fasta, read_segments, write_fasta
@@ -324,6 +324,9 @@ class TestBench:
         ("--sweep-W", "10,5,010", "--W/--sweep-W lists the value 10 twice"),
         ("--gamma", "0.2,0.2", "--gamma/--sweep-gamma lists the value 0.2 twice"),
         ("--sweep-gamma", "0.2,1,0.20", "--gamma/--sweep-gamma lists the value 0.2 twice"),
+        ("--W", "5,x", "--W/--sweep-W lists 'x', not a valid int"),
+        ("--sweep-W", "5, 2.5", "--W/--sweep-W lists '2.5', not a valid int"),
+        ("--gamma", "0.2,high", "--gamma/--sweep-gamma lists 'high', not a valid float"),
     ])
     def test_repeated_grid_value_rejected(self, tmp_path, msa_path, capsys,
                                           flag, values, message):
@@ -345,6 +348,33 @@ class TestBench:
                            "--alpha", 0.5) == 0
                 assert (tmp_path / "bench.csv.preds" / decoded.name).read_bytes() == \
                     decoded.read_bytes()
+
+    @staticmethod
+    def forbid_decoding(monkeypatch):
+        def decoded(*args):
+            raise AssertionError("a query was decoded")
+        for name in ("viterbi_decode", "forward_backward"):
+            monkeypatch.setattr(cli, name, decoded)
+
+    def test_negative_tolerance_rejected_before_decoding(self, tmp_path, msa_path, capsys,
+                                                         monkeypatch):
+        model, fasta, truth = self.setup_run(tmp_path, msa_path, count=1)
+        self.forbid_decoding(monkeypatch)
+        assert run("bench", "--model", model, "--in", fasta, "--truth", truth,
+                   "--out", tmp_path / "o.csv", "--tolerance", -1) == 1
+        assert capsys.readouterr().err == "error: --tolerance must be >= 0\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_query_file_without_records_rejected(self, tmp_path, msa_path, capsys,
+                                                 monkeypatch):
+        model, _, truth = self.setup_run(tmp_path, msa_path, count=1)
+        empty = tmp_path / "empty.fasta"
+        empty.write_text("")
+        self.forbid_decoding(monkeypatch)
+        assert run("bench", "--model", model, "--in", empty, "--truth", truth,
+                   "--out", tmp_path / "o.csv") == 1
+        assert capsys.readouterr().err == f"error: {empty}: no FASTA records to benchmark\n"
+        assert not (tmp_path / "o.csv").exists()
 
     def test_empty_sweep_rejected(self, tmp_path, msa_path, capsys):
         model, fasta, truth = self.setup_run(tmp_path, msa_path, count=1)

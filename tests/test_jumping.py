@@ -80,10 +80,18 @@ class TestProfiles:
         assert prof.n_states == 3 * 4 + 1
 
     def test_illegal_symbol_names_subtype_and_column(self):
-        with pytest.raises(ValueError, match=r"illegal character 'x' in subtype 'X' at column 2$"):
+        with pytest.raises(ValueError, match=r"illegal character 'x' in subtype 'X' "
+                                             r"sequence 1 at column 2$"):
             build_profile("X", ["axa"], JumpingHmmSpec())
-        with pytest.raises(ValueError, match=r"illegal character 'N' in subtype 'B' at column 4$"):
+        with pytest.raises(ValueError, match=r"illegal character 'N' in subtype 'B' "
+                                             r"sequence 2 at column 4$"):
             build_profile("B", ["ac-g", "ac-N"], JumpingHmmSpec())
+        # Named as the alignment names it.
+        with pytest.raises(ValueError) as from_alignment:
+            make_alignment({"A": ["acgt", "acxt"], "B": ["acgt"]})
+        with pytest.raises(ValueError) as from_profile:
+            build_profile("A", ["acgt", "acxt"], JumpingHmmSpec())
+        assert str(from_profile.value) == str(from_alignment.value)
 
     def test_empty_group(self):
         with pytest.raises(ValueError, match="no sequences"):

@@ -131,7 +131,9 @@ def mutated_specs(draw):
     spec = copy.deepcopy(draw(st.sampled_from([
         ONE_STATE_SPEC, t1_spec(),
         hmm_to_dict(random_model(np.random.default_rng(3), 5, 2, n_symbols=2,
-                                 sparsity=0.5))])))
+                                 sparsity=0.5)),
+        hmm_to_dict(build_jumping_hmm(synthetic_subtypes(2, 3, divergence=0.3, seed=4),
+                                      JumpingHmmSpec()))])))
     for _ in range(draw(st.integers(1, 2))):
         parent, key, node = None, None, spec
         while isinstance(node, (dict, list)) and node and draw(st.integers(0, 4)):
@@ -350,6 +352,19 @@ class TestRejectedTables:
         path.write_text(text.replace('"s_A": 0.9', '"s_A": NaN'))
         with pytest.raises(InvalidModelError, match=r"transition row sum nan for state s_A$"):
             load_model(path)
+        # A NaN emission of s_A and a NaN initial probability of s_B: the
+        # ordered check finds no offender and returns, and Hmm's row-sum
+        # check rejects the row.
+        for entry, message in [('"y": 0.1', r"^emission row sum nan for state s_A$"),
+                               ('"s_B": 0.5', r"^initial row sum nan for state <initial>$")]:
+            assert text.count(entry) == 1
+            path.write_text(text.replace(entry, entry.split(":")[0] + ": NaN"))
+            check = mock.patch.object(model_module, "_check_tables",
+                                      wraps=model_module._check_tables)
+            with check as spy, pytest.raises(InvalidModelError, match=message):
+                load_model(path)
+            assert spy.call_count == 1
+            assert_builds_like_reference(json.loads(path.read_text()))
 
     @pytest.mark.parametrize("fields, message", [
         ({"emissions": [[0.5, 0.5]] * 3}, r"emission table of shape \(3, 2\) for 2 states"),
