@@ -6,8 +6,8 @@ import os
 import stat
 
 
-def create(path):
-    """Open `path` for writing text as a new file.
+def create(path, mode="w"):
+    """Open `path` for writing as a new file, in text mode or with mode "wb".
 
     An existing regular file is unlinked first, not truncated. On ext4
     (mounted with the default auto_da_alloc), truncating a file, or
@@ -23,4 +23,4 @@ def create(path):
             os.unlink(path)
     except OSError:
         pass  # missing or not removable: open() reports what matters
-    return open(path, "w")
+    return open(path, mode)

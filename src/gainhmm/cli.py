@@ -18,7 +18,8 @@ import sys
 import time
 
 from ._files import create
-from .gain import GainParams, decode_from_posteriors, decode_grid, window_scores
+from .gain import GainParams, check_nonnegative, decode_from_posteriors, decode_grid, \
+    window_scores
 from .inference import forward_backward, posterior_decode, viterbi_decode
 from .jumping import JumpingHmmSpec, build_jumping_hmm
 from .metrics import aggregate, base_accuracy, boundary_metrics
@@ -40,6 +41,7 @@ def _parse_sweep(text, cast, flag):
     if not values:
         raise ValueError(f"{flag} needs a nonempty comma-separated list")
     for i, v in enumerate(values):
+        check_nonnegative(flag, v)
         if v in values[:i]:
             raise ValueError(f"{flag} lists the value {v} twice")
     return values
@@ -94,9 +96,11 @@ def _decode_one(decoder, hmm, graph, seq, params):
 
 def cmd_decode(args):
     _distinct_paths(("--model", args.model), ("--in", args.input), ("--out", args.out))
+    for flag, value in (("--W", args.W), ("--gamma", args.gamma), ("--alpha", args.alpha)):
+        check_nonnegative(flag, value)
+    params = GainParams(window=args.W, gamma=args.gamma, alpha=args.alpha)
     hmm = load_model(args.model)
     graph = color_graph(hmm)
-    params = GainParams(window=args.W, gamma=args.gamma, alpha=args.alpha)
     records = read_fasta(args.input)
     entries = []
     for rec in records:
@@ -144,6 +148,7 @@ def cmd_bench(args):
                     ("--truth", args.truth), ("--out", args.out))
     if args.tolerance < 0:
         raise ValueError("--tolerance must be >= 0")
+    check_nonnegative("--alpha", args.alpha)
     w_grid = _parse_sweep(args.W, int, "--W/--sweep-W")
     g_grid = _parse_sweep(args.gamma, float, "--gamma/--sweep-gamma")
     grid = [GainParams(window=w, gamma=g, alpha=args.alpha) for w in w_grid for g in g_grid]

@@ -12,6 +12,7 @@ the sequence length once posteriors are known.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +36,16 @@ class GainParams:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not (isinstance(self.window, (int, np.integer)) and self.window >= 0):
+        if not isinstance(self.window, (int, np.integer)):
             raise ValueError("window must be an integer >= 0")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        for name in ("window", "gamma", "alpha"):
+            check_nonnegative(name, getattr(self, name))
+
+
+def check_nonnegative(name, value):
+    """Raise ValueError naming `name` unless `value` is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, not {value}")
 
 
 @dataclass(frozen=True)

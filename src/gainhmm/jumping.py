@@ -55,7 +55,7 @@ class SubtypeAlignment:
             for i, s in enumerate(seqs, 1):
                 if len(s) != self.length:
                     raise ValueError(
-                        f"sequence of length {len(s)} in subtype {name!r}, "
+                        f"sequence {i} in subtype {name!r} has length {len(s)}, "
                         f"alignment has {self.length} columns")
                 bad = set(s.lower()) - set(DNA) - {"-"}
                 if bad:
@@ -142,7 +142,8 @@ def build_profile(name, group, spec):
     counts = np.zeros((length, len(DNA)))
     for k, s in enumerate(group, 1):
         if len(s) != length:
-            raise ValueError(f"ragged alignment in subtype {name!r}")
+            raise ValueError(f"sequence {k} in subtype {name!r} has length {len(s)}, "
+                             f"alignment has {length} columns")
         for i, ch in enumerate(s):
             if ch != "-":
                 sym = sym_index.get(ch.lower())

@@ -10,9 +10,12 @@ graph that decoders consult.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 from dataclasses import dataclass
 from collections.abc import Hashable
+from functools import partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -30,6 +33,15 @@ ROW_SUM_REPAIR = 1e-6
 
 # Table entries per piece of model-file text that `save_model` joins at once.
 WRITE_BLOCK = 1 << 14
+
+# save_model writes next to each model file a sidecar, `<file>.arrays`: .npy
+# records holding SIDECAR_FORMAT followed by the model file's SHA-256, the
+# JSON text of [alphabet, color names, state ids], and then the state
+# colors, initial, emissions and the CSR indptr, indices and data of the
+# transitions. load_model reads a model from the sidecar that carries its
+# file's hash; a new SIDECAR_FORMAT makes every older sidecar ignored.
+SIDECAR_SUFFIX = ".arrays"
+SIDECAR_FORMAT = b"gainhmm-arrays/1"
 
 
 class InvalidModelError(ValueError):
@@ -580,14 +592,66 @@ def _model_json(hmm):
 
 
 def save_model(hmm, path):
-    """Write the model file (JSON, probabilities as decimal text)."""
+    """Write the model file (JSON, probabilities as decimal text) and its sidecar."""
     pieces = _model_json(hmm)  # first: a model json cannot encode leaves the old file
-    with create(path) as fh:
-        fh.writelines(pieces)
+    digest = hashlib.sha256()
+    with create(path, "wb") as fh:
+        for piece in pieces:
+            data = piece.encode()
+            digest.update(data)
+            fh.write(data)
+    header = np.frombuffer(SIDECAR_FORMAT + digest.digest(), np.uint8)
+    names = np.frombuffer(
+        json.dumps([hmm.alphabet, hmm.color_names, hmm.state_ids]).encode(), np.uint8)
+    t = hmm.transitions
+    with create(os.fspath(path) + SIDECAR_SUFFIX, "wb") as fh:
+        for arr in (header, names, hmm.state_colors, hmm.initial, hmm.emissions,
+                    t.indptr, t.indices, t.data):
+            np.lib.format.write_array(fh, arr, allow_pickle=False)
+
+
+def _read_sidecar(path, digest):
+    """The model in the sidecar of model file `path`, or None.
+
+    None where the sidecar is missing, unreadable or truncated, has another
+    SIDECAR_FORMAT or another file's hash than `digest`, holds what Hmm
+    rejects, or holds a model that build_hmm would not read back from the
+    file. The model is built as build_hmm builds it, so the two are equal
+    field for field, array dtypes included.
+    """
+    read = partial(np.lib.format.read_array, allow_pickle=False)
+    try:
+        with open(os.fspath(path) + SIDECAR_SUFFIX, "rb") as fh:
+            if read(fh).tobytes() != SIDECAR_FORMAT + digest:
+                return None
+            alphabet, color_names, state_ids = json.loads(read(fh).tobytes())
+            colors, initial, emissions, indptr, indices, data = (read(fh) for _ in range(6))
+        n = len(state_ids)
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        trans = sparse.coo_array((data, (rows, indices.astype(np.int64))), shape=(n, n))
+        hmm = Hmm(state_ids, colors, [str(c) for c in color_names], alphabet,
+                  initial, trans, emissions)
+    except (OSError, ValueError, TypeError):
+        return None
+    # The file keys its rows by the JSON text of each state id and symbol,
+    # which is the id or symbol itself only for a string.
+    keyed = np.fromiter(map(isinstance, alphabet, repeat(str)), bool, len(alphabet))
+    if all(map(isinstance, state_ids, repeat(str))) and not hmm.emissions[:, ~keyed].any():
+        return hmm
+    return None
 
 
 def load_model(path):
-    """Read and validate a model file written by save_model."""
+    """Read and validate a model file written by save_model.
+
+    The model comes from the file's sidecar where that carries the file's
+    SHA-256, and from the JSON otherwise.
+    """
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).digest()
+    hmm = _read_sidecar(path, digest)
+    if hmm is not None:
+        return hmm
     with open(path) as fh:
         try:
             spec = json.load(fh)

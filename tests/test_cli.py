@@ -6,6 +6,7 @@ import pytest
 from gainhmm import cli, load_model, save_model, build_hmm, synthetic_subtypes
 from gainhmm.cli import main
 from gainhmm.metrics import base_accuracy, boundary_metrics
+from gainhmm.model import SIDECAR_SUFFIX
 from gainhmm.seqio import FastaRecord, read_fasta, read_segments, write_fasta
 from conftest import MALFORMED, malformed_spec, t1_spec
 
@@ -79,6 +80,8 @@ class TestBuildModel:
         assert run("build-model", "--in", msa_path, "--out", lower_model) == 0
         assert run("build-model", "--in", upper, "--out", upper_model) == 0
         assert upper_model.read_bytes() == lower_model.read_bytes()
+        assert (tmp_path / f"upper.json{SIDECAR_SUFFIX}").read_bytes() == \
+            (tmp_path / f"lower.json{SIDECAR_SUFFIX}").read_bytes()
 
 
 class TestDecode:
@@ -127,6 +130,27 @@ class TestDecode:
             assert run("decode", "--model", model, "--in", tmp_path / f"{name}.fasta",
                        "--out", tmp_path / f"{name}.tsv", "--decoder", "herd") == 0
         assert (tmp_path / "upper.tsv").read_bytes() == (tmp_path / "lower.tsv").read_bytes()
+
+    def test_same_tsv_without_sidecar(self, tmp_path, msa_path):
+        model = tmp_path / "model.json"
+        assert run("build-model", "--in", msa_path, "--out", model) == 0
+        msa = read_fasta(msa_path)
+        write_fasta(tmp_path / "q.fasta", [("q1", msa[0].seq[:60] + msa[2].seq[60:150])])
+        argv = ["decode", "--model", model, "--in", tmp_path / "q.fasta", "--decoder", "herd"]
+        assert run(*argv, "--out", tmp_path / "with.tsv") == 0
+        (tmp_path / f"model.json{SIDECAR_SUFFIX}").unlink()
+        assert run(*argv, "--out", tmp_path / "without.tsv") == 0
+        assert (tmp_path / "with.tsv").read_bytes() == (tmp_path / "without.tsv").read_bytes()
+
+    @pytest.mark.parametrize("flag, value, shown", [
+        ("--W", -1, "-1"), ("--gamma", -1, "-1.0"), ("--alpha", -1, "-1.0"),
+        ("--gamma", "nan", "nan"), ("--alpha", "inf", "inf")])
+    def test_bad_gain_value_names_flag(self, tmp_path, capsys, flag, value, shown):
+        # Neither file exists: the flag is checked before anything is read.
+        assert run("decode", "--model", tmp_path / "m.json", "--in", tmp_path / "q.fasta",
+                   "--out", tmp_path / "o.tsv", "--decoder", "herd", flag, value) == 1
+        assert capsys.readouterr().err == \
+            f"error: {flag} must be a finite number >= 0, not {shown}\n"
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_model_is_one_error_line(self, tmp_path, capsys, case):
@@ -375,6 +399,19 @@ class TestBench:
                    "--out", tmp_path / "o.csv") == 1
         assert capsys.readouterr().err == f"error: {empty}: no FASTA records to benchmark\n"
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alpha", "nan", "--alpha must be a finite number >= 0, not nan"),
+        ("--sweep-W", "5,-1", "--W/--sweep-W must be a finite number >= 0, not -1"),
+        ("--gamma", "0.2,inf", "--gamma/--sweep-gamma must be a finite number >= 0, not inf"),
+        ("--sweep-gamma", "nan", "--gamma/--sweep-gamma must be a finite number >= 0, not nan"),
+    ])
+    def test_bad_gain_value_names_flag(self, tmp_path, capsys, flag, value, message):
+        # No file exists: the values are checked before anything is read.
+        assert run("bench", "--model", tmp_path / "m.json", "--in", tmp_path / "q.fasta",
+                   "--truth", tmp_path / "t.tsv", "--out", tmp_path / "o.csv",
+                   flag, value) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_empty_sweep_rejected(self, tmp_path, msa_path, capsys):
         model, fasta, truth = self.setup_run(tmp_path, msa_path, count=1)

@@ -60,10 +60,18 @@ class TestGainParams:
         {"window": 0.5, "gamma": 0.1},
         {"window": 0, "gamma": -0.1},
         {"window": 0, "gamma": 0.1, "alpha": -1.0},
+        {"window": 0, "gamma": float("nan")},
+        {"window": 0, "gamma": float("inf")},
+        {"window": 0, "gamma": 0.1, "alpha": float("nan")},
+        {"window": 0, "gamma": 0.1, "alpha": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             GainParams(**kwargs)
+
+    def test_nan_named(self):
+        with pytest.raises(ValueError, match=r"^gamma must be a finite number >= 0, not nan$"):
+            GainParams(window=1, gamma=float("nan"))
 
 
 class TestWindowScores:

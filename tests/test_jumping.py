@@ -93,6 +93,14 @@ class TestProfiles:
             build_profile("A", ["acgt", "acxt"], JumpingHmmSpec())
         assert str(from_profile.value) == str(from_alignment.value)
 
+    def test_short_sequence_names_sequence_and_lengths(self):
+        message = r"^sequence 2 in subtype 'A' has length 3, alignment has 4 columns$"
+        with pytest.raises(ValueError, match=message) as from_alignment:
+            make_alignment({"A": ["acgt", "acg"], "B": ["acgt"]})
+        with pytest.raises(ValueError) as from_profile:
+            build_profile("A", ["acgt", "acg"], JumpingHmmSpec())
+        assert str(from_profile.value) == str(from_alignment.value)
+
     def test_empty_group(self):
         with pytest.raises(ValueError, match="no sequences"):
             build_profile("X", [], JumpingHmmSpec())

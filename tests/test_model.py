@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -22,6 +24,7 @@ from gainhmm import (
     synthetic_subtypes,
 )
 from gainhmm import model as model_module
+from gainhmm.model import SIDECAR_SUFFIX
 import _oracles
 from conftest import MALFORMED, ONE_STATE_SPEC, malformed_spec, random_model, t1_spec
 
@@ -534,3 +537,168 @@ class TestBulkModelFiles:
         save_model(hmm, path)
         assert path.read_bytes() == (json.dumps(hmm_to_dict(hmm), indent=1) + "\n").encode()
         assert_same_hmm(load_model(path), hmm, dtypes=False)
+
+
+def sidecar_of(path):
+    return path.with_name(path.name + SIDECAR_SUFFIX)
+
+
+def load_tracking_json(path):
+    """(load_model(path), or the message of its InvalidModelError; whether build_hmm ran)."""
+    with mock.patch.object(model_module, "build_hmm", wraps=model_module.build_hmm) as build:
+        try:
+            return load_model(path), build.called
+        except InvalidModelError as e:
+            return str(e), build.called
+
+
+def load_from_sidecar(path):
+    """load_model(path), failing if it reads the model from the JSON."""
+    with mock.patch.object(model_module, "build_hmm",
+                           side_effect=AssertionError("model read from the JSON")):
+        return load_model(path)
+
+
+def load_from_json(path):
+    """load_model(path), failing unless it reads the model from the JSON."""
+    hmm, from_json = load_tracking_json(path)
+    assert from_json
+    return hmm
+
+
+def rewrite_sidecar(path, at, change):
+    """Replace record `at` of the sidecar of `path` by change(record)."""
+    with open(sidecar_of(path), "rb") as fh:
+        records = [np.lib.format.read_array(fh) for _ in range(8)]
+    records[at] = change(records[at])
+    with open(sidecar_of(path), "wb") as fh:
+        for r in records:
+            np.lib.format.write_array(fh, r)
+
+
+def corrupt(how, path):
+    """Make the sidecar of the model file `path` unusable in the way `how` names."""
+    sidecar = sidecar_of(path)
+    data = sidecar.read_bytes()
+    if how == "missing":
+        sidecar.unlink()
+    elif how.startswith("truncated"):
+        sidecar.write_bytes(data[:{"header": 40, "names": 200, "table": len(data) // 2,
+                                   "last-byte": len(data) - 1}[how.split("-", 1)[1]]])
+    elif how == "random":
+        sidecar.write_bytes(np.random.default_rng(5).bytes(len(data)))
+    elif how == "other-model":
+        other = path.with_name("other.json")
+        save_model(random_model(np.random.default_rng(8), 6, 2, n_symbols=3), other)
+        sidecar.write_bytes(sidecar_of(other).read_bytes())
+    elif how == "other-version":
+        with mock.patch.object(model_module, "SIDECAR_FORMAT", b"gainhmm-arrays/0"):
+            save_model(load_model(path), path)
+    elif how == "names-not-json":
+        rewrite_sidecar(path, 1, lambda names: names[1:])
+    elif how == "zero-initial":
+        rewrite_sidecar(path, 3, np.zeros_like)
+    elif how == "index-out-of-range":
+        rewrite_sidecar(path, 6, lambda indices: indices + 6)
+    else:
+        raise ValueError(how)
+
+
+class TestSidecar:
+    """Model files read through the binary sidecar that save_model writes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(block=st.sampled_from([1, 2, 5, None]), **MODEL_DRAWS)
+    def test_sidecar_json_and_reference_agree(self, tmp_path_factory, block, **draws):
+        hmm = drawn_model(**draws)
+        path = tmp_path_factory.mktemp("save") / "model.json"
+        with mock.patch.object(model_module, "WRITE_BLOCK", block or model_module.WRITE_BLOCK):
+            save_model(hmm, path)
+        with_sidecar, from_json = load_tracking_json(path)
+        sidecar_of(path).unlink()
+        without = load_from_json(path)
+        try:
+            reference = _oracles.reference_build_hmm(json.loads(path.read_text()))
+        except (KeyError, TypeError, ValueError):
+            # JSON object keys are strings: a model keyed by numbers or
+            # other non-strings does not load, and its sidecar is not used.
+            assert isinstance(without, str) and with_sidecar == without
+            return
+        assert not from_json
+        assert_same_hmm(with_sidecar, reference)
+        assert_same_hmm(without, reference)
+        assert_same_hmm(without, hmm, dtypes=False)
+
+    def test_sidecar_holds_arrays_and_names(self, tmp_path):
+        hmm = drawn_model(seed=2, n_states=5, shape="sparse", names="unicode",
+                          zero_initial=True, alphabet=None)
+        path = tmp_path / "model.json"
+        save_model(hmm, path)
+        with open(sidecar_of(path), "rb") as fh:
+            records = [np.lib.format.read_array(fh, allow_pickle=False) for _ in range(8)]
+            assert fh.read() == b""
+        digest = hashlib.sha256(path.read_bytes()).digest()
+        assert records[0].tobytes() == model_module.SIDECAR_FORMAT + digest
+        assert json.loads(records[1].tobytes()) == [hmm.alphabet, hmm.color_names,
+                                                    hmm.state_ids]
+        t = hmm.transitions
+        for got, want in zip(records[2:], (hmm.state_colors, hmm.initial, hmm.emissions,
+                                           t.indptr, t.indices, t.data)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert_same_hmm(load_from_sidecar(path), hmm, dtypes=False)
+
+    def test_color_names_read_as_strings(self, tmp_path, t1):
+        path = tmp_path / "t1.json"
+        save_model(Hmm(t1.state_ids, t1.state_colors, [1, None], t1.alphabet, t1.initial,
+                       t1.transitions, t1.emissions), path)
+        assert load_from_sidecar(path).color_names == ["1", "None"]
+        sidecar_of(path).unlink()
+        assert load_from_json(path).color_names == ["1", "None"]
+
+    @pytest.mark.parametrize("how", [
+        "missing", "truncated-header", "truncated-names", "truncated-table",
+        "truncated-last-byte", "random", "other-model", "other-version",
+        "names-not-json", "zero-initial", "index-out-of-range"])
+    def test_json_read_when_sidecar_unusable(self, tmp_path, how):
+        hmm = random_model(np.random.default_rng(7), 6, 3, n_symbols=3, sparsity=0.5)
+        path = tmp_path / "model.json"
+        save_model(hmm, path)
+        corrupt(how, path)
+        assert_same_hmm(load_from_json(path),
+                        _oracles.reference_build_hmm(json.loads(path.read_text())))
+
+    def test_edited_probability_read_from_json(self, tmp_path):
+        hmm = random_model(np.random.default_rng(9), 6, 2, n_symbols=3)
+        path = tmp_path / "model.json"
+        save_model(hmm, path)
+        text = path.read_text()
+        p = repr(float(hmm.transitions.data[4]))
+        assert len(p) > 12 and text.count(p) == 1
+        edited = p[:-1] + ("1" if p[-1] != "1" else "2")
+        path.write_text(text.replace(p, edited))
+        got = load_from_json(path)
+        assert_same_hmm(got, _oracles.reference_build_hmm(json.loads(path.read_text())))
+        assert got.transitions.data[4] != hmm.transitions.data[4]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_with_stale_sidecar(self, tmp_path, case):
+        path = tmp_path / "model.json"
+        save_model(build_hmm(copy.deepcopy(ONE_STATE_SPEC)), path)
+        path.write_text(json.dumps(malformed_spec(case)))
+        with pytest.raises(InvalidModelError, match=MALFORMED[case][1]):
+            load_model(path)
+
+    def test_broken_json_with_stale_sidecar_names_line(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(build_hmm(copy.deepcopy(ONE_STATE_SPEC)), path)
+        path.write_text('{"alphabet": ["x"],\n  broken\n}')
+        with pytest.raises(InvalidModelError, match=f"^{re.escape(str(path))}:2: "):
+            load_model(path)
+
+    def test_load_writes_no_sidecar(self, tmp_path, t1):
+        path = tmp_path / "t1.json"
+        save_model(t1, path)
+        sidecar_of(path).unlink()
+        load_model(path)
+        assert not sidecar_of(path).exists()
