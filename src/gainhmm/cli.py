@@ -26,7 +26,7 @@ from .metrics import aggregate, base_accuracy, boundary_metrics
 from .model import InvalidModelError, color_graph, load_model, save_model
 from .seqio import format_segments, read_fasta, read_segments, \
     read_subtype_alignment, segment_rows, write_fasta, write_segments
-from .simulate import random_recombinants
+from .simulate import check_recombinant_args, random_recombinants
 
 DECODERS = ("viterbi", "posterior", "herd")
 
@@ -50,18 +50,28 @@ def _parse_sweep(text, cast, flag):
 def _distinct_paths(*paths):
     seen = {}
     for label, p in paths:
-        if p is None:
-            continue
         key = os.path.abspath(p)
         if key in seen:
             raise ValueError(f"{label} and {seen[key]} point at the same path {p}")
         seen[key] = label
 
 
+def _flag_named(flags, check, *args, **kwargs):
+    """check(*args, **kwargs), a ValueError naming a parameter in `flags` renamed to its flag."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as e:
+        name, _, rest = str(e).partition(" ")
+        if name not in flags:
+            raise
+        raise ValueError(f"{flags[name]} {rest}") from None
+
+
 def cmd_build_model(args):
     _distinct_paths(("--in", args.input), ("--out", args.out))
+    spec = _flag_named({"jump_prob": "--pj", "pseudocount": "--pseudocount"},
+                       JumpingHmmSpec, jump_prob=args.pj, pseudocount=args.pseudocount)
     msa = read_subtype_alignment(args.input)
-    spec = JumpingHmmSpec(jump_prob=args.pj, pseudocount=args.pseudocount)
     hmm = build_jumping_hmm(msa, spec)
     save_model(hmm, args.out)
     print(f"wrote model with {hmm.n_states} states, "
@@ -71,6 +81,10 @@ def cmd_build_model(args):
 
 def cmd_simulate(args):
     _distinct_paths(("--in", args.input), ("--out", args.out), ("--truth", args.truth))
+    _flag_named({"count": "--count", "breakpoint_range[1]": "--max-breakpoints",
+                 "min_segment": "--min-segment", "mutation_rate": "--rate"},
+                check_recombinant_args, args.count, (1, args.max_breakpoints),
+                args.min_segment, args.rate)
     msa = read_subtype_alignment(args.input)
     records = random_recombinants(
         msa, args.count, seed=args.seed,
@@ -96,9 +110,8 @@ def _decode_one(decoder, hmm, graph, seq, params):
 
 def cmd_decode(args):
     _distinct_paths(("--model", args.model), ("--in", args.input), ("--out", args.out))
-    for flag, value in (("--W", args.W), ("--gamma", args.gamma), ("--alpha", args.alpha)):
-        check_nonnegative(flag, value)
-    params = GainParams(window=args.W, gamma=args.gamma, alpha=args.alpha)
+    params = _flag_named({"window": "--W", "gamma": "--gamma", "alpha": "--alpha"},
+                         GainParams, window=args.W, gamma=args.gamma, alpha=args.alpha)
     hmm = load_model(args.model)
     graph = color_graph(hmm)
     records = read_fasta(args.input)

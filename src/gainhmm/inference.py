@@ -1,11 +1,12 @@
 """Forward-backward posteriors and the two baseline decoders.
 
-Forward-backward runs with per-position scaling constants (exact
-posteriors, no logs in the inner loop); Viterbi runs in log space. Both
-run on the model's cached transition operator (`_transition`), which
-alone chooses dense or sparse kernels from the model's size. Pair
-posteriors are summed over the cross-color transition blocks only. All
-entry points are pure functions of immutable inputs.
+Forward-backward runs with per-position scaling constants (no logs in the
+inner loop); Viterbi runs in log space. Both run on the model's cached
+transition operator (`_transition`), which alone chooses dense or sparse
+kernels from the model's size. Above DENSE_STATE_LIMIT states the posteriors
+are those of the sparse kernels' cut lattice, and `dropped_mass` reports the
+cut. Pair posteriors are summed over the cross-color transition blocks only.
+All entry points are pure functions of immutable inputs.
 """
 
 from __future__ import annotations

@@ -94,9 +94,9 @@ class JumpingHmmSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.jump_prob < 1.0:
-            raise ValueError("jump probability must be in [0, 1)")
-        if self.pseudocount <= 0.0:
-            raise ValueError("pseudocount must be > 0")
+            raise ValueError(f"jump_prob must be in [0, 1), not {self.jump_prob}")
+        if not 0.0 < self.pseudocount < np.inf:
+            raise ValueError(f"pseudocount must be a finite number > 0, not {self.pseudocount}")
         s = self.match_advance + self.match_insert + self.match_delete
         if abs(s - 1.0) > 1e-9:
             raise ValueError(f"match priors sum to {s:g}, expected 1")
@@ -109,8 +109,8 @@ class ProfileHmm:
     """Match/insert/delete profile over the alignment columns of one subtype.
 
     match_emission[i] is the smoothed symbol distribution of column i+1;
-    insert emissions are uniform. The fragment has 3L + 1 states: L match,
-    L delete, and L + 1 insert states counting the one before column 1.
+    insert emissions are uniform. `n_states` counts L match, L delete and L + 1
+    insert states (3L + 1); the assembly folds the deletes away, leaving 2L + 1.
     """
 
     name: str

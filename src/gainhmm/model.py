@@ -481,37 +481,8 @@ def build_hmm(spec):
 
 
 def hmm_to_dict(hmm):
-    """Serializable dict form of a model; zero probabilities are omitted."""
-    states = []
-    for i, sid in enumerate(hmm.state_ids):
-        emis = {sym: float(p) for sym, p in zip(hmm.alphabet, hmm.emissions[i]) if p != 0.0}
-        states.append({"id": sid, "color": int(hmm.state_colors[i]), "emission": emis})
-    initial = {sid: float(p) for sid, p in zip(hmm.state_ids, hmm.initial) if p != 0.0}
-    ids, t = hmm.state_ids, hmm.transitions
-    indptr, indices, data = t.indptr.tolist(), t.indices.tolist(), t.data.tolist()
-    trans = {}
-    for i, sid in enumerate(ids):
-        lo, hi = indptr[i], indptr[i + 1]
-        trans[sid] = {ids[j]: p for j, p in zip(indices[lo:hi], data[lo:hi])}
-    return {
-        "alphabet": list(hmm.alphabet),
-        "colors": [{"id": i, "name": n} for i, n in enumerate(hmm.color_names)],
-        "states": states,
-        "initial": initial,
-        "transitions": trans,
-    }
-
-
-def _json_value(x):
-    """JSON text of a scalar, as json.dumps writes it."""
-    return encode_basestring_ascii(x) if isinstance(x, str) else json.dumps(x)
-
-
-def _json_key(x):
-    """JSON text of a dict key, as json.dumps writes it (keys become strings)."""
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    return json.dumps({x: None})[1:-len(": null}")]
+    """Dict form of the file save_model writes (or refuses); zero probabilities omitted."""
+    return json.loads("".join(_model_json(hmm)))
 
 
 def _json_block(open_, close, items, depth):
@@ -550,27 +521,34 @@ def _rows_json(heads, indptr, keys, key_of, values, sep, tail):
 
 
 def _model_json(hmm):
-    """json.dumps(hmm_to_dict(hmm), indent=1) + "\n", written directly.
+    """The model file text, as json.dumps(..., indent=1) + "\n" writes it, in pieces.
 
-    json.dumps with an indent never takes the C encoder, and the pure-Python
-    one spent most of save_model's time. Every state id and symbol is
-    encoded once, and every distinct probability formatted once as float
-    repr, as json writes it; the text is assembled from arrays of those
-    strings, with no Python step per probability. Returns the text in
-    pieces, none the size of the file.
+    Raises InvalidModelError unless every state id, symbol and color name
+    is a string, as JSON object keys are. json.dumps with an indent never
+    takes the C encoder, and the pure-Python one spent most of save_model's
+    time. Here every string is encoded and every distinct probability
+    formatted (float repr, as json writes it) once, and the text is joined
+    from arrays of them, with no Python step per probability.
     """
-    ids, n, n_symbols = hmm.state_ids, hmm.n_states, len(hmm.alphabet)
-    id_keys = np.array([_json_key(sid) + ": " for sid in ids], dtype=object)
-    sym_keys = np.array([_json_key(sym) + ": " for sym in hmm.alphabet], dtype=object)
-    colors = [_json_block("{", "}", [f'"id": {i}', f'"name": {_json_value(name)}'], 2)
-              for i, name in enumerate(hmm.color_names)]
+    named = (("state id", hmm.state_ids), ("alphabet symbol", hmm.alphabet),
+             ("color name", hmm.color_names))
+    for what, values in named:
+        for i, value in enumerate(values, 1):
+            if not isinstance(value, str):
+                raise InvalidModelError(f"{what} {i} is {value!r}, not a string")
+    ids, symbols, names = ([*map(encode_basestring_ascii, values)] for _, values in named)
+    n, n_symbols = hmm.n_states, len(hmm.alphabet)
+    id_keys = np.array([sid + ": " for sid in ids], dtype=object)
+    sym_keys = np.array([sym + ": " for sym in symbols], dtype=object)
+    colors = [_json_block("{", "}", [f'"id": {i}', f'"name": {name}'], 2)
+              for i, name in enumerate(names)]
     pieces = ["".join([
-        '{\n "alphabet": ', _json_block("[", "]", [_json_value(s) for s in hmm.alphabet], 1),
+        '{\n "alphabet": ', _json_block("[", "]", symbols, 1),
         ',\n "colors": ', _json_block("[", "]", colors, 1),
         ',\n "states": ['])]
     # Every row of a model's tables sums to 1, so none is empty.
     row_seps = ["\n  "] + [",\n  "] * (n - 1)
-    heads = np.array([f'{sep}{{\n   "id": {_json_value(sid)},\n   "color": {c},'
+    heads = np.array([f'{sep}{{\n   "id": {sid},\n   "color": {c},'
                       '\n   "emission": {\n    '
                       for sep, sid, c in zip(row_seps, ids, hmm.state_colors.tolist())],
                      dtype=object)
@@ -593,7 +571,7 @@ def _model_json(hmm):
 
 def save_model(hmm, path):
     """Write the model file (JSON, probabilities as decimal text) and its sidecar."""
-    pieces = _model_json(hmm)  # first: a model json cannot encode leaves the old file
+    pieces = _model_json(hmm)  # first: a model it refuses leaves both files as they are
     digest = hashlib.sha256()
     with create(path, "wb") as fh:
         for piece in pieces:
@@ -614,10 +592,9 @@ def _read_sidecar(path, digest):
     """The model in the sidecar of model file `path`, or None.
 
     None where the sidecar is missing, unreadable or truncated, has another
-    SIDECAR_FORMAT or another file's hash than `digest`, holds what Hmm
-    rejects, or holds a model that build_hmm would not read back from the
-    file. The model is built as build_hmm builds it, so the two are equal
-    field for field, array dtypes included.
+    SIDECAR_FORMAT or another file's hash than `digest`, or holds what Hmm
+    rejects. The model is built as build_hmm builds it, so the two are
+    equal field for field, array dtypes included.
     """
     read = partial(np.lib.format.read_array, allow_pickle=False)
     try:
@@ -629,16 +606,9 @@ def _read_sidecar(path, digest):
         n = len(state_ids)
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
         trans = sparse.coo_array((data, (rows, indices.astype(np.int64))), shape=(n, n))
-        hmm = Hmm(state_ids, colors, [str(c) for c in color_names], alphabet,
-                  initial, trans, emissions)
+        return Hmm(state_ids, colors, color_names, alphabet, initial, trans, emissions)
     except (OSError, ValueError, TypeError):
         return None
-    # The file keys its rows by the JSON text of each state id and symbol,
-    # which is the id or symbol itself only for a string.
-    keyed = np.fromiter(map(isinstance, alphabet, repeat(str)), bool, len(alphabet))
-    if all(map(isinstance, state_ids, repeat(str))) and not hmm.emissions[:, ~keyed].any():
-        return hmm
-    return None
 
 
 def load_model(path):

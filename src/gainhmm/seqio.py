@@ -40,11 +40,7 @@ def read_fasta(path):
                 if not fields:
                     raise ValueError(f"{path}:{lineno}: header with no id")
                 rid = fields[0]
-                attrs = {}
-                for tok in fields[1:]:
-                    if "=" in tok:
-                        k, v = tok.split("=", 1)
-                        attrs[k] = v
+                attrs = dict(tok.split("=", 1) for tok in fields[1:] if "=" in tok)
                 chunks = []
             else:
                 if rid is None:
@@ -80,17 +76,14 @@ def read_subtype_alignment(path):
     records = read_fasta(path)
     if not records:
         raise ValueError(f"{path}: no sequences")
-    names, groups = [], {}
+    groups = {}
     length = len(records[0].seq)
     for rec in records:
         subtype = rec.attrs.get("subtype")
         if subtype is None:
             raise ValueError(f"{path}: record {rec.id!r} lacks a subtype=<name> attribute")
-        if subtype not in groups:
-            names.append(subtype)
-            groups[subtype] = []
-        groups[subtype].append(rec.seq)
-    return SubtypeAlignment(names=tuple(names), groups=groups, length=length)
+        groups.setdefault(subtype, []).append(rec.seq)
+    return SubtypeAlignment(names=tuple(groups), groups=groups, length=length)
 
 
 def segment_rows(seq_id, annotation, color_names):
@@ -113,7 +106,7 @@ def write_segments(path, entries, color_names):
 
 
 def read_segments(path):
-    """Read a segment TSV back into {seq_id: Annotation}, file order."""
+    """Read a segment TSV into {seq_id: Annotation}; errors name the file and line, or record."""
     per_seq = {}
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -126,6 +119,14 @@ def read_segments(path):
             parts = line.split("\t")
             if len(parts) != len(SEGMENT_HEADER):
                 raise ValueError(f"{path}:{lineno}: expected {len(SEGMENT_HEADER)} columns")
-            seq_id, start, end, color, _name = parts
-            per_seq.setdefault(seq_id, []).append((int(start), int(end), int(color)))
-    return {sid: Annotation.from_segments(segs) for sid, segs in per_seq.items()}
+            seq_id, *fields, _name = parts
+            for column, text in zip(SEGMENT_HEADER[1:], fields):
+                if not text.isdecimal():
+                    raise ValueError(f"{path}:{lineno}: {column} is {text!r}, not an integer >= 0")
+            per_seq.setdefault(seq_id, []).append(tuple(map(int, fields)))
+    for sid, segs in per_seq.items():
+        try:
+            per_seq[sid] = Annotation.from_segments(segs)
+        except ValueError as e:
+            raise ValueError(f"{path}: record {sid!r}: {e}") from None
+    return per_seq

@@ -34,7 +34,7 @@ def sample_path(hmm, length, seed):
     """Sample a state path and emitted symbols from the model.
 
     Returns (states, symbols) with symbols joined into a string when all
-    alphabet symbols are single characters.
+    alphabet symbols are one-character strings, and a list otherwise.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -55,7 +55,7 @@ def sample_path(hmm, length, seed):
     for t in range(length):
         sym_idx[t] = rng.choice(len(hmm.alphabet), p=hmm.emissions[states[t]])
     symbols = [hmm.alphabet[i] for i in sym_idx]
-    if all(len(s) == 1 for s in hmm.alphabet):
+    if all(isinstance(s, str) and len(s) == 1 for s in hmm.alphabet):
         return states, "".join(symbols)
     return states, symbols
 
@@ -70,6 +70,11 @@ def _mutate(seq, rate, rng, alphabet=DNA):
     return "".join(chars)
 
 
+def _check_rate(mutation_rate):
+    if not 0.0 <= mutation_rate <= 1.0:
+        raise ValueError(f"mutation_rate must be in [0, 1], not {mutation_rate}")
+
+
 def simulate_recombinant(msa, segments, mutation_rate, seed):
     """Splice a recombinant query from subtype representatives.
 
@@ -80,8 +85,7 @@ def simulate_recombinant(msa, segments, mutation_rate, seed):
     truth colors follow the surviving positions. Each surviving symbol
     then mutates independently with the given rate.
     """
-    if not 0.0 <= mutation_rate <= 1.0:
-        raise ValueError("mutation rate must be in [0, 1]")
+    _check_rate(mutation_rate)
     name_index = {n: i for i, n in enumerate(msa.names)}
     expect = 1
     prev = None
@@ -142,6 +146,16 @@ def synthetic_subtypes(n_subtypes, length, divergence, seed, names=None):
     return make_alignment(groups)
 
 
+def check_recombinant_args(count, breakpoint_range, min_segment, mutation_rate):
+    """Raise ValueError naming the first argument random_recombinants refuses, msa aside."""
+    lo, hi = breakpoint_range
+    for name, value, low in (("count", count, 0), ("breakpoint_range[0]", lo, 1),
+                             ("breakpoint_range[1]", hi, lo), ("min_segment", min_segment, 1)):
+        if value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, not {value}")
+    _check_rate(mutation_rate)
+
+
 def random_recombinants(msa, count, seed, breakpoint_range=(1, 3),
                         min_segment=100, mutation_rate=0.05):
     """Simulated recombinant queries with random breakpoints and subtypes.
@@ -150,12 +164,9 @@ def random_recombinants(msa, count, seed, breakpoint_range=(1, 3),
     adjacent spans always switch subtype. Each record is seeded
     independently off the master seed.
     """
+    check_recombinant_args(count, breakpoint_range, min_segment, mutation_rate)
     rng = np.random.default_rng(seed)
     lo, hi = breakpoint_range
-    if lo < 1 or hi < lo:
-        raise ValueError("breakpoint_range must be 1 <= lo <= hi")
-    if min_segment < 1:
-        raise ValueError("min_segment must be >= 1")
     if (hi + 1) * min_segment > msa.length:
         raise ValueError("alignment too short for the requested segmentation")
     records = []

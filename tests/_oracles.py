@@ -12,12 +12,14 @@ sparse max-product. `full_jumping_graph`, `silent_closure` and
 `reference_assemble_jumping_hmm` are the jumping-model assembly as it
 was before the closed-form delete chains: the full state graph with
 silent delete states, a generic closure over it, and a merge.
-`reference_build_hmm` and `reference_model_json` are the model-file
-reader and writer as they were before the bulk ones: one loop step per
-probability, one `float` and one `repr` each.
+`reference_build_hmm` is the model-file reader as it was before the bulk
+one: one loop step per probability, one `float` each.
+`reference_model_json` is the model file as the `json` module writes it,
+from a dict built one entry at a time.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -25,7 +27,6 @@ from scipy import sparse
 
 from gainhmm import Annotation, Hmm, InvalidModelError, PosteriorSet, ZeroLikelihoodError
 from gainhmm.jumping import DNA, SILENT_CLOSURE_EPS
-from gainhmm.model import _json_block, _json_key, _json_value
 
 
 def unpack(hmm):
@@ -538,32 +539,21 @@ def reference_build_hmm(spec):
 
 
 def reference_model_json(hmm):
-    """json.dumps(hmm_to_dict(hmm), indent=1) + "\n", one repr per probability."""
+    """The model file text, json.dumps(..., indent=1) of a dict built entry by entry."""
     ids = hmm.state_ids
-    id_keys = [_json_key(sid) for sid in ids]
-    sym_keys = [_json_key(sym) for sym in hmm.alphabet]
-    colors = [_json_block("{", "}", [f'"id": {i}', f'"name": {_json_value(name)}'], 2)
-              for i, name in enumerate(hmm.color_names)]
-    states = []
-    for sid, color, row in zip(ids, hmm.state_colors.tolist(), hmm.emissions.tolist()):
-        emission = _json_block("{", "}", [f"{key}: {p!r}" for key, p in zip(sym_keys, row)
-                                          if p != 0.0], 3)
-        states.append(_json_block("{", "}", [f'"id": {_json_value(sid)}',
-                                             f'"color": {color}',
-                                             f'"emission": {emission}'], 2))
-    initial = [f"{key}: {p!r}" for key, p in zip(id_keys, hmm.initial.tolist()) if p != 0.0]
-    pieces = ["".join([
-        '{\n "alphabet": ', _json_block("[", "]", [_json_value(s) for s in hmm.alphabet], 1),
-        ',\n "colors": ', _json_block("[", "]", colors, 1),
-        ',\n "states": ', _json_block("[", "]", states, 1),
-        ',\n "initial": ', _json_block("{", "}", initial, 1),
-        ',\n "transitions": {'])]
+    states = [{"id": sid, "color": color,
+               "emission": {sym: p for sym, p in zip(hmm.alphabet, row) if p != 0.0}}
+              for sid, color, row in zip(ids, hmm.state_colors.tolist(),
+                                         hmm.emissions.tolist())]
     t = hmm.transitions
-    sep = "\n  "
-    for key, lo, hi in zip(id_keys, t.indptr.tolist(), t.indptr[1:].tolist()):
-        row = [f"{id_keys[j]}: {p!r}"
-               for j, p in zip(t.indices[lo:hi].tolist(), t.data[lo:hi].tolist())]
-        pieces.append(f"{sep}{key}: " + _json_block("{", "}", row, 2))
-        sep = ",\n  "
-    pieces.append("\n }\n}\n")
-    return "".join(pieces)
+    transitions = {}
+    for sid, lo, hi in zip(ids, t.indptr.tolist(), t.indptr[1:].tolist()):
+        transitions[sid] = {ids[j]: p for j, p in zip(t.indices[lo:hi].tolist(),
+                                                      t.data[lo:hi].tolist())}
+    return json.dumps({
+        "alphabet": hmm.alphabet,
+        "colors": [{"id": i, "name": name} for i, name in enumerate(hmm.color_names)],
+        "states": states,
+        "initial": {sid: p for sid, p in zip(ids, hmm.initial.tolist()) if p != 0.0},
+        "transitions": transitions,
+    }, indent=1) + "\n"

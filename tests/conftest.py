@@ -85,6 +85,31 @@ def malformed_spec(name):
     return MALFORMED[name][0](copy.deepcopy(ONE_STATE_SPEC))
 
 
+# Malformed segment tables for a 10-position record q1: (rows after the
+# header, the ValueError message of read_segments with {path} for the file).
+BAD_TRUTH = {
+    "word-start": ("q1\tx\t10\t0\tA\n", "{path}:2: start is 'x', not an integer >= 0"),
+    "fractional-end": ("q1\t1\t10.0\t0\tA\n",
+                       "{path}:2: end is '10.0', not an integer >= 0"),
+    "negative-color": ("q1\t1\t10\t-1\tA\n",
+                       "{path}:2: color_id is '-1', not an integer >= 0"),
+    "bad-later-line": ("q1\t1\t4\t0\tA\n\nq1\t5\t1O\t1\tB\n",
+                       "{path}:4: end is '1O', not an integer >= 0"),
+    "gap": ("q1\t1\t6\t0\tA\nq1\t8\t10\t1\tB\n",
+            "{path}: record 'q1': segments do not tile the sequence at 8"),
+    "backwards": ("q1\t5\t3\t0\tA\n",
+                  "{path}: record 'q1': segments do not tile the sequence at 5"),
+}
+
+
+def bad_truth(tmp_path, case):
+    """(path of the BAD_TRUTH table `case`, its expected message)."""
+    rows, message = BAD_TRUTH[case]
+    path = tmp_path / "truth.tsv"
+    path.write_text("seq_id\tstart\tend\tcolor_id\tcolor_name\n" + rows)
+    return path, message.format(path=path)
+
+
 def t1_spec():
     return copy.deepcopy(T1_SPEC)
 

@@ -8,7 +8,7 @@ from gainhmm.cli import main
 from gainhmm.metrics import base_accuracy, boundary_metrics
 from gainhmm.model import SIDECAR_SUFFIX
 from gainhmm.seqio import FastaRecord, read_fasta, read_segments, write_fasta
-from conftest import MALFORMED, malformed_spec, t1_spec
+from conftest import BAD_TRUTH, MALFORMED, bad_truth, malformed_spec, t1_spec
 
 
 @pytest.fixture
@@ -71,6 +71,22 @@ class TestBuildModel:
         assert run("build-model", "--in", msa, "--out", tmp_path / "m.json") == 1
         err = capsys.readouterr().err
         assert "illegal character 'N' in subtype 'B' sequence 1 at column 3" in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--pj", "1", "--pj must be in [0, 1), not 1.0"),
+        ("--pj", "-0.1", "--pj must be in [0, 1), not -0.1"),
+        ("--pj", "nan", "--pj must be in [0, 1), not nan"),
+        ("--pseudocount", "0", "--pseudocount must be a finite number > 0, not 0.0"),
+        ("--pseudocount", "inf", "--pseudocount must be a finite number > 0, not inf"),
+        ("--pseudocount", "nan", "--pseudocount must be a finite number > 0, not nan"),
+    ], ids=["pj-1", "pj-negative", "pj-nan", "pseudocount-0", "pseudocount-inf",
+            "pseudocount-nan"])
+    def test_bad_flag_named(self, tmp_path, capsys, flag, value, message):
+        # The alignment does not exist: the flag is checked before anything is read.
+        assert run("build-model", "--in", tmp_path / "msa.fasta", "--out", tmp_path / "m.json",
+                   flag, value) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_upper_case_alignment_builds_the_same_model(self, tmp_path, msa_path):
         upper = tmp_path / "upper.fasta"
@@ -192,6 +208,21 @@ class TestSimulate:
             "--count", 3, "--seed", 5, "--min-segment", 60)
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "at.tsv").read_bytes() == (tmp_path / "bt.tsv").read_bytes()
+
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--count", -1, "--count must be an integer >= 0, not -1"),
+        ("--rate", 1.5, "--rate must be in [0, 1], not 1.5"),
+        ("--rate", "nan", "--rate must be in [0, 1], not nan"),
+        ("--min-segment", 0, "--min-segment must be an integer >= 1, not 0"),
+        ("--max-breakpoints", 0, "--max-breakpoints must be an integer >= 1, not 0"),
+    ], ids=["count", "rate", "rate-nan", "min-segment", "max-breakpoints"])
+    def test_bad_flag_named(self, tmp_path, capsys, flag, value, message):
+        # The alignment does not exist: the flag is checked before anything is read.
+        assert run("simulate", "--in", tmp_path / "msa.fasta", "--out", tmp_path / "q.fasta",
+                   "--truth", tmp_path / "t.tsv", flag, value) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBench:
@@ -330,6 +361,17 @@ class TestBench:
         err = capsys.readouterr().err
         assert f"record 'q0000': truth covers {length - 5} positions, " \
                f"the sequence has {length}" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_TRUTH))
+    def test_bad_truth_names_file_and_line_or_record(self, tmp_path, t1_model_path,
+                                                      capsys, case):
+        truth, message = bad_truth(tmp_path, case)
+        fasta = tmp_path / "q.fasta"
+        write_fasta(fasta, [("q1", "xy" * 5)])
+        assert run("bench", "--model", t1_model_path, "--in", fasta, "--truth", truth,
+                   "--out", tmp_path / "o.csv") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o.csv").exists()
 
     def test_truth_color_outside_model(self, tmp_path, msa_path, capsys):

@@ -106,12 +106,17 @@ class TestProfiles:
             build_profile("X", [], JumpingHmmSpec())
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            JumpingHmmSpec(jump_prob=1.5)
-        with pytest.raises(ValueError):
-            JumpingHmmSpec(jump_prob=1.0)
-        with pytest.raises(ValueError):
-            JumpingHmmSpec(pseudocount=0.0)
+        for fields, message in [
+            (dict(jump_prob=1.5), "jump_prob must be in [0, 1), not 1.5"),
+            (dict(jump_prob=1.0), "jump_prob must be in [0, 1), not 1.0"),
+            (dict(jump_prob=math.nan), "jump_prob must be in [0, 1), not nan"),
+            (dict(pseudocount=0.0), "pseudocount must be a finite number > 0, not 0.0"),
+            (dict(pseudocount=math.inf), "pseudocount must be a finite number > 0, not inf"),
+            (dict(pseudocount=math.nan), "pseudocount must be a finite number > 0, not nan"),
+        ]:
+            with pytest.raises(ValueError) as e:
+                JumpingHmmSpec(**fields)
+            assert str(e.value) == message
 
     def test_alignment_validation(self):
         with pytest.raises(ValueError, match="columns"):

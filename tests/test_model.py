@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import sparse
 
 from gainhmm import (
@@ -113,10 +113,12 @@ def drawn_model(seed, n_states, shape, names, zero_initial, alphabet):
 
 MODEL_DRAWS = dict(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 12),
                    shape=st.sampled_from(["dense", "sparse", "repeated"]),
-                   names=st.sampled_from(["plain", "unicode", "numbers"]),
+                   names=st.sampled_from(["plain", "unicode"]),
                    zero_initial=st.booleans(),
-                   alphabet=st.sampled_from([None, [0, 1, 2], [0.5, True, None],
-                                             ["\u00e9", "x", "\x7f"]]))
+                   alphabet=st.sampled_from([None, ["\u00e9", "x", "\x7f"]]))
+# Drawn models save_model refuses: numeric state ids, a non-string alphabet, or both.
+REFUSED_DRAWS = dict(MODEL_DRAWS, names=st.sampled_from(["plain", "numbers"]),
+                     alphabet=st.sampled_from([None, [0, 1, 2], [0.5, True, None]]))
 
 JSON_LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3),
@@ -430,6 +432,52 @@ class TestSerialization:
             build_hmm({"alphabet": ["x"], "colors": [], "states": [], "initial": {}})
 
 
+def assert_refused(hmm, message, directory):
+    """save_model and hmm_to_dict refuse `hmm` with `message`; no file is created or changed."""
+    with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
+        hmm_to_dict(hmm)
+    kept = directory / "kept.json"
+    save_model(build_hmm(t1_spec()), kept)
+    before = {p: p.read_bytes() for p in (kept, sidecar_of(kept))}
+    for path in (kept, directory / "new.json"):
+        with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
+            save_model(hmm, path)
+    assert {p: p.read_bytes() for p in directory.iterdir()} == before
+
+
+class TestSaveRefusesNonStrings:
+    """JSON object keys are strings, so save_model writes only string-keyed models."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"state_ids": [0, 1]}, "state id 1 is 0, not a string"),
+        ({"state_ids": ["s_A", 1.5]}, "state id 2 is 1.5, not a string"),
+        ({"alphabet": [0, 1]}, "alphabet symbol 1 is 0, not a string"),
+        ({"alphabet": ["x", None]}, "alphabet symbol 2 is None, not a string"),
+        ({"color_names": [1, None]}, "color name 1 is 1, not a string"),
+        ({"color_names": ["A", b"B"]}, "color name 2 is b'B', not a string"),
+        ({"state_ids": ["s_A", 0], "alphabet": [True, "y"], "color_names": [None, "B"]},
+         "state id 2 is 0, not a string"),
+        ({"alphabet": [True, "y"], "color_names": [None, "B"]},
+         "alphabet symbol 1 is True, not a string"),
+    ], ids=["ids", "second-id", "symbols", "second-symbol", "color-names",
+            "second-color-name", "ids-first", "symbols-before-color-names"])
+    def test_refused(self, tmp_path, t1, fields, message):
+        args = dict(state_ids=t1.state_ids, state_colors=t1.state_colors,
+                    color_names=t1.color_names, alphabet=t1.alphabet, initial=t1.initial,
+                    transitions=t1.transitions, emissions=t1.emissions)
+        assert_refused(Hmm(**{**args, **fields}), message, tmp_path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**REFUSED_DRAWS)
+    def test_drawn_model_refused(self, tmp_path_factory, **draws):
+        assume(draws["names"] == "numbers" or draws["alphabet"] is not None)
+        hmm = drawn_model(**draws)
+        first = ("state id", 0) if draws["names"] == "numbers" else \
+            ("alphabet symbol", draws["alphabet"][0])
+        assert_refused(hmm, "{} 1 is {!r}, not a string".format(*first),
+                       tmp_path_factory.mktemp("refuse"))
+
+
 class TestColorGraph:
     def test_t1_all_pairs(self, t1):
         g = color_graph(t1)
@@ -535,8 +583,10 @@ class TestBulkModelFiles:
                   np.full(4, 0.25), np.full((4, 4), 0.25), emis)
         path = tmp_path / "model.json"
         save_model(hmm, path)
-        assert path.read_bytes() == (json.dumps(hmm_to_dict(hmm), indent=1) + "\n").encode()
+        assert path.read_text() == _oracles.reference_model_json(hmm)
         assert_same_hmm(load_model(path), hmm, dtypes=False)
+        sidecar_of(path).unlink()
+        assert_same_hmm(load_from_json(path), hmm, dtypes=False)
 
 
 def sidecar_of(path):
@@ -617,13 +667,7 @@ class TestSidecar:
         with_sidecar, from_json = load_tracking_json(path)
         sidecar_of(path).unlink()
         without = load_from_json(path)
-        try:
-            reference = _oracles.reference_build_hmm(json.loads(path.read_text()))
-        except (KeyError, TypeError, ValueError):
-            # JSON object keys are strings: a model keyed by numbers or
-            # other non-strings does not load, and its sidecar is not used.
-            assert isinstance(without, str) and with_sidecar == without
-            return
+        reference = _oracles.reference_build_hmm(json.loads(path.read_text()))
         assert not from_json
         assert_same_hmm(with_sidecar, reference)
         assert_same_hmm(without, reference)
@@ -648,12 +692,11 @@ class TestSidecar:
             np.testing.assert_array_equal(got, want)
         assert_same_hmm(load_from_sidecar(path), hmm, dtypes=False)
 
-    def test_color_names_read_as_strings(self, tmp_path, t1):
+    def test_color_names_read_as_strings(self, tmp_path):
+        spec = t1_spec()
+        spec["colors"] = [{"id": 0, "name": 1}, {"id": 1, "name": None}]
         path = tmp_path / "t1.json"
-        save_model(Hmm(t1.state_ids, t1.state_colors, [1, None], t1.alphabet, t1.initial,
-                       t1.transitions, t1.emissions), path)
-        assert load_from_sidecar(path).color_names == ["1", "None"]
-        sidecar_of(path).unlink()
+        path.write_text(json.dumps(spec))
         assert load_from_json(path).color_names == ["1", "None"]
 
     @pytest.mark.parametrize("how", [

@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from gainhmm.seqio import (
     write_fasta,
     write_segments,
 )
+from conftest import BAD_TRUTH, bad_truth
 
 
 class TestFasta:
@@ -79,6 +81,12 @@ class TestSegments:
         path = tmp_path / "seg.tsv"
         path.write_text("seq_id\tstart\tend\tcolor_id\tcolor_name\nq1\t1\t2\n")
         with pytest.raises(ValueError, match=":2"):
+            read_segments(path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_TRUTH))
+    def test_bad_field_names_file_and_line_or_record(self, tmp_path, case):
+        path, message = bad_truth(tmp_path, case)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_segments(path)
 
 

@@ -1,14 +1,17 @@
 import math
+import re
 
 import pytest
 
 from gainhmm import (
+    Hmm,
     make_alignment,
     random_recombinants,
     sample_path,
     simulate_recombinant,
     synthetic_subtypes,
 )
+from gainhmm.simulate import check_recombinant_args
 
 
 @pytest.fixture
@@ -40,6 +43,14 @@ class TestSamplePath:
     def test_length_validated(self, t1):
         with pytest.raises(ValueError):
             sample_path(t1, 0, seed=0)
+
+    def test_non_string_alphabet_gives_a_list(self, t1):
+        hmm = Hmm(t1.state_ids, t1.state_colors, t1.color_names, [0, 1], t1.initial,
+                  t1.transitions, t1.emissions)
+        states, symbols = sample_path(hmm, 50, seed=9)
+        want_states, text = sample_path(t1, 50, seed=9)
+        assert states.tolist() == want_states.tolist()
+        assert symbols == [t1.alphabet.index(c) for c in text]
 
 
 class TestSimulateRecombinant:
@@ -140,3 +151,21 @@ class TestRandomRecombinants:
         with pytest.raises(ValueError, match="too short"):
             random_recombinants(msa, 1, seed=0, breakpoint_range=(1, 3),
                                 min_segment=100)
+
+    @pytest.mark.parametrize("args, message", [
+        (dict(count=-1), "count must be an integer >= 0, not -1"),
+        (dict(breakpoint_range=(0, 2)), "breakpoint_range[0] must be an integer >= 1, not 0"),
+        (dict(breakpoint_range=(2, 1)), "breakpoint_range[1] must be an integer >= 2, not 1"),
+        (dict(min_segment=0), "min_segment must be an integer >= 1, not 0"),
+        (dict(mutation_rate=math.nan), "mutation_rate must be in [0, 1], not nan"),
+        (dict(count=0, mutation_rate=1.5), "mutation_rate must be in [0, 1], not 1.5"),
+    ], ids=["count", "low-breakpoints", "high-breakpoints", "min-segment", "rate-nan",
+            "rate-with-no-records"])
+    def test_bad_argument_named(self, m1, args, message):
+        # Checked before the alignment is used: m1 is too short for any draw.
+        full = dict(count=1, breakpoint_range=(1, 3), min_segment=100, mutation_rate=0.0)
+        full.update(args)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            random_recombinants(m1, seed=0, **full)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_recombinant_args(**full)
