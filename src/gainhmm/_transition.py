@@ -17,24 +17,24 @@ predecessor in an (n, S) uint8 array, which the traceback follows. At
 S = 48 CSR kernels cost more than dense ones: scipy's per-call dispatch
 more than doubles the forward loop's time.
 
-Above the limit the operator keeps its tables in a state order of its
-own (`_level_order`); inputs and outputs stay in file order. On a
-jumping model that order is the column-major layout (I0 of every
-profile, then M1 of every profile, ...), every transition points
-forward, and the states active at one position lie in one short window
-[lo, hi) of positions. Each step works on one slice of CSR rows, so
-memory grows with the windows, not with n * S:
+Above the limit the kernels keep, per position, one window [lo, hi) of
+state indices. They are exact in any state order, and fast when
+transitions point forward and the states active at one position lie close
+together, as in a jumping model's column-major layout (I0 of every
+profile, then M1 of every profile, ...). A jumping model stored in another
+order decodes alike on windows many times wider. Each step works on one
+slice of CSR rows, so memory grows with the windows, not with n * S:
 
 - Forward keeps the window from the first to the last scaled entry
   alphahat[t, v] above CUT, a cut relative to the row (alphahat rows
   sum to 1); `dropped` adds up what falls outside. Each entry sums its
-  predecessor row in file index order and each scale a row laid out by
-  file index, so the scales equal those of a product over all S states
-  in file order, bit for bit. Backward computes betahat on the same
-  windows, so the posteriors are those of the cut lattice.
+  predecessor row in index order and each scale a row of all S states,
+  so the scales equal those of a product over all S states, bit for bit.
+  Backward computes betahat on the same windows, so the posteriors are
+  those of the cut lattice.
 - Viterbi keeps the window from the first to the last score within
   -ln(CUT) of the position's best (a beam), each score the maximum over
-  its predecessor row. Those rows list states by file index, so the
+  its predecessor row. Those rows list states by index, so the
   traceback, which re-derives each predecessor from the stored windows,
   keeps the dense kernels' tie rule.
 - Neither cut is provably exact: a path can sink below the cut and later
@@ -53,7 +53,6 @@ same rows.
 from __future__ import annotations
 
 import threading
-from array import array
 from collections import namedtuple
 
 import numpy as np
@@ -82,10 +81,10 @@ _BUILD_LOCK = threading.Lock()
 # data[j] * x[indices[j]] to out[i], j = indptr[i] .. indptr[i + 1] - 1 in order.
 _csr_matvec = _sparsetools.csr_matvec
 
-# Window rows: row t holds the states at positions lo[t] .. lo[t] + k - 1
-# of the operator's order, k = indptr[t + 1] - indptr[t], with alphahat,
-# betahat and w = emis[., obs[t]] * betahat there (w is 0 in row 0);
-# dropped is the alphahat mass outside the windows over the record.
+# Window rows: row t holds the states lo[t] .. lo[t] + k - 1, k = indptr[t + 1]
+# - indptr[t], with alphahat, betahat and w = emis[., obs[t]] * betahat there
+# (w is 0 in row 0); dropped is the alphahat mass outside the windows over the
+# record.
 Ragged = namedtuple("Ragged", "indptr lo alpha beta w scales dropped")
 
 
@@ -106,7 +105,7 @@ def _window_chunks(lo, ends, n_gaps, budget):
     Gaps k0 .. k1 - 1 fill two (top - base + 1, k1 - k0 + 1) buffers,
     base and top the least start and the greatest end of the windows of
     rows k0 .. k1. Each range takes the most gaps that keep a buffer
-    within `budget` entries: windows drift along the state order, so a
+    within `budget` entries: windows drift along the state indices, so a
     long range spans far more states than one window.
     """
     k0 = 0
@@ -122,33 +121,6 @@ def _window_chunks(lo, ends, n_gaps, budget):
         k0 = k1
 
 
-def _level_order(t):
-    """State indices by longest-path level over t minus its self-loops.
-
-    Kahn's algorithm; ties go by index, and the states it leaves (on or
-    behind a cycle) come last, in index order. When self-loops are the
-    only cycles, every transition goes to the same or a later position.
-    """
-    n = t.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(t.indptr))
-    off = rows != t.indices
-    succ = array("q", t.indices[off].astype(np.int64).tobytes())  # half a list's memory
-    ptr = np.searchsorted(rows[off], np.arange(n + 1)).tolist()
-    indeg = np.bincount(t.indices[off], minlength=n).tolist()
-    queue = [v for v in range(n) if not indeg[v]]
-    level = [n if d else 0 for d in indeg]  # states Kahn's algorithm leaves keep n
-    # The queue runs level by level, so the predecessor that frees a state
-    # last has its deepest level.
-    for u in queue:
-        nxt = level[u] + 1
-        for v in succ[ptr[u]:ptr[u + 1]]:
-            indeg[v] -= 1
-            if not indeg[v]:
-                level[v] = nxt
-                queue.append(v)
-    return np.argsort(level, kind="stable")
-
-
 def _impossible(t):
     return ZeroLikelihoodError(f"sequence impossible under model at position {t + 1}")
 
@@ -159,8 +131,6 @@ class TransitionOperator:
     Attributes:
         is_sparse: the model has more than DENSE_STATE_LIMIT states; turns
             on the window kernels
-        order: the file index of the state at each position of the
-            tables below (the identity for dense kernels)
         initial: the model's initial distribution
         emis_rows: (A, S) emissions, row a holds every state's
             probability of symbol a
@@ -179,41 +149,35 @@ class TransitionOperator:
             run), block the (rows, S) CSR matrix of their transitions to c2
         succ, pred: (sparse kernels) (indptr, indices, data) of T and
             (indptr, indices, data, log data) of T transposed, each row
-            listing its states by file index; a state with no predecessor
+            listing its states by index; a state with no predecessor
             lists itself at 0
         reach: (sparse kernels) (floor, ceil): rows u and later reach
-            no position below floor[u], rows up to u none from ceil[u] on
+            no state below floor[u], rows up to u none from ceil[u] on
     """
 
     def __init__(self, hmm):
         t, n_states = hmm.transitions, hmm.n_states
         self.is_sparse = n_states > DENSE_STATE_LIMIT
-        self.order = order = _level_order(t) if self.is_sparse else np.arange(n_states)
-        self.initial = hmm.initial[order]
-        self.emis_rows = np.ascontiguousarray(hmm.emissions[order].T)
+        self.initial = hmm.initial
+        self.emis_rows = np.ascontiguousarray(hmm.emissions.T)
         with np.errstate(divide="ignore"):
             self.log_emis_rows = np.log(self.emis_rows)
             self.log_initial = np.log(self.initial)
-        self.colors = colors = hmm.state_colors[order]
+        self.colors = colors = hmm.state_colors
         self.n_colors = n_colors = hmm.n_colors
-        rank = np.empty_like(order)
-        rank[order] = np.arange(n_states)
-        # t's entries in its own (row-major) order, as positions
-        r = rank[np.repeat(np.arange(n_states), np.diff(t.indptr))]
-        c, v = rank[t.indices], t.data
-        at = np.arange(n_states + 1)
+        # t's entries in row-major order, column indices ascending in a row
+        ptr = t.indptr.astype(np.int64)
+        r, c, v = np.repeat(np.arange(n_states), np.diff(ptr)), t.indices.astype(np.int64), t.data
         if self.is_sparse:
-            # Stable sorts keep t's order within each row: file index order. A
-            # state with no predecessor gets itself at 0, so every max has one.
+            # A stable sort keeps each predecessor row in index order. A state
+            # with no predecessor gets itself at 0, so every max has one.
+            at = np.arange(n_states + 1)
             lone = np.flatnonzero(np.bincount(c, minlength=n_states) == 0)
             pr, pc = np.concatenate((r, lone)), np.concatenate((c, lone))
             by_pred = np.argsort(pc, kind="stable")
             pv = np.concatenate((v, np.zeros(lone.size)))[by_pred]
             with np.errstate(divide="ignore"):
                 self.pred = (np.searchsorted(pc[by_pred], at), pr[by_pred], pv, np.log(pv))
-            by_row = np.argsort(r, kind="stable")
-            r, c, v = r[by_row], c[by_row], v[by_row]
-            ptr = np.searchsorted(r, at)
             self.succ = (ptr, c, v)
             low = np.minimum(np.minimum.reduceat(c, ptr[:-1]), at[:-1])
             high = np.maximum(np.maximum.reduceat(c, ptr[:-1]), at[:-1]) + 1
@@ -316,13 +280,12 @@ class TransitionOperator:
     def _ragged_forward(self, obs, cut):
         """(indptr, lo, alpha, scales, dropped) of the windows of alphahat above `cut`."""
         (ptr, preds, data, _), (floor, ceil) = self.pred, self.reach
-        emis, order, n_states = self.emis_rows, self.order, self.initial.size
-        full = np.zeros(n_states)  # the last window's alphahat
-        file_row = np.zeros(n_states)
+        emis, n_states = self.emis_rows, self.initial.size
+        full = np.zeros(n_states)  # the last window's alphahat, then the step's row
         los, rows, scales, dropped = [], [], [], 0.0
         for t, sym in enumerate(obs.tolist()):
             if t:
-                # every position the window reaches; the rest of full is 0
+                # every state the window reaches; the rest of full is 0
                 base, top = floor[lo], ceil[hi - 1]
                 full[lo:hi] = x
                 a = np.zeros(top - base)
@@ -330,11 +293,11 @@ class TransitionOperator:
                 full[lo:hi] = 0.0
                 a *= emis[sym][base:top]
             else:
-                base, top, a = 0, file_row.size, self.initial * emis[sym]
-            at = order[base:top]
-            file_row[at] = a
-            scale = np.add.reduce(file_row)
-            file_row[at] = 0.0
+                base, top, a = 0, n_states, self.initial * emis[sym]
+            # the scale sums a row of all S states, as a product over all S would
+            full[base:top] = a
+            scale = np.add.reduce(full)
+            full[base:top] = 0.0
             if scale <= 0.0:
                 raise _impossible(t)
             scales.append(scale)
@@ -395,7 +358,7 @@ class TransitionOperator:
         pair = np.zeros((max(n - 1, 0), n_colors, n_colors))
         if ragged:
             indptr, counts = lat.indptr, np.diff(lat.indptr)
-            # entry i of row t is at position i - shift[t] of the order
+            # entry i of row t is state i - shift[t]
             shift, ends = indptr[:-1] - lat.lo, lat.lo + counts
             chunks = _window_chunks(lat.lo, ends, n - 1, WINDOW_CHUNK_BYTES // 8)
         else:
@@ -515,7 +478,7 @@ class TransitionOperator:
         rows = []
         for t, sym in enumerate(obs.tolist()):
             if t:
-                # best predecessor of every position the window reaches
+                # best predecessor of every state the window reaches
                 base, top = floor[lo], ceil[hi - 1]
                 full[lo:hi] = score[1:-1]
                 s, e = pptr_list[base], pptr_list[top]
@@ -534,21 +497,20 @@ class TransitionOperator:
         return rows
 
     def _beam_traceback(self, rows):
-        """(path, log probability) from the windows of `_beam_scores`, as
-        file indices. Each predecessor is the first maximum over the
-        predecessor row (file index order), with every state outside the
-        window at -inf; ties at the end go to the smallest file index."""
+        """(path, log probability) from the windows of `_beam_scores`. Each
+        predecessor is the first maximum over the predecessor row (index
+        order), with every state outside the window at -inf; ties at the
+        end go to the smallest index."""
         pptr, preds, _, plog = self.pred
-        bounds, order = pptr.tolist(), self.order
+        bounds = pptr.tolist()
         start, score = rows[-1]
-        best_logp = score.max()
-        ties = np.flatnonzero(score == best_logp) + start
-        v = int(ties[np.argmin(order[ties])])
+        best_logp = float(score.max())
+        v = start + int(score.argmax())
         path = [v]
         for start, score in rows[-2::-1]:
             s, e = bounds[v], bounds[v + 1]
-            # positions outside the window clip to its -inf ends
+            # states outside the window clip to its -inf ends
             cand = score.take(preds[s:e] - start, mode="clip") + plog[s:e]
             v = int(preds[s + int(cand.argmax())])
             path.append(v)
-        return order[path[::-1]], float(best_logp)
+        return np.array(path[::-1], dtype=np.int64), best_logp

@@ -98,6 +98,18 @@ def cmd_simulate(args):
     return 0
 
 
+def _read_queries(path):
+    """The FASTA records of a query file; segment tables key rows by record
+    id, so a repeated id is refused."""
+    records = read_fasta(path)
+    seen = set()
+    for rec in records:
+        if rec.id in seen:
+            raise ValueError(f"{path}: record id {rec.id!r} appears more than once")
+        seen.add(rec.id)
+    return records
+
+
 def _decode_one(decoder, hmm, graph, seq, params):
     if decoder == "viterbi":
         return viterbi_decode(hmm, seq)[0]
@@ -114,7 +126,7 @@ def cmd_decode(args):
                          GainParams, window=args.W, gamma=args.gamma, alpha=args.alpha)
     hmm = load_model(args.model)
     graph = color_graph(hmm)
-    records = read_fasta(args.input)
+    records = _read_queries(args.input)
     entries = []
     for rec in records:
         try:
@@ -168,7 +180,7 @@ def cmd_bench(args):
 
     hmm = load_model(args.model)
     graph = color_graph(hmm)
-    records = read_fasta(args.input)
+    records = _read_queries(args.input)
     if not records:
         raise ValueError(f"{args.input}: no FASTA records to benchmark")
     truth = read_segments(args.truth)

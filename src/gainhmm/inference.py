@@ -74,11 +74,11 @@ def viterbi_decode(hmm, seq):
     toward the smallest state index. On dense kernels the forward pass
     records each state's best predecessor (one byte per state and
     position) and the traceback follows them. On sparse kernels it keeps,
-    per position, the window of states in the operator's level order that
-    runs from the first to the last score within a beam of the best; the
-    traceback re-derives each predecessor by argmax over the stored
-    windows, with predecessors listed by state index, which reproduces
-    the forward tie-break.
+    per position, the run of state indices from the first to the last
+    score within a beam of the best; the traceback re-derives each
+    predecessor by argmax over the stored windows, with predecessors
+    listed by state index, which reproduces the forward tie-break. A
+    jumping model's column-major layout keeps those runs short.
     Raises ZeroLikelihoodError naming the first position at which every
     state scores -inf.
     """

@@ -7,9 +7,10 @@ other profiles. Every state of a profile carries that profile's color, so
 a decoded coloring reads directly as a subtype segmentation and a color
 change as a candidate recombination breakpoint.
 
-The assembled model holds emitting states only. Profile p occupies the
-block of states starting at p(2L+1), laid out as I0, M1, I1, ..., ML, IL,
-so every transition is index arithmetic on that layout. Delete states are
+The assembled model holds emitting states only, column-major: slot j of
+profile p (slots I0, M1, I1, ..., ML, IL) is state j * P + p, so every
+transition is index arithmetic on that layout and every one but a
+self-loop points to a later state. Delete states are
 silent and never built: a delete chain only advances, D_c -> D_{c+1} with
 probability delete_self and D_c -> M_{c+1} otherwise, so the mass it hands
 to each later match state and to the terminal insert is a geometric
@@ -177,13 +178,13 @@ def _geometric(first, ratio, limit):
 def assemble_jumping_hmm(profiles, jump_prob):
     """One labeled HMM from per-subtype profiles plus jump transitions.
 
-    Profile p occupies states p(2L+1) onwards as I0, M1, I1, ..., ML, IL
-    and carries color p; the initial distribution is uniform over
-    profiles. Match rows at columns < L keep (1 - P_j) of their
-    within-profile mass and split P_j over the other profiles' next match
-    states; M_L funnels into the terminal insert I_L, which absorbs.
-    Delete states are never built: the mass a match state (or the start)
-    sends into D_{c+1} goes straight to where the delete chain emits.
+    Slot j of profile p (I0, M1, I1, ..., ML, IL) is state j * P + p and
+    carries color p; the initial distribution is uniform over profiles.
+    Match rows at columns < L keep (1 - P_j) of their within-profile mass
+    and split P_j over the other profiles' next match states; M_L funnels
+    into the terminal insert I_L, which absorbs. Delete states are never
+    built: the mass a match state (or the start) sends into D_{c+1} goes
+    straight to where the delete chain emits.
     """
     if not 0.0 <= jump_prob < 1.0:
         raise ValueError("jump probability must be in [0, 1)")
@@ -199,7 +200,7 @@ def assemble_jumping_hmm(profiles, jump_prob):
     # A delete chain entered at D_d hands to_match[j] to M_{d+1+j} and
     # to_end[L-d] to I_L, products taken in the order that resolving the
     # chain one delete state at a time takes them. chain_* list those
-    # (d, target, mass) triples; within a block I_c is at 2c, M_c at 2c-1.
+    # (d, target, mass) triples as slots: I_c is slot 2c, M_c slot 2c-1.
     ds = spec.delete_self
     to_match, to_end = _geometric(1.0 - ds, ds, length - 1), _geometric(1.0, ds, length)
     d = np.arange(1, length + 1)
@@ -210,18 +211,20 @@ def assemble_jumping_hmm(profiles, jump_prob):
     chain_q = np.concatenate((to_match[hit_j], to_end[length - end_d]))
     from_m, ins, mat = chain_d > 1, 2 * d - 2, 2 * d[:-1] - 1
 
-    b = block * np.arange(n_prof)[:, None]
-    src, dst = np.nonzero(~np.eye(n_prof, dtype=bool))
+    def at(slot, prof=np.arange(n_prof)[:, None]):
+        return slot * n_prof + prof
+
+    src, dst = (q[:, None] for q in np.nonzero(~np.eye(n_prof, dtype=bool)))
     edges = [  # (from, to, probability); zero entries are dropped by Hmm
-        (b + ins, b + ins, spec.insert_self),
-        (b + ins, b + ins + 1, 1.0 - spec.insert_self),
-        (b + block - 1, b + block - 1, 1.0),
-        (b + mat, b + mat + 2, spec.match_advance * keep),
-        (b + mat, b + mat + 1, spec.match_insert * keep),
-        (b + block - 2, b + block - 1, 1.0),
-        (b + 2 * chain_d[from_m] - 3, b + chain_to[from_m],
+        (at(ins), at(ins), spec.insert_self),
+        (at(ins), at(ins + 1), 1.0 - spec.insert_self),
+        (at(block - 1), at(block - 1), 1.0),
+        (at(mat), at(mat + 2), spec.match_advance * keep),
+        (at(mat), at(mat + 1), spec.match_insert * keep),
+        (at(block - 2), at(block - 1), 1.0),
+        (at(2 * chain_d[from_m] - 3), at(chain_to[from_m]),
          (spec.match_delete * keep) * chain_q[from_m]),
-        (b[src] + mat, b[dst] + mat + 2, jump_prob / (n_prof - 1)),
+        (at(mat, src), at(mat + 2, dst), jump_prob / (n_prof - 1)),
     ]
     rows, cols, vals = (np.concatenate([a.ravel() for a in part])
                         for part in zip(*(np.broadcast_arrays(*e) for e in edges)))
@@ -231,17 +234,17 @@ def assemble_jumping_hmm(profiles, jump_prob):
     start[:2] = spec.match_insert * share, spec.match_advance * share
     start[chain_to[~from_m]] = (spec.match_delete * share) * chain_q[~from_m]
 
-    emissions = np.empty((n_prof, block, len(DNA)))
-    emissions[:, 0::2] = np.array([p.insert_emission for p in profiles])[:, None]
-    emissions[:, 1::2] = [p.match_emission for p in profiles]
+    emissions = np.empty((block, n_prof, len(DNA)))
+    emissions[0::2] = [p.insert_emission for p in profiles]
+    emissions[1::2] = np.array([p.match_emission for p in profiles]).transpose(1, 0, 2)
     layout = ["I0"] + [f"{k}{col}" for col in range(1, length + 1) for k in "MI"]
     n = n_prof * block
     return Hmm(
-        state_ids=[f"{p.name}:{state}" for p in profiles for state in layout],
-        state_colors=np.repeat(np.arange(n_prof), block),
+        state_ids=[f"{p.name}:{state}" for state in layout for p in profiles],
+        state_colors=np.tile(np.arange(n_prof), block),
         color_names=[p.name for p in profiles],
         alphabet=list(DNA),
-        initial=np.tile(start, n_prof),
+        initial=np.repeat(start, n_prof),
         transitions=sparse.coo_array((vals, (rows, cols)), shape=(n, n)),
         emissions=emissions.reshape(n, len(DNA)),
     )

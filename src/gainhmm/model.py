@@ -41,7 +41,7 @@ WRITE_BLOCK = 1 << 14
 # transitions. load_model reads a model from the sidecar that carries its
 # file's hash; a new SIDECAR_FORMAT makes every older sidecar ignored.
 SIDECAR_SUFFIX = ".arrays"
-SIDECAR_FORMAT = b"gainhmm-arrays/1"
+SIDECAR_FORMAT = b"gainhmm-arrays/2"
 
 
 class InvalidModelError(ValueError):

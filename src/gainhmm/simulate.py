@@ -168,7 +168,8 @@ def random_recombinants(msa, count, seed, breakpoint_range=(1, 3),
     rng = np.random.default_rng(seed)
     lo, hi = breakpoint_range
     if (hi + 1) * min_segment > msa.length:
-        raise ValueError("alignment too short for the requested segmentation")
+        raise ValueError(f"alignment has {msa.length} columns; {hi} breakpoints with "
+                         f"spans of at least {min_segment} columns need {(hi + 1) * min_segment}")
     records = []
     for _ in range(count):
         n_breaks = int(rng.integers(lo, hi + 1))

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy import sparse
 
-from gainhmm import build_hmm
+from gainhmm import Hmm, build_hmm
 
 # On CI (GitHub Actions sets CI) a failing example prints the
 # @reproduce_failure blob that replays it, and no example database is kept.
@@ -162,3 +163,21 @@ def random_model(rng, n_states, n_colors, n_symbols=2, sparsity=0.0):
 
 def random_seq(rng, alphabet, length):
     return "".join(alphabet[i] for i in rng.integers(len(alphabet), size=length))
+
+
+def permuted(hmm, order):
+    """The model with its states renumbered: state i is hmm's state order[i]."""
+    t = hmm.transitions
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    rows = np.repeat(np.arange(hmm.n_states), np.diff(t.indptr))
+    return Hmm([hmm.state_ids[i] for i in order], hmm.state_colors[order], hmm.color_names,
+               hmm.alphabet, hmm.initial[order],
+               sparse.coo_array((t.data, (rank[rows], rank[t.indices])), shape=t.shape),
+               hmm.emissions[order])
+
+
+def column_major(n_profiles, block):
+    """The profile-major index (p * block + j) of each state of a jumping
+    model's column-major layout (j * n_profiles + p), block = 2L + 1."""
+    return (np.arange(block)[:, None] + block * np.arange(n_profiles)).ravel()

@@ -179,6 +179,16 @@ class TestDecode:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_repeated_record_id_rejected(self, tmp_path, t1_model_path, capsys, monkeypatch):
+        fasta = tmp_path / "q.fasta"
+        write_fasta(fasta, [("q1", "xy"), ("q2", "yy"), ("q1", "xx")])
+        TestBench.forbid_decoding(monkeypatch)
+        assert run("decode", "--model", t1_model_path, "--in", fasta,
+                   "--out", tmp_path / "o.tsv", "--decoder", "viterbi") == 1
+        assert capsys.readouterr().err == \
+            f"error: {fasta}: record id 'q1' appears more than once\n"
+        assert not (tmp_path / "o.tsv").exists()
+
     def test_unknown_decoder_rejected(self, tmp_path, t1_model_path):
         fasta = tmp_path / "q.fasta"
         write_fasta(fasta, [("q1", "xy")])
@@ -223,6 +233,14 @@ class TestSimulate:
                    "--truth", tmp_path / "t.tsv", flag, value) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+
+    def test_alignment_too_short_names_columns(self, tmp_path, msa_path, capsys):
+        assert run("simulate", "--in", msa_path, "--out", tmp_path / "q.fasta",
+                   "--truth", tmp_path / "t.tsv", "--min-segment", 200) == 1
+        assert capsys.readouterr().err == ("error: alignment has 300 columns; 3 breakpoints "
+                                           "with spans of at least 200 columns need 800\n")
+        assert not (tmp_path / "q.fasta").exists() and not (tmp_path / "t.tsv").exists()
 
 
 class TestBench:
@@ -440,6 +458,17 @@ class TestBench:
         assert run("bench", "--model", model, "--in", empty, "--truth", truth,
                    "--out", tmp_path / "o.csv") == 1
         assert capsys.readouterr().err == f"error: {empty}: no FASTA records to benchmark\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_repeated_record_id_rejected(self, tmp_path, msa_path, capsys, monkeypatch):
+        model, fasta, truth = self.setup_run(tmp_path, msa_path, count=2)
+        records = read_fasta(fasta)
+        write_fasta(fasta, records + records[:1])
+        self.forbid_decoding(monkeypatch)
+        assert run("bench", "--model", model, "--in", fasta, "--truth", truth,
+                   "--out", tmp_path / "o.csv") == 1
+        assert capsys.readouterr().err == \
+            f"error: {fasta}: record id {records[0].id!r} appears more than once\n"
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("flag, value, message", [

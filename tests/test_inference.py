@@ -34,7 +34,7 @@ from gainhmm import (
 from gainhmm import _transition
 from gainhmm.simulate import sample_path
 import _oracles
-from conftest import random_model, random_seq, t1_spec
+from conftest import column_major, permuted, random_model, random_seq, t1_spec
 
 # Hand-derived T1 "xy" quantities; the four state paths have joint
 # probabilities 0.0405 (AA), 0.036 (AB), 0.002 (BA), 0.064 (BB).
@@ -279,17 +279,15 @@ class TestImpossiblePosition:
                 decode(hmm, "yx")
 
 
-def sparse_kernel_copy(hmm, order=_transition._level_order):
+def sparse_kernel_copy(hmm):
     """A copy of the model that decodes with the sparse kernels at any size.
 
     The operator is built on the copy's first decode and cached, so
-    building it here with the dense limit patched to 0 fixes its kernels;
-    `order` maps the transitions to the state order they run in.
+    building it here with the dense limit patched to 0 fixes its kernels.
     """
     twin = Hmm(hmm.state_ids, hmm.state_colors, hmm.color_names, hmm.alphabet,
                hmm.initial, hmm.transitions, hmm.emissions)
-    with mock.patch.object(_transition, "DENSE_STATE_LIMIT", 0), \
-            mock.patch.object(_transition, "_level_order", order):
+    with mock.patch.object(_transition, "DENSE_STATE_LIMIT", 0):
         assert _transition.operator_of(twin).is_sparse
     return twin
 
@@ -363,13 +361,13 @@ def decode_instances(draw):
     return hmm, seq
 
 
-# State orders for the sparse kernels: their own level order, and file
-# order and its reverse. On a jumping model the level order makes every
-# transition point forward and windows short; in file order windows are
-# wide, and reversed every transition but the self-loops points backward.
-ORDERS = {"level": _transition._level_order,
-          "identity": lambda t: np.arange(t.shape[0]),
-          "reversed": lambda t: np.arange(t.shape[0])[::-1].copy()}
+# State renumberings, by state count: the kernels run in file order. A
+# jumping model's own column-major order makes every transition but the
+# self-loops point forward and windows short; reversed, every one points
+# backward; shuffled, windows are wide.
+ORDERS = {"identity": np.arange,
+          "reversed": lambda n: np.arange(n)[::-1].copy(),
+          "shuffled": lambda n: np.random.default_rng(n).permutation(n)}
 
 # (CHUNK_BYTES per state, WINDOW_CHUNK_BYTES per state and buffer zero row)
 # that make the posterior assembly take one gap per chunk, or a few: three
@@ -385,8 +383,9 @@ class TestAgainstReference:
            st.sampled_from(["default", "one gap", "few gaps"]))
     def test_matches_reference(self, instance, order, chunk):
         hmm, seq = instance
-        if _transition.operator_of(hmm).is_sparse:
-            hmm = sparse_kernel_copy(hmm, ORDERS[order])
+        renumbered = permuted(hmm, ORDERS[order](hmm.n_states))
+        hmm = sparse_kernel_copy(renumbered) if _transition.operator_of(hmm).is_sparse \
+            else renumbered
         if chunk == "default":
             assert_matches_reference(hmm, seq)
             return
@@ -420,13 +419,6 @@ class TestAgainstReference:
         assert_matches_reference(hmm, seq)
 
 
-def positions(order):
-    """The position of every state in a state order."""
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rank
-
-
 class TestWindowChunks:
     """The sparse assembly's gap ranges tile the gaps within the buffer budget."""
 
@@ -455,14 +447,9 @@ class TestWindowChunks:
 
 
 class TestLevelOrder:
-    """The state order the sparse kernels run in."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(decode_instances())
-    def test_permutation_of_all_states(self, instance):
-        hmm = instance[0]
-        order = _transition._level_order(hmm.transitions)
-        np.testing.assert_array_equal(np.sort(order), np.arange(hmm.n_states))
+    """Jumping models are laid out in level order, which the sparse kernels
+    run in: each state after its predecessors (self-loops aside), column
+    by column. Models in any other order decode alike."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 5), st.integers(1, 60),
@@ -472,17 +459,27 @@ class TestLevelOrder:
         msa = synthetic_subtypes(n_profiles, length, divergence=0.3, seed=seed)
         hmm = build_jumping_hmm(msa, JumpingHmmSpec(jump_prob=jump_prob, pseudocount=0.5,
                                                     delete_self=delete_self))
-        t = hmm.transitions
-        order = _transition._level_order(t)
         # I0 of every profile, then M1 of every profile, I1, ...
-        block = 2 * length + 1
-        np.testing.assert_array_equal(
-            order, (np.arange(block)[:, None] + block * np.arange(n_profiles)).ravel())
-        rank = positions(order)
+        slots = ["I0"] + [f"{k}{col}" for col in range(1, length + 1) for k in "MI"]
+        assert hmm.state_ids == [f"{name}:{slot}" for slot in slots for name in msa.names]
+        t = hmm.transitions
         rows = np.repeat(np.arange(hmm.n_states), np.diff(t.indptr))
-        assert np.all(rank[t.indices] >= rank[rows])
+        assert np.all(t.indices >= rows)
 
-    def test_cycles_come_last_in_index_order(self):
+    def test_profile_major_file_decodes_alike(self):
+        msa = synthetic_subtypes(3, 200, divergence=0.15, seed=5)
+        hmm = build_jumping_hmm(msa, JumpingHmmSpec(jump_prob=0.01, pseudocount=0.1))
+        other = permuted(hmm, np.argsort(column_major(3, 401)))
+        assert other.state_ids[:2] == ["A:I0", "A:M1"]
+        params = GainParams(window=10, gamma=1.0)
+        for rec in random_recombinants(msa, 3, seed=6, min_segment=40, mutation_rate=0.05):
+            a, b = forward_backward(hmm, rec.seq), forward_backward(other, rec.seq)
+            assert a.log_likelihood == pytest.approx(b.log_likelihood, rel=1e-12, abs=0)
+            assert posterior_decode(a) == posterior_decode(b)
+            assert viterbi_decode(hmm, rec.seq)[0] == viterbi_decode(other, rec.seq)[0]
+            assert gain_decode(hmm, rec.seq, params)[0] == gain_decode(other, rec.seq, params)[0]
+
+    def test_ring_fed_from_later_states(self):
         # States 0..299 form a ring with self-loops, 300..339 a chain that
         # leaves it, and 340..349 are sources feeding it.
         n = 350
@@ -500,20 +497,16 @@ class TestLevelOrder:
         rng = np.random.default_rng(3)
         hmm = Hmm([f"s{i}" for i in range(n)], np.arange(n) % 3, ["a", "b", "c"], ["x", "y"],
                   initial, sparse.csr_array(trans), quarter_rows(rng, n, 2))
-        order = _transition._level_order(hmm.transitions)
-        np.testing.assert_array_equal(order, np.r_[340:350, 0:340])
-        op = _transition.operator_of(hmm)
-        assert op.is_sparse
-        np.testing.assert_array_equal(op.order, order)
+        assert _transition.operator_of(hmm).is_sparse
         for seed in range(3):
             assert_matches_reference(hmm, sample_path(hmm, 80, seed=seed)[1])
 
     def test_ties_on_a_layered_quarter_model(self):
         # 30 layers of 10 states under shuffled indices: every state stays
         # with 0.5 and moves to two states of the next layer (the last
-        # layer: of itself) with 0.25 each, so the level order is not
-        # index order, and with quarter-probability emissions many paths
-        # score exactly alike.
+        # layer: of itself) with 0.25 each, and with quarter-probability
+        # emissions many paths score exactly alike. Decoded as shuffled
+        # and renumbered layer by layer.
         rng = np.random.default_rng(7)
         n_layers, width = 30, 10
         n = n_layers * width
@@ -527,17 +520,14 @@ class TestLevelOrder:
         initial[layers[0, :4]] = 0.25
         hmm = Hmm([f"s{i}" for i in range(n)], rng.integers(3, size=n), ["a", "b", "c"],
                   ["x", "y", "z"], initial, sparse.csr_array(trans), quarter_rows(rng, n, 3))
-        op = _transition.operator_of(hmm)
-        assert op.is_sparse
-        assert not np.array_equal(op.order, np.arange(n))
-        rank = positions(op.order)
-        assert np.all(np.diff(rank[layers].max(axis=1)) > 0)
-        for seed in range(10):
-            _, seq = sample_path(hmm, 60, seed=seed)
-            ann, logp = viterbi_decode(hmm, seq)
-            ref_ann, ref_logp = _oracles.reference_viterbi(hmm, seq)
-            assert ann == ref_ann
-            assert logp == ref_logp
+        for model in (hmm, permuted(hmm, layers.ravel())):
+            assert _transition.operator_of(model).is_sparse
+            for seed in range(10):
+                _, seq = sample_path(model, 60, seed=seed)
+                ann, logp = viterbi_decode(model, seq)
+                ref_ann, ref_logp = _oracles.reference_viterbi(model, seq)
+                assert ann == ref_ann
+                assert logp == ref_logp
 
 
 class TestPosteriorProperties:
@@ -619,7 +609,7 @@ class TestCutFallback:
         spec["states"][1]["emission"] = {"x": 0.5, "y": 0.5}
         spec["initial"] = {"s_A": 1.0, "s_B": 1e-25}
         spec["transitions"] = {"s_A": {"s_A": 1.0}, "s_B": {"s_B": 1.0}}
-        return sparse_kernel_copy(build_hmm(spec), ORDERS[order])
+        return sparse_kernel_copy(permuted(build_hmm(spec), ORDERS[order](2)))
 
     @pytest.mark.parametrize("order", sorted(ORDERS))
     def test_decoders_match_oracles(self, order):

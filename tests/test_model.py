@@ -692,6 +692,21 @@ class TestSidecar:
             np.testing.assert_array_equal(got, want)
         assert_same_hmm(load_from_sidecar(path), hmm, dtypes=False)
 
+    def test_version_1_sidecar_ignored(self, tmp_path):
+        # Version 1 sidecars could give non-string names, which the JSON
+        # reads as strings: [1, None] as ["1", "None"].
+        spec = t1_spec()
+        spec["colors"] = [{"id": 0, "name": 1}, {"id": 1, "name": None}]
+        path = tmp_path / "t1.json"
+        path.write_text(json.dumps(spec))
+        hmm = load_from_json(path)
+        with mock.patch.object(model_module, "SIDECAR_FORMAT", b"gainhmm-arrays/1"):
+            save_model(hmm, path)
+            rewrite_sidecar(path, 1, lambda names: np.frombuffer(json.dumps(
+                [hmm.alphabet, [1, None], hmm.state_ids]).encode(), np.uint8))
+            assert load_from_sidecar(path).color_names == [1, None]
+        assert load_from_json(path).color_names == ["1", "None"]
+
     def test_color_names_read_as_strings(self, tmp_path):
         spec = t1_spec()
         spec["colors"] = [{"id": 0, "name": 1}, {"id": 1, "name": None}]

@@ -148,7 +148,9 @@ class TestRandomRecombinants:
 
     def test_too_short_alignment(self):
         msa = synthetic_subtypes(2, 150, divergence=0.1, seed=2)
-        with pytest.raises(ValueError, match="too short"):
+        message = ("alignment has 150 columns; 3 breakpoints with spans of at least "
+                   "100 columns need 400")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             random_recombinants(msa, 1, seed=0, breakpoint_range=(1, 3),
                                 min_segment=100)
 
