@@ -34,6 +34,23 @@ DNA = ("a", "c", "g", "t")
 SILENT_CLOSURE_EPS = 1e-13
 
 
+def check_sequence(seq, length, subtype, number, label=None):
+    """Raise ValueError unless `seq` is `length` columns of DNA letters and gaps.
+
+    Letters may be of either case. The message names sequence `number`
+    (1-based) of `subtype`, and the column of a bad character; `label`,
+    where given, leads it, followed by ": ".
+    """
+    where = f"{label}: " if label else ""
+    if len(seq) != length:
+        raise ValueError(f"{where}sequence {number} in subtype {subtype!r} has length "
+                         f"{len(seq)}, alignment has {length} columns")
+    if not set(seq.lower()) <= {*DNA, "-"}:
+        col = next(j for j, ch in enumerate(seq) if ch != "-" and ch.lower() not in DNA)
+        raise ValueError(f"{where}illegal character {seq[col]!r} in subtype {subtype!r} "
+                         f"sequence {number} at column {col + 1}")
+
+
 @dataclass(frozen=True)
 class SubtypeAlignment:
     """Aligned sequences grouped by subtype, all of one column count.
@@ -54,16 +71,7 @@ class SubtypeAlignment:
             if not seqs:
                 raise ValueError(f"subtype {name!r} has no sequences")
             for i, s in enumerate(seqs, 1):
-                if len(s) != self.length:
-                    raise ValueError(
-                        f"sequence {i} in subtype {name!r} has length {len(s)}, "
-                        f"alignment has {self.length} columns")
-                bad = set(s.lower()) - set(DNA) - {"-"}
-                if bad:
-                    col = next(j for j, ch in enumerate(s.lower()) if ch in bad)
-                    raise ValueError(
-                        f"illegal character {s[col]!r} in subtype {name!r} "
-                        f"sequence {i} at column {col + 1}")
+                check_sequence(s, self.length, name, i)
 
 
 def make_alignment(groups):
@@ -142,16 +150,10 @@ def build_profile(name, group, spec):
     sym_index = {s: i for i, s in enumerate(DNA)}
     counts = np.zeros((length, len(DNA)))
     for k, s in enumerate(group, 1):
-        if len(s) != length:
-            raise ValueError(f"sequence {k} in subtype {name!r} has length {len(s)}, "
-                             f"alignment has {length} columns")
+        check_sequence(s, length, name, k)
         for i, ch in enumerate(s):
             if ch != "-":
-                sym = sym_index.get(ch.lower())
-                if sym is None:
-                    raise ValueError(f"illegal character {ch!r} in subtype {name!r} "
-                                     f"sequence {k} at column {i + 1}")
-                counts[i, sym] += 1.0
+                counts[i, sym_index[ch.lower()]] += 1.0
     nongap = counts.sum(axis=1, keepdims=True)
     emission = (counts + spec.pseudocount) / (nongap + len(DNA) * spec.pseudocount)
     return ProfileHmm(name=name, length=length, match_emission=emission, spec=spec)

@@ -121,10 +121,13 @@ class Hmm:
             raise InvalidModelError("empty alphabet")
         if len(state_ids) == 0:
             raise InvalidModelError("model has no states")
-        if len(set(alphabet)) != len(alphabet):
-            raise InvalidModelError("duplicate symbol in alphabet")
-        if len(set(state_ids)) != len(state_ids):
-            raise InvalidModelError("duplicate state id")
+        for what, values in (("alphabet symbol", alphabet), ("state id", state_ids)):
+            if len(set(values)) != len(values):
+                first = {}
+                for i, value in enumerate(values, 1):
+                    if first.setdefault(value, i) != i:
+                        raise InvalidModelError(f"duplicate {what} {value!r} "
+                                                f"at positions {first[value]} and {i}")
 
         self.state_ids = list(state_ids)
         self.color_names = list(color_names)
@@ -615,16 +618,17 @@ def load_model(path):
     """Read and validate a model file written by save_model.
 
     The model comes from the file's sidecar where that carries the file's
-    SHA-256, and from the JSON otherwise.
+    SHA-256, and from the JSON otherwise. Errors name the file.
     """
     with open(path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).digest()
     hmm = _read_sidecar(path, digest)
     if hmm is not None:
         return hmm
-    with open(path) as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InvalidModelError(f"{path}:{e.lineno}: {e.msg}") from None
-    return build_hmm(spec)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return build_hmm(json.load(fh))
+    except json.JSONDecodeError as e:
+        raise InvalidModelError(f"{path}:{e.lineno}: {e.msg}") from None
+    except (UnicodeDecodeError, InvalidModelError) as e:
+        raise InvalidModelError(f"{path}: {e}") from None

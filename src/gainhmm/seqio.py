@@ -8,7 +8,7 @@ inclusive coordinates, one line per maximal same-color segment.
 from __future__ import annotations
 
 from ._files import create
-from .jumping import SubtypeAlignment
+from .jumping import SubtypeAlignment, check_sequence
 from .model import Annotation
 
 SEGMENT_HEADER = ("seq_id", "start", "end", "color_id", "color_name")
@@ -71,7 +71,7 @@ def read_subtype_alignment(path):
 
     Subtype order follows first appearance in the file. Sequences keep
     their case, so errors quote them as written; the alignment and the
-    model builders fold it.
+    model builders fold it. Errors name the file, and the record at fault.
     """
     records = read_fasta(path)
     if not records:
@@ -82,7 +82,11 @@ def read_subtype_alignment(path):
         subtype = rec.attrs.get("subtype")
         if subtype is None:
             raise ValueError(f"{path}: record {rec.id!r} lacks a subtype=<name> attribute")
-        groups.setdefault(subtype, []).append(rec.seq)
+        group = groups.setdefault(subtype, [])
+        group.append(rec.seq)
+        check_sequence(rec.seq, length, subtype, len(group), f"{path}: record {rec.id!r}")
+    if len(groups) < 2:
+        raise ValueError(f"{path}: need at least two subtypes, found only {subtype!r}")
     return SubtypeAlignment(names=tuple(groups), groups=groups, length=length)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Annotation, color_graph
+from gainhmm.model import Annotation, color_graph
 
 MAX_ORACLE_PATHS = 10_000_000
 MAX_ORACLE_COLORINGS = 1_000_000

@@ -36,7 +36,7 @@ from gainhmm import (
 )
 from gainhmm.cli import main as cli_main
 from gainhmm.gain import decode_from_posteriors
-from gainhmm.oracles import (
+from _brute_force import (
     _gains_against,
     brute_force_best_annotation,
     brute_force_expected_gain,

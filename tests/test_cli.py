@@ -72,6 +72,21 @@ class TestBuildModel:
         err = capsys.readouterr().err
         assert "illegal character 'N' in subtype 'B' sequence 1 at column 3" in err
 
+    @pytest.mark.parametrize("records, message", [
+        ([("a1", "acgt", "A"), ("b1", "acxt", "B")],
+         "record 'b1': illegal character 'x' in subtype 'B' sequence 1 at column 3"),
+        ([("a1", "acgt", "A"), ("b1", "acgt", "B"), ("b2", "acg", "B")],
+         "record 'b2': sequence 2 in subtype 'B' has length 3, alignment has 4 columns"),
+        ([("a1", "acgt", "A"), ("a2", "acga", "A")],
+         "need at least two subtypes, found only 'A'"),
+    ], ids=["character", "length", "one-subtype"])
+    def test_bad_alignment_names_file_and_record(self, tmp_path, capsys, records, message):
+        msa = tmp_path / "msa.fasta"
+        write_fasta(msa, [FastaRecord(rid, seq, {"subtype": sub}) for rid, seq, sub in records])
+        assert run("build-model", "--in", msa, "--out", tmp_path / "m.json") == 1
+        assert capsys.readouterr().err == f"error: {msa}: {message}\n"
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--pj", "1", "--pj must be in [0, 1), not 1.0"),
         ("--pj", "-0.1", "--pj must be in [0, 1), not -0.1"),
@@ -177,7 +192,18 @@ class TestDecode:
         assert run("decode", "--model", model, "--in", fasta, "--out", tmp_path / "o.tsv",
                    "--decoder", "viterbi") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.startswith(f"error: {model}: ") and err.count("\n") == 1
+
+    def test_binary_model_is_one_error_line_naming_it(self, tmp_path, t1_model_path, capsys):
+        model = t1_model_path + SIDECAR_SUFFIX
+        fasta = tmp_path / "q.fasta"
+        write_fasta(fasta, [("q1", "xx")])
+        assert run("decode", "--model", model, "--in", fasta, "--out", tmp_path / "o.tsv",
+                   "--decoder", "viterbi") == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}: 'utf-8' codec can't decode byte 0x93 in position 0: "
+            "invalid start byte\n")
+        assert not (tmp_path / "o.tsv").exists()
 
     def test_repeated_record_id_rejected(self, tmp_path, t1_model_path, capsys, monkeypatch):
         fasta = tmp_path / "q.fasta"

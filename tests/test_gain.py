@@ -23,7 +23,7 @@ from gainhmm import (
     window_scores,
 )
 from gainhmm import gain
-from gainhmm.oracles import (
+from _brute_force import (
     brute_force_best_annotation,
     brute_force_expected_gain,
     coloring_distribution,

@@ -69,6 +69,11 @@ def assert_builds_like_reference(spec):
         assert_same_hmm(build_hmm(spec), expected)
 
 
+def in_file(path, pattern):
+    """The anchored message `pattern` as load_model raises it for the file `path`."""
+    return f"^{re.escape(str(path))}: {pattern.removeprefix('^')}"
+
+
 def repeated_model(rng, n_states, n_colors, n_symbols):
     """Random valid model whose tables repeat a few values along both axes.
 
@@ -262,7 +267,7 @@ class TestMalformedFiles:
     def test_named(self, tmp_path, case):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(malformed_spec(case)))
-        with pytest.raises(InvalidModelError, match=MALFORMED[case][1]):
+        with pytest.raises(InvalidModelError, match=in_file(path, MALFORMED[case][1])):
             load_model(path)
 
     def test_numeric_strings_load(self):
@@ -273,13 +278,36 @@ class TestMalformedFiles:
         spec["transitions"]["s_B"] = {"s_A": "0.2", "s_B": 0.8}
         assert_same_hmm(build_hmm(spec), numbers)
 
+    @staticmethod
+    def assert_repeat_named(tmp_path, spec, message):
+        """build_hmm raises `message`, and load_model raises it after the file's path."""
+        assert_builds_like_reference(spec)
+        with pytest.raises(InvalidModelError, match=message):
+            build_hmm(spec)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(InvalidModelError, match=in_file(path, message)):
+            load_model(path)
+
     @pytest.mark.parametrize("alphabet", [["x", "y", "x"], ["x", "x", "y"]])
-    def test_repeated_symbol(self, alphabet):
+    def test_repeated_symbol(self, tmp_path, alphabet):
         spec = t1_spec()
         spec["alphabet"] = alphabet
-        assert_builds_like_reference(spec)
-        with pytest.raises(InvalidModelError, match="^duplicate symbol in alphabet$"):
-            build_hmm(spec)
+        second = alphabet.index("x", 1) + 1
+        message = f"^duplicate alphabet symbol 'x' at positions 1 and {second}$"
+        self.assert_repeat_named(tmp_path, spec, message)
+        with pytest.raises(InvalidModelError, match=message):
+            Hmm(["a"], [0], ["c"], alphabet, [1.0], [[1.0]], [[0.5, 0.25, 0.25]])
+
+    def test_repeated_state_id(self, tmp_path):
+        spec = t1_spec()
+        spec["states"].append({"id": "s_A", "color": 0, "emission": {"x": 1.0}})
+        self.assert_repeat_named(tmp_path, spec,
+                                 "^duplicate state id 's_A' at positions 1 and 3$")
+        with pytest.raises(InvalidModelError,
+                           match="^duplicate state id 'b' at positions 2 and 4$"):
+            Hmm(["a", "b", "c", "b"], [0] * 4, ["c0"], ["x"], [1.0, 0.0, 0.0, 0.0],
+                np.eye(4), np.ones((4, 1)))
 
     def test_first_bad_color_named(self):
         with pytest.raises(InvalidModelError, match=r"^unknown color 5 for state b$"):
@@ -366,7 +394,7 @@ class TestRejectedTables:
             path.write_text(text.replace(entry, entry.split(":")[0] + ": NaN"))
             check = mock.patch.object(model_module, "_check_tables",
                                       wraps=model_module._check_tables)
-            with check as spy, pytest.raises(InvalidModelError, match=message):
+            with check as spy, pytest.raises(InvalidModelError, match=in_file(path, message)):
                 load_model(path)
             assert spy.call_count == 1
             assert_builds_like_reference(json.loads(path.read_text()))
@@ -744,7 +772,7 @@ class TestSidecar:
         path = tmp_path / "model.json"
         save_model(build_hmm(copy.deepcopy(ONE_STATE_SPEC)), path)
         path.write_text(json.dumps(malformed_spec(case)))
-        with pytest.raises(InvalidModelError, match=MALFORMED[case][1]):
+        with pytest.raises(InvalidModelError, match=in_file(path, MALFORMED[case][1])):
             load_model(path)
 
     def test_broken_json_with_stale_sidecar_names_line(self, tmp_path):
