@@ -1,4 +1,4 @@
-"""Opening output files."""
+"""Opening output files, and reading input ones."""
 
 from __future__ import annotations
 
@@ -24,3 +24,11 @@ def create(path, mode="w"):
     except OSError:
         pass  # missing or not removable: open() reports what matters
     return open(path, mode)
+
+
+def text_lines(fh):
+    """The lines of the open text file `fh`; a decode error names the file."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{fh.name}: {e}") from None

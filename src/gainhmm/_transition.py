@@ -30,8 +30,11 @@ slice of CSR rows, so memory grows with the windows, not with n * S:
   sum to 1); `dropped` adds up what falls outside. Each entry sums its
   predecessor row in index order and each scale a row of all S states,
   so the scales equal those of a product over all S states, bit for bit.
-  Backward computes betahat on the same windows, so the posteriors are
-  those of the cut lattice.
+  The alphahat windows are the only lattice kept.
+- Backward computes betahat on the same windows, so the posteriors are
+  those of the cut lattice. It keeps one betahat row, and sums each
+  gap's pair posteriors and each position's color posteriors as it
+  goes, from the cross-color transitions out of the window.
 - Viterbi keeps the window from the first to the last score within
   -ln(CUT) of the position's best (a beam), each score the maximum over
   its predecessor row. Those rows list states by index, so the
@@ -43,11 +46,10 @@ slice of CSR rows, so memory grows with the windows, not with n * S:
   when the beam empties a Viterbi step, Viterbi runs again with no beam.
   Only a position that still has no path raises ZeroLikelihoodError.
 
-Both kernel families hand their passes to one posterior assembly. It
-sums the pair posteriors from the cross-color transitions over chunks of
-gaps copied state-major into buffers (all S states for dense passes, the
-chunk's windows for sparse ones) and takes the color posteriors of the
-same rows.
+The dense kernels sum the pair posteriors after both passes, over chunks
+of gaps copied state-major into buffers, one block product per pair of
+colors. Both families take each diagonal pair entry from the backward
+identity.
 """
 
 from __future__ import annotations
@@ -71,9 +73,6 @@ CUT = 1e-20
 # Bytes per state-major position buffer in the dense posterior assembly.
 CHUNK_BYTES = 1 << 20
 
-# Bytes per window buffer in the sparse posterior assembly.
-WINDOW_CHUNK_BYTES = 1 << 19
-
 _BUILD_LOCK = threading.Lock()
 
 # scipy's loop behind CSR @ vector; it checks no index, so only the operator's
@@ -81,11 +80,10 @@ _BUILD_LOCK = threading.Lock()
 # data[j] * x[indices[j]] to out[i], j = indptr[i] .. indptr[i + 1] - 1 in order.
 _csr_matvec = _sparsetools.csr_matvec
 
-# Window rows: row t holds the states lo[t] .. lo[t] + k - 1, k = indptr[t + 1]
-# - indptr[t], with alphahat, betahat and w = emis[., obs[t]] * betahat there
-# (w is 0 in row 0); dropped is the alphahat mass outside the windows over the
-# record.
-Ragged = namedtuple("Ragged", "indptr lo alpha beta w scales dropped")
+# Forward window rows: row t holds alphahat of the states lo[t] .. lo[t] + k - 1,
+# k = indptr[t + 1] - indptr[t]; dropped is the alphahat mass outside the
+# windows over the record.
+Ragged = namedtuple("Ragged", "indptr lo alpha scales dropped")
 
 
 def operator_of(hmm):
@@ -97,28 +95,6 @@ def operator_of(hmm):
             if op is None:
                 op = hmm._operator = TransitionOperator(hmm)
     return op
-
-
-def _window_chunks(lo, ends, n_gaps, budget):
-    """Gap ranges (k0, k1) of the sparse assembly, at least one gap each.
-
-    Gaps k0 .. k1 - 1 fill two (top - base + 1, k1 - k0 + 1) buffers,
-    base and top the least start and the greatest end of the windows of
-    rows k0 .. k1. Each range takes the most gaps that keep a buffer
-    within `budget` entries: windows drift along the state indices, so a
-    long range spans far more states than one window.
-    """
-    k0 = 0
-    while True:
-        cap = min(n_gaps - k0, max(1, budget // (ends[k0] - lo[k0] + 1) - 1))
-        rows = slice(k0, k0 + cap + 1)
-        span = np.maximum.accumulate(ends[rows]) - np.minimum.accumulate(lo[rows]) + 1
-        fits = np.searchsorted(span * np.arange(1, cap + 2), budget, side="right")
-        k1 = k0 + min(cap, max(1, fits - 1))
-        yield k0, k1
-        if k1 >= n_gaps:
-            return
-        k0 = k1
 
 
 def _impossible(t):
@@ -138,15 +114,16 @@ class TransitionOperator:
         colors: each state's color
         n_colors: the number of colors
         diag_colors: colors c whose block T[c, c] has a nonzero
-        cross: (c1, c2, src, dst, val) per ordered color pair c1 != c2
-            with transitions between them: the entries T[src, dst] = val
-            from c1 to c2, src ascending
+        cross: (src, dst, val, key) of the cross-color transitions
+            T[src, dst] = val, key = c1 * n_colors + c2 their pair of
+            colors, src ascending
         forward_t, backward_t, log_t_t, color_indicator: (dense kernels)
             T transposed, T, log T transposed (C-ordered), and the (S, C)
             0/1 map of states onto colors
-        cross_blocks: (dense kernels) `cross` as (c1, c2, rows, block):
-            rows are the states of c1 that reach c2 (a slice when in one
-            run), block the (rows, S) CSR matrix of their transitions to c2
+        cross_blocks: (dense kernels) `cross` as (c1, c2, rows, block) per
+            pair c1 != c2 with transitions: rows are the states of c1 that
+            reach c2 (a slice when in one run), block the (rows, S) CSR
+            matrix of their transitions to c2
         succ, pred: (sparse kernels) (indptr, indices, data) of T and
             (indptr, indices, data, log data) of T transposed, each row
             listing its states by index; a state with no predecessor
@@ -184,10 +161,8 @@ class TransitionOperator:
             self.reach = (np.minimum.accumulate(low[::-1])[::-1], np.maximum.accumulate(high))
         same = colors[r] == colors[c]
         self.diag_colors = np.flatnonzero(np.bincount(colors[r[same]], minlength=n_colors)).tolist()
-        pair = colors[r] * n_colors + colors[c]
-        keys = np.bincount(pair[~same], minlength=n_colors * n_colors)
-        self.cross = [(key // n_colors, key % n_colors, r[e], c[e], v[e])
-                      for key in np.flatnonzero(keys).tolist() for e in [pair == key]]
+        self.cross = src, dst, val, key = (r[~same], c[~same], v[~same],
+                                           colors[r[~same]] * n_colors + colors[c[~same]])
         if not self.is_sparse:
             self.backward_t = t.toarray()
             self.forward_t = self.backward_t.T
@@ -195,14 +170,16 @@ class TransitionOperator:
                 # row v lists log T[u, v] over the predecessors u
                 self.log_t_t = np.ascontiguousarray(np.log(self.forward_t))
             self.color_indicator = hmm.color_indicator()
-            # Block products beat the sparse assembly's per-entry gathers on
-            # dense chunks: 30-40 against 90 ms on a 20 kb, 48-state query.
+            # Block products over chunks of gaps beat the sparse kernels' sums
+            # per gap here: 29 against 265 ms on a 20 kb, 48-state query.
             self.cross_blocks = []
-            for c1, c2, src, dst, val in self.cross:
-                rows = np.unique(src)
+            for k in np.unique(key).tolist():
+                e = key == k
+                rows = np.unique(src[e])
                 run = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] < rows.size else rows
-                self.cross_blocks.append((c1, c2, run, sparse.csr_array(
-                    (val, (np.searchsorted(rows, src), dst)), shape=(rows.size, n_states))))
+                self.cross_blocks.append((k // n_colors, k % n_colors, run, sparse.csr_array(
+                    (val[e], (np.searchsorted(rows, src[e]), dst[e])),
+                    shape=(rows.size, n_states))))
 
     # -- posteriors -----------------------------------------------------
 
@@ -215,12 +192,20 @@ class TransitionOperator:
         naming the first position no state path can explain.
         """
         if self.is_sparse:
-            lat = self.ragged_passes(obs)
+            lat = self.ragged_forward(obs)
             scales, dropped = lat.scales, lat.dropped
+            color_post, pair = self._ragged_backward(obs, lat)
         else:
-            lat = self.scaled_passes(obs)
-            scales, dropped = lat[2], 0.0
-        return (scales, *self._chunked_posteriors(obs, lat, scales), dropped)
+            alphahat, betahat, scales = self.scaled_passes(obs)
+            color_post, pair = self._chunked_posteriors(obs, alphahat, betahat)
+            dropped = 0.0
+        pair /= scales[1:, None, None]
+        if self.diag_colors:
+            # the backward identity sum_c2 pair[k, c, c2] = color_post[k, c], clamped at 0
+            off = pair.sum(axis=2)
+            for c in self.diag_colors:
+                pair[:, c, c] = np.maximum(color_post[:-1, c] - off[:, c], 0.0)
+        return scales, color_post, pair, dropped
 
     def scaled_passes(self, obs):
         """Dense scaled forward and backward passes over encoded symbols.
@@ -263,22 +248,19 @@ class TransitionOperator:
 
         return alphahat, betahat, scales
 
-    def ragged_passes(self, obs):
-        """Sparse forward and backward passes as `Ragged` window rows.
+    def ragged_forward(self, obs):
+        """Sparse forward pass as `Ragged` window rows.
 
         Runs at CUT and, when the cut empties a step, once more at the
         smallest normal double.
         """
         try:
-            fwd = self._ragged_forward(obs, CUT)
+            return self._forward_windows(obs, CUT)
         except ZeroLikelihoodError:
-            fwd = self._ragged_forward(obs, np.finfo(np.float64).tiny)
-        indptr, lo, alpha, scales, dropped = fwd
-        beta, w = self._ragged_backward(obs, indptr, lo, scales)
-        return Ragged(indptr, lo, alpha, beta, w, scales, dropped)
+            return self._forward_windows(obs, np.finfo(np.float64).tiny)
 
-    def _ragged_forward(self, obs, cut):
-        """(indptr, lo, alpha, scales, dropped) of the windows of alphahat above `cut`."""
+    def _forward_windows(self, obs, cut):
+        """`Ragged` rows of the windows of alphahat above `cut`."""
         (ptr, preds, data, _), (floor, ceil) = self.pred, self.reach
         emis, n_states = self.emis_rows, self.initial.size
         full = np.zeros(n_states)  # the last window's alphahat, then the step's row
@@ -310,94 +292,71 @@ class TransitionOperator:
             rows.append(x)
         indptr = np.zeros(obs.size + 1, dtype=np.int64)
         np.cumsum([r.size for r in rows], out=indptr[1:])
-        return indptr, np.array(los), np.concatenate(rows), np.array(scales), float(dropped)
+        return Ragged(indptr, np.array(los), np.concatenate(rows), np.array(scales),
+                      float(dropped))
 
-    def _ragged_backward(self, obs, indptr, lo, scales):
-        """(beta, w) on alphahat's windows, in the layout of alpha.
+    def _ragged_backward(self, obs, lat):
+        """(color_post, pair_post times scales[1:]) from betahat on `lat`'s windows.
 
-        w holds emis[v, obs[t]] * betahat[t, v], the weight the pair
-        posteriors read; it is 0 in row 0, which no gap reads.
+        Step t holds y = emis[., obs[t + 1]] * betahat[t + 1] in an S-length
+        row, 0 outside window t + 1. From it come betahat[t] and gap t's
+        cross-color sums alphahat[t, src] * T[src, dst] * y[dst] by color
+        pair; only the current betahat row is kept. Diagonal pair entries
+        are left 0.
         """
         ptr, succ, data = self.succ
-        emis, n_states = self.emis_rows, self.initial.size
-        beta, w = np.zeros(indptr[-1]), np.empty(indptr[-1])
-        beta[indptr[-2]:] = 1.0
-        w[:indptr[1]] = 0.0
-        y = np.zeros(n_states)
-        bounds, los, syms, scale_list = indptr.tolist(), lo.tolist(), obs.tolist(), scales.tolist()
-        for t in range(obs.size - 2, -1, -1):
-            p0, p1, p2 = bounds[t], bounds[t + 1], bounds[t + 2]
-            lo0, lo1 = los[t], los[t + 1]
-            nxt = slice(lo1, lo1 + p2 - p1)
-            y[nxt] = np.multiply(emis[syms[t + 1]][nxt], beta[p1:p2], out=w[p1:p2])
-            _csr_matvec(p1 - p0, n_states, ptr[lo0:lo0 + p1 - p0 + 1], succ, data, y,
-                        beta[p0:p1])
-            y[nxt] = 0.0
-            beta[p0:p1] /= scale_list[t + 1]
-        return beta, w
+        src, dst, val, key = self.cross
+        emis, colors, n_colors, alpha = self.emis_rows, self.colors, self.n_colors, lat.alpha
+        n, n_states = obs.size, self.initial.size
+        # cross entries from window t: first[t] .. last[t] - 1
+        first = np.searchsorted(src, lat.lo).tolist()
+        last = np.searchsorted(src, lat.lo + np.diff(lat.indptr)).tolist()
+        color_post, pair = np.empty((n, n_colors)), np.empty((n - 1, n_colors * n_colors))
+        y, scales = np.zeros(n_states), lat.scales.tolist()
+        bounds, los, syms = lat.indptr.tolist(), lat.lo.tolist(), obs.tolist()
+        beta = np.ones(bounds[n] - bounds[n - 1])
+        for t in range(n - 1, -1, -1):
+            p0, p1 = bounds[t], bounds[t + 1]
+            window = slice(los[t], los[t] + p1 - p0)
+            color_post[t] = np.bincount(colors[window], alpha[p0:p1] * beta, minlength=n_colors)
+            if not t:
+                break
+            y[window] = emis[syms[t]][window] * beta
+            q0, lo0 = bounds[t - 1], los[t - 1]
+            beta = np.zeros(p0 - q0)
+            _csr_matvec(p0 - q0, n_states, ptr[lo0:lo0 + p0 - q0 + 1], succ, data, y, beta)
+            beta /= scales[t]
+            e = slice(first[t - 1], last[t - 1])
+            pair[t - 1] = np.bincount(key[e], val[e] * (alpha[src[e] + (q0 - lo0)] * y[dst[e]]),
+                                      minlength=n_colors * n_colors)
+            y[window] = 0.0
+        return color_post, pair.reshape(n - 1, n_colors, n_colors)
 
-    def _chunked_posteriors(self, obs, lat, scales):
-        """(color_post, pair_post) from `Ragged` rows or dense passes.
+    def _chunked_posteriors(self, obs, alphahat, betahat):
+        """(color_post, pair_post times scales[1:]) of the dense passes.
 
-        lat is a `Ragged` or the (alphahat, betahat, scales) of
-        `scaled_passes`. The off-diagonal pair sums run over chunks of m
-        gaps, each buffer about CHUNK_BYTES (dense) or WINDOW_CHUNK_BYTES
-        (window rows, see `_window_chunks`): the alphahat and w =
-        emis[., obs[t]] * betahat rows k0..k0+m go state-major into two
-        (states, m + 1) buffers; gap k pairs column k - k0 of alpha with
-        column k - k0 + 1 of w. Dense rows fill all S states, and their
-        color posteriors are (alphahat * betahat) times the color
-        indicator. Window rows fill the chunk's windows plus one zero row
-        for every state outside them, and their color posteriors take one
-        bincount. Each diagonal pair entry follows from the backward
-        identity sum_c2 pair[k, c, c2] = color_post[k, c], clamped at 0.
+        The off-diagonal pair sums run over chunks of m gaps, each buffer
+        about CHUNK_BYTES: the alphahat and w = emis[., obs[t]] * betahat
+        rows k0..k0+m go state-major into two (S, m + 1) buffers, and gap
+        k pairs column k - k0 of alpha with column k - k0 + 1 of w. Color
+        posteriors are (alphahat * betahat) times the color indicator.
+        Diagonal pair entries are left 0.
         """
         n, n_colors, n_states = obs.size, self.n_colors, self.initial.size
-        ragged = isinstance(lat, Ragged)
         color_post = np.empty((n, n_colors))
         pair = np.zeros((max(n - 1, 0), n_colors, n_colors))
-        if ragged:
-            indptr, counts = lat.indptr, np.diff(lat.indptr)
-            # entry i of row t is state i - shift[t]
-            shift, ends = indptr[:-1] - lat.lo, lat.lo + counts
-            chunks = _window_chunks(lat.lo, ends, n - 1, WINDOW_CHUNK_BYTES // 8)
-        else:
-            m = max(1, min(n - 1, CHUNK_BYTES // (8 * n_states)))
-            a_buf, w_buf = np.zeros((n_states, m + 1)), np.zeros((n_states, m + 1))
-            chunks = ((k0, min(k0 + m, n - 1)) for k0 in range(0, max(n - 1, 1), m))
-        for k0, k1 in chunks:
+        m = max(1, min(n - 1, CHUNK_BYTES // (8 * n_states)))
+        a_buf, w_buf = np.zeros((n_states, m + 1)), np.zeros((n_states, m + 1))
+        for k0 in range(0, max(n - 1, 1), m):
+            k1 = min(k0 + m, n - 1)
             mm = k1 - k0
-            if ragged:
-                first, last, rows = indptr[k0], indptr[k1 + 1], slice(k0, k1 + 1)
-                base, top = lat.lo[rows].min(), ends[rows].max()
-                col = np.repeat(np.arange(mm + 1), counts[rows])
-                # each entry's row in the buffers, whose last row stays 0
-                at = np.arange(first, last) - np.repeat(shift[rows] + base, counts[rows])
-                color_post[rows] = np.bincount(
-                    col * n_colors + self.colors[at + base],
-                    lat.alpha[first:last] * lat.beta[first:last],
-                    minlength=(mm + 1) * n_colors).reshape(-1, n_colors)
-                a_buf, w_buf = np.zeros((2, top - base + 1, mm + 1))
-                a_buf[at, col] = lat.alpha[first:last]
-                w_buf[at, col] = lat.w[first:last]
-                for c1, c2, src, dst, val in self.cross:
-                    i0, i1 = np.searchsorted(src, (base, top))
-                    to = np.clip(dst[i0:i1] - base, -1, top - base)
-                    pair[k0:k1, c1, c2] = val[i0:i1] @ (a_buf[src[i0:i1] - base, :mm]
-                                                        * w_buf[to, 1:])
-            else:
-                alpha, beta = lat[0][k0:k1 + 1], lat[1][k0:k1 + 1]
-                a_buf[:, :mm + 1] = alpha.T
-                w_buf[:, :mm + 1] = (self.emis_rows[obs[k0:k1 + 1]] * beta).T
-                color_post[k0:k1 + 1] = (alpha * beta) @ self.color_indicator
-                for c1, c2, rows, block in self.cross_blocks:
-                    pair[k0:k1, c1, c2] = np.einsum("rk,rk->k", a_buf[rows][:, :mm],
-                                                    (block @ w_buf)[:, 1:mm + 1])
-        pair /= scales[1:, None, None]
-        if self.diag_colors:
-            off = pair.sum(axis=2)
-            for c in self.diag_colors:
-                pair[:, c, c] = np.maximum(color_post[:-1, c] - off[:, c], 0.0)
+            alpha, beta = alphahat[k0:k1 + 1], betahat[k0:k1 + 1]
+            a_buf[:, :mm + 1] = alpha.T
+            w_buf[:, :mm + 1] = (self.emis_rows[obs[k0:k1 + 1]] * beta).T
+            color_post[k0:k1 + 1] = (alpha * beta) @ self.color_indicator
+            for c1, c2, rows, block in self.cross_blocks:
+                pair[k0:k1, c1, c2] = np.einsum("rk,rk->k", a_buf[rows][:, :mm],
+                                                (block @ w_buf)[:, 1:mm + 1])
         return color_post, pair
 
     # -- Viterbi --------------------------------------------------------

@@ -7,7 +7,7 @@ inclusive coordinates, one line per maximal same-color segment.
 
 from __future__ import annotations
 
-from ._files import create
+from ._files import create, text_lines
 from .jumping import SubtypeAlignment, check_sequence
 from .model import Annotation
 
@@ -28,8 +28,8 @@ def read_fasta(path):
     """Parse FASTA into FastaRecords; errors carry file and line number."""
     records = []
     rid, attrs, chunks = None, None, []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(text_lines(fh), start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -85,6 +85,8 @@ def read_subtype_alignment(path):
         group = groups.setdefault(subtype, [])
         group.append(rec.seq)
         check_sequence(rec.seq, length, subtype, len(group), f"{path}: record {rec.id!r}")
+    if not length:
+        raise ValueError(f"{path}: alignment has no columns")
     if len(groups) < 2:
         raise ValueError(f"{path}: need at least two subtypes, found only {subtype!r}")
     return SubtypeAlignment(names=tuple(groups), groups=groups, length=length)
@@ -112,11 +114,12 @@ def write_segments(path, entries, color_names):
 def read_segments(path):
     """Read a segment TSV into {seq_id: Annotation}; errors name the file and line, or record."""
     per_seq = {}
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
+    with open(path, encoding="utf-8") as fh:
+        lines = text_lines(fh)
+        header = next(lines, "").rstrip("\n")
         if header.split("\t") != list(SEGMENT_HEADER):
             raise ValueError(f"{path}:1: unexpected segment table header")
-        for lineno, raw in enumerate(fh, start=2):
+        for lineno, raw in enumerate(lines, start=2):
             line = raw.rstrip("\n")
             if not line:
                 continue

@@ -10,6 +10,10 @@ from gainhmm.model import SIDECAR_SUFFIX
 from gainhmm.seqio import FastaRecord, read_fasta, read_segments, write_fasta
 from conftest import BAD_TRUTH, MALFORMED, bad_truth, malformed_spec, t1_spec
 
+# A file that is not UTF-8 text, and how reading it fails.
+NOT_UTF8 = b">q1\nx\x93y\n"
+NOT_UTF8_ERROR = "'utf-8' codec can't decode byte 0x93 in position 5: invalid start byte"
+
 
 @pytest.fixture
 def msa_path(tmp_path):
@@ -79,12 +83,20 @@ class TestBuildModel:
          "record 'b2': sequence 2 in subtype 'B' has length 3, alignment has 4 columns"),
         ([("a1", "acgt", "A"), ("a2", "acga", "A")],
          "need at least two subtypes, found only 'A'"),
-    ], ids=["character", "length", "one-subtype"])
+        ([("a", "", "A"), ("b", "", "B")], "alignment has no columns"),
+    ], ids=["character", "length", "one-subtype", "no-columns"])
     def test_bad_alignment_names_file_and_record(self, tmp_path, capsys, records, message):
         msa = tmp_path / "msa.fasta"
         write_fasta(msa, [FastaRecord(rid, seq, {"subtype": sub}) for rid, seq, sub in records])
         assert run("build-model", "--in", msa, "--out", tmp_path / "m.json") == 1
         assert capsys.readouterr().err == f"error: {msa}: {message}\n"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_non_utf8_alignment_names_file(self, tmp_path, capsys):
+        msa = tmp_path / "msa.fasta"
+        msa.write_bytes(NOT_UTF8)
+        assert run("build-model", "--in", msa, "--out", tmp_path / "m.json") == 1
+        assert capsys.readouterr().err == f"error: {msa}: {NOT_UTF8_ERROR}\n"
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
@@ -203,6 +215,14 @@ class TestDecode:
         assert capsys.readouterr().err == (
             f"error: {model}: 'utf-8' codec can't decode byte 0x93 in position 0: "
             "invalid start byte\n")
+        assert not (tmp_path / "o.tsv").exists()
+
+    def test_non_utf8_query_names_file(self, tmp_path, t1_model_path, capsys):
+        fasta = tmp_path / "q.fasta"
+        fasta.write_bytes(NOT_UTF8)
+        assert run("decode", "--model", t1_model_path, "--in", fasta,
+                   "--out", tmp_path / "o.tsv", "--decoder", "viterbi") == 1
+        assert capsys.readouterr().err == f"error: {fasta}: {NOT_UTF8_ERROR}\n"
         assert not (tmp_path / "o.tsv").exists()
 
     def test_repeated_record_id_rejected(self, tmp_path, t1_model_path, capsys, monkeypatch):
@@ -416,6 +436,15 @@ class TestBench:
         assert run("bench", "--model", t1_model_path, "--in", fasta, "--truth", truth,
                    "--out", tmp_path / "o.csv") == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_non_utf8_truth_names_file(self, tmp_path, t1_model_path, capsys):
+        fasta, truth = tmp_path / "q.fasta", tmp_path / "t.tsv"
+        write_fasta(fasta, [("q1", "xy" * 5)])
+        truth.write_bytes(NOT_UTF8)
+        assert run("bench", "--model", t1_model_path, "--in", fasta, "--truth", truth,
+                   "--out", tmp_path / "o.csv") == 1
+        assert capsys.readouterr().err == f"error: {truth}: {NOT_UTF8_ERROR}\n"
         assert not (tmp_path / "o.csv").exists()
 
     def test_truth_color_outside_model(self, tmp_path, msa_path, capsys):

@@ -369,10 +369,9 @@ ORDERS = {"identity": np.arange,
           "reversed": lambda n: np.arange(n)[::-1].copy(),
           "shuffled": lambda n: np.random.default_rng(n).permutation(n)}
 
-# (CHUNK_BYTES per state, WINDOW_CHUNK_BYTES per state and buffer zero row)
-# that make the posterior assembly take one gap per chunk, or a few: three
-# dense gaps, and at least two window gaps (a buffer never has more rows).
-CHUNKS = {"one gap": (8, 0), "few gaps": (24, 24)}
+# CHUNK_BYTES per state that make the dense posterior assembly take one gap
+# per chunk, or three.
+CHUNKS = {"one gap": 8, "few gaps": 24}
 
 
 class TestAgainstReference:
@@ -389,9 +388,7 @@ class TestAgainstReference:
         if chunk == "default":
             assert_matches_reference(hmm, seq)
             return
-        dense, window = CHUNKS[chunk]
-        with mock.patch.object(_transition, "CHUNK_BYTES", dense * hmm.n_states), \
-                mock.patch.object(_transition, "WINDOW_CHUNK_BYTES", window * (hmm.n_states + 1)):
+        with mock.patch.object(_transition, "CHUNK_BYTES", CHUNKS[chunk] * hmm.n_states):
             assert_matches_reference(hmm, seq)
 
     def test_flush_on_long_jumping_query(self):
@@ -409,7 +406,7 @@ class TestAgainstReference:
         below = (ref_alpha > 0) & (ref_alpha <= _transition.CUT)
         assert np.count_nonzero(below) > 1000
 
-        lat = op.ragged_passes(obs)
+        lat = op.ragged_forward(obs)
         # every window starts and ends at an entry above the cut
         assert np.all(lat.alpha[lat.indptr[:-1]] > _transition.CUT)
         assert np.all(lat.alpha[lat.indptr[1:] - 1] > _transition.CUT)
@@ -419,37 +416,11 @@ class TestAgainstReference:
         assert_matches_reference(hmm, seq)
 
 
-class TestWindowChunks:
-    """The sparse assembly's gap ranges tile the gaps within the buffer budget."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 30)), min_size=1,
-                    max_size=60),
-           st.integers(0, 400))
-    def test_ranges(self, windows, budget):
-        lo = np.array([start for start, _ in windows])
-        ends = lo + np.array([count for _, count in windows])
-        n_gaps = len(windows) - 1
-
-        def size(k0, k1):
-            return (ends[k0:k1 + 1].max() - lo[k0:k1 + 1].min() + 1) * (k1 - k0 + 1)
-
-        chunks = list(_transition._window_chunks(lo, ends, n_gaps, budget))
-        if n_gaps == 0:
-            assert chunks == [(0, 0)]
-            return
-        assert [k0 for k0, _ in chunks] == [0] + [k1 for _, k1 in chunks[:-1]]
-        assert chunks[-1][1] == n_gaps
-        for k0, k1 in chunks:
-            assert k1 > k0
-            assert k1 == k0 + 1 or size(k0, k1) <= budget
-            assert k1 == n_gaps or size(k0, k1 + 1) > budget
-
-
-class TestLevelOrder:
-    """Jumping models are laid out in level order, which the sparse kernels
-    run in: each state after its predecessors (self-loops aside), column
-    by column. Models in any other order decode alike."""
+class TestColumnMajor:
+    """Jumping models are laid out column-major, the order the sparse
+    kernels run in: slot j of profile p at j * P + p, so each state comes
+    after its predecessors (self-loops aside). Models in any other order
+    decode alike."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 5), st.integers(1, 60),
