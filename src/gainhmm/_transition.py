@@ -11,9 +11,10 @@ one copy.
 Models store their transitions as CSR whatever their size; this module
 alone decides how to run the passes and Viterbi. Up to DENSE_STATE_LIMIT
 states the operator densifies the matrix once and runs dense kernels:
-forward and backward fill (n, S) arrays in place with BLAS products and
-gradual underflow, and Viterbi's forward loop records every state's best
-predecessor in an (n, S) uint8 array, which the traceback follows. At
+forward fills an (n, S) array in place with BLAS products and gradual
+underflow, backward one chunk of rows at a time, and Viterbi's forward
+loop records every state's best predecessor in an (n, S) uint8 array,
+which the traceback follows. At
 S = 48 CSR kernels cost more than dense ones: scipy's per-call dispatch
 more than doubles the forward loop's time.
 
@@ -46,10 +47,10 @@ slice of CSR rows, so memory grows with the windows, not with n * S:
   when the beam empties a Viterbi step, Viterbi runs again with no beam.
   Only a position that still has no path raises ZeroLikelihoodError.
 
-The dense kernels sum the pair posteriors after both passes, over chunks
-of gaps copied state-major into buffers, one block product per pair of
-colors. Both families take each diagonal pair entry from the backward
-identity.
+The dense kernels keep only alphahat for the whole record: the backward
+pass sums each chunk's pair posteriors as it is made, its gaps copied
+state-major into buffers, one block product per pair of colors. Both
+families take each diagonal pair entry from the backward identity.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ DENSE_STATE_LIMIT = 256
 # entries above it, and the Viterbi beam is -ln(CUT) wide.
 CUT = 1e-20
 
-# Bytes per state-major position buffer in the dense posterior assembly.
-CHUNK_BYTES = 1 << 20
+# Bytes per chunk: the dense backward pass's betahat rows, gain.decode_grid's steps.
+CHUNK_BYTES = 1 << 18
 
 _BUILD_LOCK = threading.Lock()
 
@@ -196,8 +197,8 @@ class TransitionOperator:
             scales, dropped = lat.scales, lat.dropped
             color_post, pair = self._ragged_backward(obs, lat)
         else:
-            alphahat, betahat, scales = self.scaled_passes(obs)
-            color_post, pair = self._chunked_posteriors(obs, alphahat, betahat)
+            alphahat, scales = self.dense_forward(obs)
+            color_post, pair = self._dense_posteriors(obs, alphahat, scales)
             dropped = 0.0
         pair /= scales[1:, None, None]
         if self.diag_colors:
@@ -207,27 +208,25 @@ class TransitionOperator:
                 pair[:, c, c] = np.maximum(color_post[:-1, c] - off[:, c], 0.0)
         return scales, color_post, pair, dropped
 
-    def scaled_passes(self, obs):
-        """Dense scaled forward and backward passes over encoded symbols.
+    def dense_forward(self, obs):
+        """Dense scaled forward pass over encoded symbols.
 
-        Returns (alphahat, betahat, scales) where alphahat[t] is the
-        filtered state distribution, scales[t] the per-position
-        normalizers with log Pr(X) = sum(log scales), and
-        alphahat[t] * betahat[t] the smoothed state posteriors.
+        Returns (alphahat, scales): alphahat[t] is the filtered state
+        distribution and scales[t] the per-position normalizer, with
+        log Pr(X) = sum(log scales).
         """
-        t_t, t_mat, emis = self.forward_t, self.backward_t, self.emis_rows
-        n, n_states = obs.size, self.initial.size
+        t_t, emis = self.forward_t, self.emis_rows
         syms = obs.tolist()
-        dot, mul, div, total = np.dot, np.multiply, np.divide, np.add.reduce
+        mul, div, total = np.multiply, np.divide, np.add.reduce
 
         # Each step runs in place in its own output row: no step allocates.
-        alphahat = np.empty((n, n_states))
-        scales = np.empty(n)
+        alphahat = np.empty((obs.size, self.initial.size))
+        scales = np.empty(obs.size)
         mul(self.initial, emis[syms[0]], alphahat[0])
         prev = None
         for t, (sym, row) in enumerate(zip(syms, alphahat)):
             if t:
-                dot(t_t, prev, row)
+                np.dot(t_t, prev, row)
                 mul(row, emis[sym], row)
             scale = total(row)
             if scale <= 0.0:
@@ -235,18 +234,30 @@ class TransitionOperator:
             scales[t] = scale
             div(row, scale, row)
             prev = row
+        return alphahat, scales
 
-        betahat = np.empty((n, n_states))
-        betahat[n - 1] = 1.0
-        buf = np.empty(n_states)
-        # rows n-2 .. 0, each from row t+1 with symbol and scale t+1
-        for row, nxt, sym, scale in zip(betahat[-2::-1], betahat[:0:-1], syms[:0:-1],
-                                        scales.tolist()[:0:-1]):
-            mul(emis[sym], nxt, buf)
-            dot(t_mat, buf, row)
-            div(row, scale, row)
+    def dense_backward(self, obs, scales, m):
+        """Dense scaled backward pass over chunks of m gaps, newest first.
 
-        return alphahat, betahat, scales
+        Yields (k0, beta) for k0 = ..., 2m, m, 0: beta[i] is betahat[k0 + i]
+        up to row min(k0 + m, n - 1). Every chunk reuses one (m + 1, S)
+        buffer; only row k0 carries over, as the next chunk's last row.
+        """
+        t_mat, emis, n = self.backward_t, self.emis_rows, obs.size
+        syms, scale_list, mul, div = obs.tolist(), scales.tolist(), np.multiply, np.divide
+        beta, step = np.empty((m + 1, self.initial.size)), np.empty(self.initial.size)
+        for k0 in reversed(range(0, max(n - 1, 1), m)):
+            k1 = min(k0 + m, n - 1)
+            rows = beta[:k1 - k0 + 1]
+            # row 0 still holds the newer chunk's row k0, this chunk's k1
+            rows[-1] = 1.0 if k1 == n - 1 else rows[0]
+            # rows k1-1 .. k0, each from row t+1 with symbol and scale t+1
+            for row, nxt, sym, scale in zip(rows[-2::-1], rows[:0:-1], syms[k1:k0:-1],
+                                            scale_list[k1:k0:-1]):
+                mul(emis[sym], nxt, step)
+                np.dot(t_mat, step, row)
+                div(row, scale, row)
+            yield k0, rows
 
     def ragged_forward(self, obs):
         """Sparse forward pass as `Ragged` window rows.
@@ -332,28 +343,30 @@ class TransitionOperator:
             y[window] = 0.0
         return color_post, pair.reshape(n - 1, n_colors, n_colors)
 
-    def _chunked_posteriors(self, obs, alphahat, betahat):
+    def _dense_posteriors(self, obs, alphahat, scales):
         """(color_post, pair_post times scales[1:]) of the dense passes.
 
-        The off-diagonal pair sums run over chunks of m gaps, each buffer
-        about CHUNK_BYTES: the alphahat and w = emis[., obs[t]] * betahat
-        rows k0..k0+m go state-major into two (S, m + 1) buffers, and gap
-        k pairs column k - k0 of alpha with column k - k0 + 1 of w. Color
-        posteriors are (alphahat * betahat) times the color indicator.
-        Diagonal pair entries are left 0.
+        `dense_backward` runs over chunks of m gaps, m + 1 betahat rows of
+        about CHUNK_BYTES, and each chunk's sums are taken as it is made:
+        its alphahat and w = emis[., obs[t]] * betahat rows k0..k0+m go
+        state-major into two (S, m + 1) buffers, and gap k pairs column
+        k - k0 of alpha with column k - k0 + 1 of w. Color posteriors are
+        (alphahat * betahat) times the color indicator. Diagonal pair
+        entries are left 0.
         """
         n, n_colors, n_states = obs.size, self.n_colors, self.initial.size
         color_post = np.empty((n, n_colors))
         pair = np.zeros((max(n - 1, 0), n_colors, n_colors))
         m = max(1, min(n - 1, CHUNK_BYTES // (8 * n_states)))
         a_buf, w_buf = np.zeros((n_states, m + 1)), np.zeros((n_states, m + 1))
-        for k0 in range(0, max(n - 1, 1), m):
-            k1 = min(k0 + m, n - 1)
-            mm = k1 - k0
-            alpha, beta = alphahat[k0:k1 + 1], betahat[k0:k1 + 1]
+        for k0, beta in self.dense_backward(obs, scales, m):
+            mm = len(beta) - 1
+            k1, alpha = k0 + mm, alphahat[k0:k0 + mm + 1]
             a_buf[:, :mm + 1] = alpha.T
             w_buf[:, :mm + 1] = (self.emis_rows[obs[k0:k1 + 1]] * beta).T
-            color_post[k0:k1 + 1] = (alpha * beta) @ self.color_indicator
+            # row k1 went in as the newer chunk's row k0, unless it is the last
+            top = mm + 1 if k1 == n - 1 else mm
+            color_post[k0:k0 + top] = ((alpha * beta) @ self.color_indicator)[:top]
             for c1, c2, rows, block in self.cross_blocks:
                 pair[k0:k1, c1, c2] = np.einsum("rk,rk->k", a_buf[rows][:, :mm],
                                                 (block @ w_buf)[:, 1:mm + 1])

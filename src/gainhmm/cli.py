@@ -85,6 +85,8 @@ def cmd_simulate(args):
                  "min_segment": "--min-segment", "mutation_rate": "--rate"},
                 check_recombinant_args, args.count, (1, args.max_breakpoints),
                 args.min_segment, args.rate)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be an integer >= 0, not {args.seed}")
     msa = read_subtype_alignment(args.input)
     records = random_recombinants(
         msa, args.count, seed=args.seed,

@@ -66,17 +66,22 @@ class WindowScores:
 
 
 def window_scores(post, window):
-    """Clamped window sums of boundary posteriors, via prefix sums."""
+    """Clamped window sums of boundary posteriors, via prefix sums.
+
+    Gap k sums cum[min(k + W + 1, m)] - cum[max(k - W, 0)] over the m gaps,
+    written by slices with W clipped to m (any W >= m gives W = m's sums);
+    cum[0] is 0, so the first W gaps subtract nothing."""
     if window < 0:
         raise ValueError("window must be >= 0")
     pair = post.pair_post
     m, n_colors = pair.shape[0], pair.shape[1]
     cum = np.zeros((m + 1, n_colors, n_colors))
     np.cumsum(pair, axis=0, out=cum[1:])
-    gaps = np.arange(m)
-    hi = np.minimum(gaps + window + 1, m)
-    lo = np.maximum(gaps - window, 0)
-    scores = cum[hi] - cum[lo]
+    w = min(int(window), m)
+    scores = np.empty((m, n_colors, n_colors))
+    scores[:m - w] = cum[w + 1:]
+    scores[m - w:] = cum[m]
+    scores[w:] -= cum[:m - w]
     diag = np.arange(n_colors)
     scores[:, diag, diag] = 0.0
     return WindowScores(scores=scores, window=int(window))

@@ -138,6 +138,15 @@ class TestDecode:
         assert lines[1] == "q1\t1\t1\t0\tA"
         assert lines[2] == "q1\t2\t2\t1\tB"
 
+    def test_window_beyond_the_record(self, tmp_path, t1_model_path):
+        # W = 9 already spans the 10-nt record; past 2**63, W overflows an int64.
+        fasta = tmp_path / "q.fasta"
+        write_fasta(fasta, [("q1", "xyxyyxxyxy"), ("q2", "yyxyxxy")])
+        for w in (9, 2**63 - 8, 10**20):
+            assert run("decode", "--model", t1_model_path, "--in", fasta,
+                       "--out", tmp_path / f"W{w}.tsv", "--decoder", "herd", "--W", w) == 0
+        assert (tmp_path / "W9.tsv").read_bytes() == (tmp_path / f"W{10**20}.tsv").read_bytes()
+
     def test_viterbi_segments(self, tmp_path, t1_model_path):
         fasta = tmp_path / "q.fasta"
         write_fasta(fasta, [("q1", "xy")])
@@ -272,7 +281,8 @@ class TestSimulate:
         ("--rate", "nan", "--rate must be in [0, 1], not nan"),
         ("--min-segment", 0, "--min-segment must be an integer >= 1, not 0"),
         ("--max-breakpoints", 0, "--max-breakpoints must be an integer >= 1, not 0"),
-    ], ids=["count", "rate", "rate-nan", "min-segment", "max-breakpoints"])
+        ("--seed", -1, "--seed must be an integer >= 0, not -1"),
+    ], ids=["count", "rate", "rate-nan", "min-segment", "max-breakpoints", "seed"])
     def test_bad_flag_named(self, tmp_path, capsys, flag, value, message):
         # The alignment does not exist: the flag is checked before anything is read.
         assert run("simulate", "--in", tmp_path / "msa.fasta", "--out", tmp_path / "q.fasta",
@@ -387,6 +397,16 @@ class TestBench:
         assert run("bench", *args, "--out", a) == 0
         assert run("bench", *args, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_window_beyond_the_records(self, tmp_path, msa_path):
+        model, fasta, truth = self.setup_run(tmp_path, msa_path)
+        whole = max(len(r.seq) for r in read_fasta(fasta)) - 1
+        out = tmp_path / "o.csv"
+        assert run("bench", "--model", model, "--in", fasta, "--truth", truth, "--out", out,
+                   "--sweep-W", f"5,{whole},{10**20}", "--gamma", 0.5) == 0
+        preds = tmp_path / "o.csv.preds"
+        assert (preds / f"herd_W{whole}_g0.5.tsv").read_bytes() == \
+            (preds / f"herd_W{10**20}_g0.5.tsv").read_bytes()
 
     def test_grid_option_spellings_agree(self, tmp_path, msa_path):
         model, fasta, truth = self.setup_run(tmp_path, msa_path, count=1)

@@ -118,6 +118,29 @@ class TestWindowScores:
             assert ws.scores.min() >= 0.0
             assert ws.scores.max() <= 2 * window + 1
 
+    def test_window_beyond_the_record(self, t1):
+        # Every W >= n - 1 covers the whole record, up to W = 2**64.
+        post = forward_backward(t1, "xyxyyxy")
+        whole = window_scores(post, post.length - 1).scores
+        for window in (post.length, 2**63 - 8, 2**64):
+            ws = window_scores(post, window)
+            assert ws.window == window
+            np.testing.assert_array_equal(ws.scores, whole)
+
+    def test_memory_of_a_long_query(self):
+        # The prefix sums and the result take 2.6 MB each here; gathering
+        # cum[hi] and cum[lo] took the peak to 8.2 MB.
+        rng = np.random.default_rng(9)
+        hmm = random_model(rng, n_states=48, n_colors=4, n_symbols=4)
+        post = forward_backward(hmm, random_seq(rng, hmm.alphabet, 20_000))
+        tracemalloc.start()
+        try:
+            window_scores(post, 25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6, f"peak traced memory {peak / 1e6:.2f} MB"
+
 
 class TestGainDecode:
     def test_t1_xy_boundary_chosen(self, t1):

@@ -95,14 +95,35 @@ class TestForwardBackward:
                 np.testing.assert_allclose(post.pair_post, pp, rtol=1e-10, atol=1e-15)
 
     def test_unscaled_product_constant(self, t1):
-        # sum_u fwd(j, u) * bwd(j, u) must equal Pr(X) at every position.
-        obs = t1.encode("xyxyy")
-        alphahat, betahat, scales = _transition.operator_of(t1).scaled_passes(obs)
+        # sum_u fwd(j, u) * bwd(j, u) must equal Pr(X) at every position, on
+        # the betahat rows of every chunk the dense backward pass yields.
+        obs = t1.encode("xyxyyxxyx")
+        op = _transition.operator_of(t1)
+        alphahat, scales = op.dense_forward(obs)
         lik = np.prod(scales)
-        for j in range(len(obs)):
-            fwd = alphahat[j] * np.prod(scales[: j + 1])
-            bwd = betahat[j] * np.prod(scales[j + 1:])
-            assert float(fwd @ bwd) == pytest.approx(lik, rel=1e-9)
+        for m in (1, 3, len(obs) - 1):
+            betahat = np.full_like(alphahat, np.nan)
+            for k0, rows in op.dense_backward(obs, scales, m):
+                betahat[k0:k0 + len(rows)] = rows
+            for j in range(len(obs)):
+                fwd = alphahat[j] * np.prod(scales[: j + 1])
+                bwd = betahat[j] * np.prod(scales[j + 1:])
+                assert float(fwd @ bwd) == pytest.approx(lik, rel=1e-9)
+
+    def test_memory_of_a_long_query(self):
+        # alphahat alone takes 7.7 MB here; a second (n, S) betahat array
+        # took the peak to 22.1 MB.
+        rng = np.random.default_rng(9)
+        hmm = random_model(rng, n_states=48, n_colors=4, n_symbols=4)
+        seq = random_seq(rng, hmm.alphabet, 20_000)
+        _transition.operator_of(hmm)
+        tracemalloc.start()
+        try:
+            forward_backward(hmm, seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6, f"peak traced memory {peak / 1e6:.2f} MB"
 
     def test_foreign_symbol(self, t1):
         with pytest.raises(ValueError, match="not in model alphabet"):
@@ -369,7 +390,7 @@ ORDERS = {"identity": np.arange,
           "reversed": lambda n: np.arange(n)[::-1].copy(),
           "shuffled": lambda n: np.random.default_rng(n).permutation(n)}
 
-# CHUNK_BYTES per state that make the dense posterior assembly take one gap
+# CHUNK_BYTES per state that make the dense backward pass take one gap
 # per chunk, or three.
 CHUNKS = {"one gap": 8, "few gaps": 24}
 
