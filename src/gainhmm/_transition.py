@@ -23,24 +23,29 @@ state indices. They are exact in any state order, and fast when
 transitions point forward and the states active at one position lie close
 together, as in a jumping model's column-major layout (I0 of every
 profile, then M1 of every profile, ...). A jumping model stored in another
-order decodes alike on windows many times wider. Each step works on one
-slice of CSR rows, so memory grows with the windows, not with n * S:
+order decodes alike on windows many times wider. Each step works on the
+window's own rows of T, one slice of CSR rows, so memory grows with the
+windows, not with n * S:
 
 - Forward keeps the window from the first to the last scaled entry
   alphahat[t, v] above CUT, a cut relative to the row (alphahat rows
-  sum to 1); `dropped` adds up what falls outside. Each entry sums its
-  predecessor row in index order and each scale a row of all S states,
-  so the scales equal those of a product over all S states, bit for bit.
-  The alphahat windows are the only lattice kept.
+  sum to 1); `dropped` adds up what falls outside. Each step scatters
+  the window's rows of T, times its alphahat, into one zero row of all
+  S states. Each entry then adds its predecessors in index order, and
+  each scale sums that row, so the scales equal those of a product over
+  all S states, bit for bit. The alphahat windows are the only lattice
+  kept.
 - Backward computes betahat on the same windows, so the posteriors are
   those of the cut lattice. It keeps one betahat row, and sums each
   gap's pair posteriors and each position's color posteriors as it
   goes, from the cross-color transitions out of the window.
 - Viterbi keeps the window from the first to the last score within
-  -ln(CUT) of the position's best (a beam), each score the maximum over
-  its predecessor row. Those rows list states by index, so the
-  traceback, which re-derives each predecessor from the stored windows,
-  keeps the dense kernels' tie rule.
+  -ln(CUT) of the position's best (a beam). Each step scatters the
+  window's scores plus their rows of log T into one -inf row by maximum,
+  which is exact in any order. Only the traceback reads T transposed:
+  its rows list predecessors by index, and it re-derives each one as the
+  first maximum over the stored windows, which keeps the dense kernels'
+  tie rule.
 - Neither cut is provably exact: a path can sink below the cut and later
   carry the sequence alone. When the cut empties a forward step, the
   record is run again at the smallest normal double (a subnormal flush);
@@ -60,7 +65,6 @@ from collections import namedtuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import _sparsetools
 
 from .model import ZeroLikelihoodError
 
@@ -76,10 +80,37 @@ CHUNK_BYTES = 1 << 18
 
 _BUILD_LOCK = threading.Lock()
 
-# scipy's loop behind CSR @ vector; it checks no index, so only the operator's
-# own tables go in. (n_rows, n_cols, indptr, indices, data, x, out) adds
-# data[j] * x[indices[j]] to out[i], j = indptr[i] .. indptr[i + 1] - 1 in order.
-_csr_matvec = _sparsetools.csr_matvec
+
+def _public_loops():
+    """Stand-ins for scipy's private loops, built on its public sparse arrays."""
+    def csr_matvec(n_rows, n_cols, indptr, indices, data, x, out):
+        s, e = indptr[0], indptr[-1]
+        out += sparse.csr_array((data[s:e], indices[s:e], indptr - s), (n_rows, n_cols)) @ x
+
+    def csc_matvec(n_rows, n_cols, indptr, indices, data, x, out):
+        s, e = indptr[0], indptr[-1]
+        out += sparse.csc_array((data[s:e], indices[s:e], indptr - s), (n_rows, n_cols)) @ x
+
+    def csr_tocsc(n_rows, n_cols, indptr, indices, data, t_indptr, t_indices, t_data):
+        t = sparse.csr_array((data, indices, indptr), (n_rows, n_cols)).tocsc()
+        t_indptr[:], t_indices[:], t_data[:] = t.indptr, t.indices, t.data
+
+    return csr_matvec, csc_matvec, csr_tocsc
+
+
+# scipy's loops behind CSR @ vector, CSC @ vector and CSR -> CSC. They check no
+# index, so only the operator's own tables go in; they are private, so a scipy
+# without them gets the public stand-ins. With j running over
+# indptr[i] .. indptr[i + 1] - 1 in order, (n_rows, n_cols, indptr, indices,
+# data, x, out) adds data[j] * x[indices[j]] to out[i] (csr_matvec) or
+# data[j] * x[i] to out[indices[j]] (csc_matvec), and csr_tocsc writes the
+# transpose's (indptr, indices, data) into its last three arguments, each of
+# its rows listing its entries in index order.
+try:
+    from scipy.sparse._sparsetools import csc_matvec as _csc_matvec, \
+        csr_matvec as _csr_matvec, csr_tocsc as _csr_tocsc
+except ImportError:  # pragma: no cover - depends on the scipy build
+    _csr_matvec, _csc_matvec, _csr_tocsc = _public_loops()
 
 # Forward window rows: row t holds alphahat of the states lo[t] .. lo[t] + k - 1,
 # k = indptr[t + 1] - indptr[t]; dropped is the alphahat mass outside the
@@ -125,10 +156,11 @@ class TransitionOperator:
             pair c1 != c2 with transitions: rows are the states of c1 that
             reach c2 (a slice when in one run), block the (rows, S) CSR
             matrix of their transitions to c2
-        succ, pred: (sparse kernels) (indptr, indices, data) of T and
-            (indptr, indices, data, log data) of T transposed, each row
-            listing its states by index; a state with no predecessor
-            lists itself at 0
+        succ: (sparse kernels) (indptr, indices, data, log data) of T,
+            each row listing its states by index
+        pred: (sparse kernels, read by the Viterbi traceback alone)
+            (indptr, indices, log data) of T transposed, each row listing
+            its states by index
         reach: (sparse kernels) (floor, ceil): rows u and later reach
             no state below floor[u], rows up to u none from ceil[u] on
     """
@@ -144,26 +176,24 @@ class TransitionOperator:
         self.colors = colors = hmm.state_colors
         self.n_colors = n_colors = hmm.n_colors
         # t's entries in row-major order, column indices ascending in a row
-        ptr = t.indptr.astype(np.int64)
-        r, c, v = np.repeat(np.arange(n_states), np.diff(ptr)), t.indices.astype(np.int64), t.data
+        ptr, c, v = t.indptr, t.indices, t.data
         if self.is_sparse:
-            # A stable sort keeps each predecessor row in index order. A state
-            # with no predecessor gets itself at 0, so every max has one.
-            at = np.arange(n_states + 1)
-            lone = np.flatnonzero(np.bincount(c, minlength=n_states) == 0)
-            pr, pc = np.concatenate((r, lone)), np.concatenate((c, lone))
-            by_pred = np.argsort(pc, kind="stable")
-            pv = np.concatenate((v, np.zeros(lone.size)))[by_pred]
-            with np.errstate(divide="ignore"):
-                self.pred = (np.searchsorted(pc[by_pred], at), pr[by_pred], pv, np.log(pv))
-            self.succ = (ptr, c, v)
-            low = np.minimum(np.minimum.reduceat(c, ptr[:-1]), at[:-1])
-            high = np.maximum(np.maximum.reduceat(c, ptr[:-1]), at[:-1]) + 1
+            log_v = np.log(v)
+            self.succ = (ptr, c, v, log_v)
+            self.pred = (np.empty(n_states + 1, np.int64), np.empty(c.size, np.int64),
+                         np.empty(c.size))
+            _csr_tocsc(n_states, n_states, ptr, c, log_v, *self.pred)
+            # each row is nonempty (T is row-stochastic) and ascending
+            at = np.arange(n_states)
+            low, high = np.minimum(c[ptr[:-1]], at), np.maximum(c[ptr[1:] - 1], at) + 1
             self.reach = (np.minimum.accumulate(low[::-1])[::-1], np.maximum.accumulate(high))
-        same = colors[r] == colors[c]
-        self.diag_colors = np.flatnonzero(np.bincount(colors[r[same]], minlength=n_colors)).tolist()
-        self.cross = src, dst, val, key = (r[~same], c[~same], v[~same],
-                                           colors[r[~same]] * n_colors + colors[c[~same]])
+        r_colors, c_colors = np.repeat(colors, np.diff(ptr)), colors[c]
+        same = r_colors == c_colors
+        self.diag_colors = np.flatnonzero(np.bincount(r_colors[same], minlength=n_colors)).tolist()
+        x = np.flatnonzero(~same)
+        # each cross entry's row: the last row starting at or before it
+        self.cross = src, dst, val, key = (np.searchsorted(ptr, x, "right") - 1, c[x], v[x],
+                                           r_colors[x] * n_colors + c_colors[x])
         if not self.is_sparse:
             self.backward_t = t.toarray()
             self.forward_t = self.backward_t.T
@@ -271,30 +301,33 @@ class TransitionOperator:
             return self._forward_windows(obs, np.finfo(np.float64).tiny)
 
     def _forward_windows(self, obs, cut):
-        """`Ragged` rows of the windows of alphahat above `cut`."""
-        (ptr, preds, data, _), (floor, ceil) = self.pred, self.reach
+        """`Ragged` rows of the windows of alphahat above `cut`.
+
+        Each step scatters the window's rows of T into one zero row of all
+        S states: every state they reach lies in [base, top), and each
+        entry adds its predecessors in index order, as a product over all S
+        states does.
+        """
+        (ptr, succ, data, _), (floor, ceil) = self.succ, self.reach
         emis, n_states = self.emis_rows, self.initial.size
-        full = np.zeros(n_states)  # the last window's alphahat, then the step's row
+        full = np.zeros(n_states)  # the step's row; 0 outside [base, top) between steps
         los, rows, scales, dropped = [], [], [], 0.0
         for t, sym in enumerate(obs.tolist()):
             if t:
-                # every state the window reaches; the rest of full is 0
                 base, top = floor[lo], ceil[hi - 1]
-                full[lo:hi] = x
-                a = np.zeros(top - base)
-                _csr_matvec(top - base, n_states, ptr[base:top + 1], preds, data, full, a)
-                full[lo:hi] = 0.0
-                a *= emis[sym][base:top]
+                _csc_matvec(n_states, hi - lo, ptr[lo:hi + 1], succ, data, x, full)
+                step = full[base:top]
+                step *= emis[sym][base:top]
             else:
-                base, top, a = 0, n_states, self.initial * emis[sym]
+                base, top = 0, n_states
+                np.multiply(self.initial, emis[sym], full)
             # the scale sums a row of all S states, as a product over all S would
-            full[base:top] = a
             scale = np.add.reduce(full)
-            full[base:top] = 0.0
             if scale <= 0.0:
                 raise _impossible(t)
             scales.append(scale)
-            a /= scale
+            a = full[base:top] / scale
+            full[base:top] = 0.0
             keep = a > cut
             first, end = int(keep.argmax()), a.size - int(keep[::-1].argmax())
             dropped += np.add.reduce(a[:first]) + np.add.reduce(a[end:])
@@ -315,7 +348,7 @@ class TransitionOperator:
         pair; only the current betahat row is kept. Diagonal pair entries
         are left 0.
         """
-        ptr, succ, data = self.succ
+        ptr, succ, data, _ = self.succ
         src, dst, val, key = self.cross
         emis, colors, n_colors, alpha = self.emis_rows, self.colors, self.n_colors, lat.alpha
         n, n_states = obs.size, self.initial.size
@@ -443,20 +476,26 @@ class TransitionOperator:
     def _beam_scores(self, obs, width):
         """Max-product windows: per position (lo - 1, scores) over the states
         lo .. hi - 1, the first to the last within `width` of the position's
-        best score, with one -inf on either side."""
-        (pptr, preds, _, plog), (floor, ceil) = self.pred, self.reach
-        pptr_list, log_emis, pad = pptr.tolist(), self.log_emis_rows, [-np.inf]
-        full = np.full(self.initial.size, -np.inf)  # the last window's scores
+        best score, with one -inf on either side.
+
+        Each step scatters the window's rows of log T, each added to its
+        state's score, into one -inf row of all S states by maximum. A
+        maximum is exact in any order, so each state gets the best score
+        over its predecessors in the window.
+        """
+        (ptr, succ, _, log_data), (floor, ceil) = self.succ, self.reach
+        ptr_list, degree = ptr.tolist(), np.diff(ptr)
+        log_emis, pad = self.log_emis_rows, [-np.inf]
+        full = np.full(self.initial.size, -np.inf)  # the step's best scores
         rows = []
         for t, sym in enumerate(obs.tolist()):
             if t:
-                # best predecessor of every state the window reaches
                 base, top = floor[lo], ceil[hi - 1]
-                full[lo:hi] = score[1:-1]
-                s, e = pptr_list[base], pptr_list[top]
-                row = np.fmax.reduceat(full.take(preds[s:e]) + plog[s:e], pptr[base:top] - s)
-                full[lo:hi] = -np.inf
-                row += log_emis[sym][base:top]
+                s, e = ptr_list[lo], ptr_list[hi]
+                np.maximum.at(full, succ[s:e],
+                              np.repeat(score[1:-1], degree[lo:hi]) + log_data[s:e])
+                row = full[base:top] + log_emis[sym][base:top]
+                full[base:top] = -np.inf
             else:
                 base, row = 0, self.log_initial + log_emis[sym]
             best = row.max()
@@ -473,7 +512,7 @@ class TransitionOperator:
         predecessor is the first maximum over the predecessor row (index
         order), with every state outside the window at -inf; ties at the
         end go to the smallest index."""
-        pptr, preds, _, plog = self.pred
+        pptr, preds, plog = self.pred
         bounds = pptr.tolist()
         start, score = rows[-1]
         best_logp = float(score.max())

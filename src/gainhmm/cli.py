@@ -31,7 +31,9 @@ from .simulate import check_recombinant_args, random_recombinants
 DECODERS = ("viterbi", "posterior", "herd")
 
 
-def _parse_sweep(text, cast, flag):
+def _parse_sweep(text, cast, flag, shown=str):
+    """The values of a comma-separated grid flag, each distinct as `shown`
+    prints it in file names and CSV cells."""
     values = []
     for v in filter(str.strip, text.split(",")):
         try:
@@ -40,10 +42,14 @@ def _parse_sweep(text, cast, flag):
             raise ValueError(f"{flag} lists {v.strip()!r}, not a valid {cast.__name__}") from None
     if not values:
         raise ValueError(f"{flag} needs a nonempty comma-separated list")
-    for i, v in enumerate(values):
+    printed = {}
+    for v in values:
         check_nonnegative(flag, v)
-        if v in values[:i]:
+        if v in printed.values():
             raise ValueError(f"{flag} lists the value {v} twice")
+        other = printed.setdefault(shown(v), v)
+        if other != v:
+            raise ValueError(f"{flag} lists {other} and {v}, which both print as {shown(v)}")
     return values
 
 
@@ -177,7 +183,7 @@ def cmd_bench(args):
         raise ValueError("--tolerance must be >= 0")
     check_nonnegative("--alpha", args.alpha)
     w_grid = _parse_sweep(args.W, int, "--W/--sweep-W")
-    g_grid = _parse_sweep(args.gamma, float, "--gamma/--sweep-gamma")
+    g_grid = _parse_sweep(args.gamma, float, "--gamma/--sweep-gamma", "{:g}".format)
     grid = [GainParams(window=w, gamma=g, alpha=args.alpha) for w in w_grid for g in g_grid]
 
     hmm = load_model(args.model)

@@ -43,6 +43,9 @@ WRITE_BLOCK = 1 << 14
 SIDECAR_SUFFIX = ".arrays"
 SIDECAR_FORMAT = b"gainhmm-arrays/2"
 
+# Bytes of the model file that load_model hashes at a time.
+HASH_BLOCK = 1 << 16
+
 
 class InvalidModelError(ValueError):
     """A model description violates a structural invariant."""
@@ -76,19 +79,27 @@ def _canonical_transitions(transitions, state_ids):
     """Validated float64 CSR copy of a transition matrix, rows repaired.
 
     `transitions` is an ndarray or a scipy sparse matrix. The copy has
-    sorted indices, summed duplicates and no stored zeros.
+    int64 index arrays, sorted indices, summed duplicates and no stored
+    zeros.
     """
     n = len(state_ids)
     t = sparse.csr_array(transitions, dtype=np.float64, copy=True)
     if t.shape != (n, n):
         raise InvalidModelError(f"transition matrix of shape {t.shape} for {n} states")
+    try:  # the row sums below index by t.indices; scipy checks no index unless asked
+        t.check_format(full_check=True)
+    except ValueError as e:
+        raise InvalidModelError(f"transition matrix: {e}") from None
+    t.indptr = t.indptr.astype(np.int64, copy=False)
+    t.indices = t.indices.astype(np.int64, copy=False)
     t.sum_duplicates()
     t.eliminate_zeros()
-    row_of = np.repeat(np.arange(n), np.diff(t.indptr))
     negative = np.zeros(n, dtype=bool)
-    negative[row_of[t.data < 0.0]] = True
-    sums = np.bincount(row_of, weights=t.data, minlength=n)
-    t.data /= _row_divisors(sums, negative, "transition", state_ids)[row_of]
+    negative[np.searchsorted(t.indptr, np.flatnonzero(t.data < 0.0), "right") - 1] = True
+    # each row summed in index order, as CSR times a vector of ones does
+    divisors = _row_divisors(t @ np.ones(n), negative, "transition", state_ids)
+    if np.any(divisors != 1.0):
+        t.data /= np.repeat(divisors, np.diff(t.indptr))
     return t
 
 
@@ -104,9 +115,9 @@ class Hmm:
         color_names: name per color id
         alphabet: ordered emission symbols
         initial: (S,) initial distribution
-        transitions: (S, S) row-stochastic float64 csr_array with sorted
-            indices, no duplicates, no stored zeros and read-only data,
-            indices and indptr;
+        transitions: (S, S) row-stochastic float64 csr_array with int64
+            index arrays, sorted indices, no duplicates, no stored zeros
+            and read-only data, indices and indptr;
             transitions_dense() gives it as an ndarray
         emissions: (S, A) row-stochastic emission matrix
 
@@ -607,8 +618,7 @@ def _read_sidecar(path, digest):
             alphabet, color_names, state_ids = json.loads(read(fh).tobytes())
             colors, initial, emissions, indptr, indices, data = (read(fh) for _ in range(6))
         n = len(state_ids)
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        trans = sparse.coo_array((data, (rows, indices.astype(np.int64))), shape=(n, n))
+        trans = sparse.csr_array((data, indices, indptr), shape=(n, n))
         return Hmm(state_ids, colors, color_names, alphabet, initial, trans, emissions)
     except (OSError, ValueError, TypeError):
         return None
@@ -620,9 +630,11 @@ def load_model(path):
     The model comes from the file's sidecar where that carries the file's
     SHA-256, and from the JSON otherwise. Errors name the file.
     """
+    digest, block = hashlib.sha256(), bytearray(HASH_BLOCK)
     with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).digest()
-    hmm = _read_sidecar(path, digest)
+        while size := fh.readinto(block):
+            digest.update(memoryview(block)[:size])
+    hmm = _read_sidecar(path, digest.digest())
     if hmm is not None:
         return hmm
     try:

@@ -8,7 +8,12 @@ vectorised decoder. `reference_forward_backward` and `reference_viterbi`
 are the decoders as they were before the cached transition operator:
 full (n, S) emission and pair-weight arrays, every transition nonzero in
 the pair posteriors, gradual underflow, and `maximum.reduceat` for the
-sparse max-product. `full_jumping_graph`, `silent_closure` and
+sparse max-product. `reference_predecessors`,
+`reference_reach`, `reference_forward_windows`, `reference_beam_scores` and
+`reference_beam_traceback` are the sparse window kernels as they were
+before they scattered each window's own rows of T: every step gathered
+the predecessor rows of every state the window reaches, from a
+predecessor table sorted by a stable argsort. `full_jumping_graph`, `silent_closure` and
 `reference_assemble_jumping_hmm` are the jumping-model assembly as it
 was before the closed-form delete chains: the full state graph with
 silent delete states, a generic closure over it, and a merge.
@@ -26,6 +31,7 @@ import numpy as np
 from scipy import sparse
 
 from gainhmm import Annotation, Hmm, InvalidModelError, PosteriorSet, ZeroLikelihoodError
+from gainhmm._transition import Ragged, _csr_matvec, operator_of
 from gainhmm.jumping import DNA, SILENT_CLOSURE_EPS
 
 
@@ -308,6 +314,119 @@ def reference_viterbi(hmm, seq):
     for t in range(n - 1, 0, -1):
         path[t - 1] = predecessor(t, path[t])
     return Annotation(hmm.state_colors[path]), best_logp
+
+
+def reference_predecessors(hmm):
+    """(indptr, indices, data, log data) of T transposed, each row listing
+    its states by index; a state with no predecessor lists itself at 0, so
+    every row has an entry."""
+    t, n_states = hmm.transitions, hmm.n_states
+    ptr = t.indptr.astype(np.int64)
+    r, c, v = np.repeat(np.arange(n_states), np.diff(ptr)), t.indices.astype(np.int64), t.data
+    at = np.arange(n_states + 1)
+    lone = np.flatnonzero(np.bincount(c, minlength=n_states) == 0)
+    pr, pc = np.concatenate((r, lone)), np.concatenate((c, lone))
+    by_pred = np.argsort(pc, kind="stable")
+    pv = np.concatenate((v, np.zeros(lone.size)))[by_pred]
+    with np.errstate(divide="ignore"):
+        return np.searchsorted(pc[by_pred], at), pr[by_pred], pv, np.log(pv)
+
+
+def reference_reach(hmm):
+    """(floor, ceil): rows u and later of T reach no state below floor[u],
+    rows up to u none from ceil[u] on; each row's own state counts too."""
+    t, n_states = hmm.transitions, hmm.n_states
+    ptr, c, at = t.indptr.astype(np.int64), t.indices.astype(np.int64), np.arange(n_states)
+    low = np.minimum(np.minimum.reduceat(c, ptr[:-1]), at)
+    high = np.maximum(np.maximum.reduceat(c, ptr[:-1]), at) + 1
+    return np.minimum.accumulate(low[::-1])[::-1], np.maximum.accumulate(high)
+
+
+def reference_forward_windows(hmm, obs, cut):
+    """`Ragged` rows of the windows of alphahat above `cut`, each step a
+    CSR product over the predecessor rows of every state the window
+    reaches."""
+    op = operator_of(hmm)
+    (ptr, preds, data, _), (floor, ceil) = reference_predecessors(hmm), reference_reach(hmm)
+    emis, n_states = op.emis_rows, op.initial.size
+    full = np.zeros(n_states)  # the last window's alphahat, then the step's row
+    los, rows, scales, dropped = [], [], [], 0.0
+    for t, sym in enumerate(obs.tolist()):
+        if t:
+            # every state the window reaches; the rest of full is 0
+            base, top = floor[lo], ceil[hi - 1]
+            full[lo:hi] = x
+            a = np.zeros(top - base)
+            _csr_matvec(top - base, n_states, ptr[base:top + 1], preds, data, full, a)
+            full[lo:hi] = 0.0
+            a *= emis[sym][base:top]
+        else:
+            base, top, a = 0, n_states, op.initial * emis[sym]
+        # the scale sums a row of all S states, as a product over all S would
+        full[base:top] = a
+        scale = np.add.reduce(full)
+        full[base:top] = 0.0
+        if scale <= 0.0:
+            raise ZeroLikelihoodError(f"sequence impossible under model at position {t + 1}")
+        scales.append(scale)
+        a /= scale
+        keep = a > cut
+        first, end = int(keep.argmax()), a.size - int(keep[::-1].argmax())
+        dropped += np.add.reduce(a[:first]) + np.add.reduce(a[end:])
+        lo, hi, x = base + first, base + end, a[first:end].copy()
+        los.append(lo)
+        rows.append(x)
+    indptr = np.zeros(obs.size + 1, dtype=np.int64)
+    np.cumsum([r.size for r in rows], out=indptr[1:])
+    return Ragged(indptr, np.array(los), np.concatenate(rows), np.array(scales), float(dropped))
+
+
+def reference_beam_scores(hmm, obs, width):
+    """Max-product windows, (lo - 1, scores with one -inf on either side)
+    per position, each step a `np.fmax.reduceat` over the predecessor rows
+    of every state the window reaches."""
+    op = operator_of(hmm)
+    (pptr, preds, _, plog), (floor, ceil) = reference_predecessors(hmm), reference_reach(hmm)
+    pptr_list, log_emis, pad = pptr.tolist(), op.log_emis_rows, [-np.inf]
+    full = np.full(op.initial.size, -np.inf)  # the last window's scores
+    rows = []
+    for t, sym in enumerate(obs.tolist()):
+        if t:
+            # best predecessor of every state the window reaches
+            base, top = floor[lo], ceil[hi - 1]
+            full[lo:hi] = score[1:-1]
+            s, e = pptr_list[base], pptr_list[top]
+            row = np.fmax.reduceat(full.take(preds[s:e]) + plog[s:e], pptr[base:top] - s)
+            full[lo:hi] = -np.inf
+            row += log_emis[sym][base:top]
+        else:
+            base, row = 0, op.log_initial + log_emis[sym]
+        best = row.max()
+        if best == -np.inf:
+            raise ZeroLikelihoodError(f"sequence impossible under model at position {t + 1}")
+        keep = row > best - width
+        first, end = int(keep.argmax()), row.size - int(keep[::-1].argmax())
+        lo, hi, score = base + first, base + end, np.concatenate((pad, row[first:end], pad))
+        rows.append((lo - 1, score))
+    return rows
+
+
+def reference_beam_traceback(hmm, rows):
+    """(path, log probability) from the windows of `reference_beam_scores`,
+    each predecessor the first maximum along its predecessor row."""
+    pptr, preds, _, plog = reference_predecessors(hmm)
+    bounds = pptr.tolist()
+    start, score = rows[-1]
+    best_logp = float(score.max())
+    v = start + int(score.argmax())
+    path = [v]
+    for start, score in rows[-2::-1]:
+        s, e = bounds[v], bounds[v + 1]
+        # states outside the window clip to its -inf ends
+        cand = score.take(preds[s:e] - start, mode="clip") + plog[s:e]
+        v = int(preds[s + int(cand.argmax())])
+        path.append(v)
+    return np.array(path[::-1], dtype=np.int64), best_logp
 
 
 def full_jumping_graph(profiles, jump_prob):

@@ -559,6 +559,19 @@ class TestBench:
                    flag, value) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("flag, values, shown", [
+        ("--sweep-gamma", "0.1,0.1000001", "0.1 and 0.1000001, which both print as 0.1"),
+        ("--gamma", "1,2.5,1.0000001e-7,1e-7", "1.0000001e-07 and 1e-07, which both print as 1e-07"),
+    ])
+    def test_grid_values_printing_alike_rejected(self, tmp_path, capsys, flag, values, shown):
+        # Both grid points would write one CSV gamma and one .preds file name.
+        # No file exists: the values are checked before anything is read.
+        assert run("bench", "--model", tmp_path / "m.json", "--in", tmp_path / "q.fasta",
+                   "--truth", tmp_path / "t.tsv", "--out", tmp_path / "o.csv",
+                   flag, values) == 1
+        assert capsys.readouterr().err == f"error: --gamma/--sweep-gamma lists {shown}\n"
+        assert not (tmp_path / "o.csv").exists()
+
     def test_empty_sweep_rejected(self, tmp_path, msa_path, capsys):
         model, fasta, truth = self.setup_run(tmp_path, msa_path, count=1)
         assert run("bench", "--model", model, "--in", fasta, "--truth", truth,

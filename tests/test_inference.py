@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -435,6 +436,161 @@ class TestAgainstReference:
         assert 0.0 < lat.dropped < ref_alpha.size * _transition.CUT
         np.testing.assert_array_equal(lat.scales, ref_scales)
         assert_matches_reference(hmm, seq)
+
+
+def attempt(f, *args):
+    """f(*args), or the message of the ZeroLikelihoodError it raises."""
+    try:
+        return f(*args)
+    except ZeroLikelihoodError as e:
+        return str(e)
+
+
+def assert_scatter_matches_gather(hmm, seq):
+    """The sparse kernels, which scatter each window's rows of T, equal (`==`)
+    to the gather kernels they replaced: forward windows at the cut and at
+    the subnormal flush, beam rows at the beam and with none, posteriors,
+    and Viterbi paths, reruns included."""
+    op = _transition.operator_of(hmm)
+    assert op.is_sparse
+    obs = hmm.encode(seq)
+
+    pptr, preds, pdata, plog = _oracles.reference_predecessors(hmm)
+    real = pdata > 0  # not the self entry of a state with no predecessor
+    np.testing.assert_array_equal(op.pred[0], np.concatenate(([0], np.cumsum(real)))[pptr])
+    np.testing.assert_array_equal(op.pred[1], preds[real])
+    np.testing.assert_array_equal(op.pred[2], plog[real])
+    for got, want in zip(op.reach, _oracles.reference_reach(hmm)):
+        np.testing.assert_array_equal(got, want)
+
+    for cut in (_transition.CUT, np.finfo(np.float64).tiny):
+        lat = attempt(op._forward_windows, obs, cut)
+        ref = attempt(_oracles.reference_forward_windows, hmm, obs, cut)
+        if isinstance(ref, str):
+            assert lat == ref
+            continue
+        for got, want in zip(lat[:-1], ref[:-1]):
+            np.testing.assert_array_equal(got, want)
+        assert lat.dropped == ref.dropped
+    for width in (-np.log(_transition.CUT), np.inf):
+        rows = attempt(op._beam_scores, obs, width)
+        ref = attempt(_oracles.reference_beam_scores, hmm, obs, width)
+        if isinstance(ref, str):
+            assert rows == ref
+            continue
+        assert [start for start, _ in rows] == [start for start, _ in ref]
+        for (_, got), (_, want) in zip(rows, ref):
+            np.testing.assert_array_equal(got, want)
+
+    post, path = attempt(op.posteriors, obs), attempt(op.viterbi_path, obs)
+    with mock.patch.object(op, "_forward_windows",
+                           partial(_oracles.reference_forward_windows, hmm)), \
+            mock.patch.object(op, "_beam_scores", partial(_oracles.reference_beam_scores, hmm)), \
+            mock.patch.object(op, "_beam_traceback",
+                              partial(_oracles.reference_beam_traceback, hmm)):
+        ref_post, ref_path = attempt(op.posteriors, obs), attempt(op.viterbi_path, obs)
+    for got, want in ((post, ref_post), (path, ref_path)):
+        if isinstance(want, str):
+            assert got == want
+            continue
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestScatterKernels:
+    """The sparse kernels against the gather kernels they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 40), st.sampled_from([0.0, 0.5]),
+           st.sampled_from([0.01, 0.5]), st.sampled_from(["column-major", "profile-major",
+                                                          "shuffled"]),
+           st.integers(1, 80), st.integers(0, 2**30))
+    def test_jumping_models(self, n_profiles, length, delete_self, jump_prob, order, n, seed):
+        msa = synthetic_subtypes(n_profiles, length, divergence=0.3, seed=seed)
+        hmm = build_jumping_hmm(msa, JumpingHmmSpec(jump_prob=jump_prob, pseudocount=0.5,
+                                                    delete_self=delete_self))
+        if order == "profile-major":
+            hmm = permuted(hmm, np.argsort(column_major(n_profiles, 2 * length + 1)))
+        elif order == "shuffled":
+            hmm = permuted(hmm, ORDERS["shuffled"](hmm.n_states))
+        hmm = sparse_kernel_copy(hmm)
+        assert_scatter_matches_gather(hmm, sample_path(hmm, n, seed=seed)[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 300), st.integers(1, 4), st.integers(2, 4), st.booleans(),
+           st.integers(1, 60), st.integers(0, 2**30))
+    def test_shuffled_sparse_models(self, n_states, n_colors, n_symbols, sampled, n, seed):
+        # Random columns leave some states with no predecessor; a random
+        # query is often impossible.
+        rng = np.random.default_rng(seed)
+        hmm = quarter_model(rng, n_states, min(n_colors, n_states), n_symbols, as_csr=True)
+        hmm = sparse_kernel_copy(permuted(hmm, rng.permutation(n_states)))
+        seq = sample_path(hmm, n, seed=seed)[1] if sampled else random_seq(rng, hmm.alphabet, n)
+        assert_scatter_matches_gather(hmm, seq)
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_cut_and_beam_reruns(self, order):
+        hmm = TestCutFallback.model(order)
+        obs = hmm.encode("xxxy")
+        op = _transition.operator_of(hmm)
+        for run in (lambda: op._forward_windows(obs, _transition.CUT),
+                    lambda: op._beam_scores(obs, -np.log(_transition.CUT))):
+            with pytest.raises(ZeroLikelihoodError):
+                run()
+        assert_scatter_matches_gather(hmm, "xxxy")
+
+    def test_long_query_and_profile_major_file(self):
+        msa = synthetic_subtypes(3, 150, divergence=0.15, seed=3)
+        hmm = build_jumping_hmm(msa, JumpingHmmSpec(jump_prob=0.01, pseudocount=0.1))
+        recs = random_recombinants(msa, 4, seed=4, breakpoint_range=(1, 2),
+                                   min_segment=30, mutation_rate=0.05)
+        seq = "".join(r.seq for r in recs)
+        assert_scatter_matches_gather(hmm, seq)
+        assert_scatter_matches_gather(permuted(hmm, np.argsort(column_major(3, 301))),
+                                      recs[0].seq)
+
+
+class TestPublicLoops:
+    """Without scipy's private loops the kernels run on its public sparse arrays."""
+
+    @pytest.mark.parametrize("kind", ["jumping", "shuffled"])
+    def test_fallback_matches_fast_path(self, monkeypatch, kind):
+        rng = np.random.default_rng(13)
+        if kind == "jumping":
+            msa = synthetic_subtypes(3, 120, divergence=0.15, seed=13)
+            hmm = build_jumping_hmm(msa, JumpingHmmSpec(jump_prob=0.01, pseudocount=0.1))
+            seqs = [r.seq for r in random_recombinants(msa, 3, seed=14, min_segment=20,
+                                                       mutation_rate=0.05)]
+        else:
+            hmm = permuted(quarter_model(rng, 280, 3, 3, as_csr=True), rng.permutation(280))
+            seqs = [sample_path(hmm, 60, seed=seed)[1] for seed in range(3)]
+        fast = _transition.operator_of(sparse_kernel_copy(hmm))
+        calls = {}
+
+        def counted(name, loop):
+            def run(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return loop(*args)
+            return run
+
+        for name, loop in zip(("_csr_matvec", "_csc_matvec", "_csr_tocsc"),
+                              _transition._public_loops()):
+            monkeypatch.setattr(_transition, name, counted(name, loop))
+        public = _transition.operator_of(sparse_kernel_copy(hmm))
+        for table, want in zip(public.pred, fast.pred):
+            np.testing.assert_array_equal(table, want)
+        for seq in seqs:
+            obs = hmm.encode(seq)
+            scales, color_post, pair_post, dropped = public.posteriors(obs)
+            ref = fast.posteriors(obs)
+            np.testing.assert_allclose(scales, ref[0], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(color_post, ref[1], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(pair_post, ref[2], rtol=0, atol=1e-12)
+            assert dropped == pytest.approx(ref[3], rel=1e-12, abs=1e-300)
+            path, logp = public.viterbi_path(obs)
+            np.testing.assert_array_equal(path, fast.viterbi_path(obs)[0])
+            assert logp == pytest.approx(fast.viterbi_path(obs)[1], rel=1e-12)
+        assert set(calls) == {"_csr_matvec", "_csc_matvec", "_csr_tocsc"}
 
 
 class TestColumnMajor:

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -333,6 +334,7 @@ class TestTransitionFormat:
         csr = with_transitions(model, sparse.csr_array(model.transitions_dense()))
         for t in (dense.transitions, csr.transitions):
             assert isinstance(t, sparse.csr_array) and t.has_canonical_format
+            assert t.indices.dtype == t.indptr.dtype == np.int64
         for a, b in ((dense.transitions, csr.transitions), (dense.transitions, model.transitions)):
             for field in ("data", "indices", "indptr"):
                 np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
@@ -370,6 +372,16 @@ class TestRejectedTables:
     def test_non_finite_transition(self, bad):
         with pytest.raises(InvalidModelError, match=r"transition row sum (nan|inf) for state a$"):
             self.two_state(transitions=[[bad, 0.5], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("indices, indptr, message", [
+        ([0, 2], [0, 1, 2], "indices must be < 2"),
+        ([1, 0], [0, 2, 1], "indptr must be a non-decreasing sequence"),
+    ], ids=["index-out-of-range", "indptr-decreasing"])
+    def test_malformed_csr(self, indices, indptr, message):
+        # Read unchecked, such a matrix would index past the row-sum vector.
+        t = sparse.csr_array((np.ones(2), np.array(indices), np.array(indptr)), shape=(2, 2))
+        with pytest.raises(InvalidModelError, match=f"^transition matrix: {message}$"):
+            self.two_state(transitions=t)
 
     def test_non_finite_emission_and_initial(self):
         with pytest.raises(InvalidModelError, match=r"emission row sum nan for state b$"):
@@ -700,6 +712,29 @@ class TestSidecar:
         assert_same_hmm(with_sidecar, reference)
         assert_same_hmm(without, reference)
         assert_same_hmm(without, hmm, dtypes=False)
+
+    def test_load_does_not_hold_the_file(self, tmp_path):
+        # The JSON text takes about 44 bytes per transition, the sidecar 16.
+        msa = synthetic_subtypes(3, 300, divergence=0.15, seed=2)
+        path = tmp_path / "model.json"
+        save_model(build_jumping_hmm(msa, JumpingHmmSpec(jump_prob=0.01, pseudocount=0.1)), path)
+        size = path.stat().st_size
+        hashed = []
+        read_sidecar = model_module._read_sidecar
+
+        def spy(*args):
+            hashed.append(tracemalloc.get_traced_memory()[1])  # the peak while hashing
+            return read_sidecar(*args)
+
+        with mock.patch.object(model_module, "_read_sidecar", spy):
+            tracemalloc.start()
+            try:
+                load_from_sidecar(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert hashed[0] < size / 10, f"{hashed[0] / 1e6:.2f} MB while hashing"
+        assert peak < 1.25 * size, f"peak {peak / 1e6:.2f} MB for a {size / 1e6:.2f} MB file"
 
     def test_sidecar_holds_arrays_and_names(self, tmp_path):
         hmm = drawn_model(seed=2, n_states=5, shape="sparse", names="unicode",
