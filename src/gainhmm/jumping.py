@@ -85,8 +85,9 @@ def make_alignment(groups):
 
 @dataclass(frozen=True)
 class JumpingHmmSpec:
-    """Assembly parameters: jump probability, smoothing, transition priors.
+    """Every setting of a jumping model: jump probability, smoothing, priors.
 
+    build_profile reads the pseudocount, assemble_jumping_hmm the rest.
     The prior fields describe one profile column before jump scaling:
     a match state advances, inserts, or deletes; insert and delete states
     self-continue with their prior and otherwise advance to the next
@@ -118,22 +119,18 @@ class ProfileHmm:
     """Match/insert/delete profile over the alignment columns of one subtype.
 
     match_emission[i] is the smoothed symbol distribution of column i+1;
-    insert emissions are uniform. `n_states` counts L match, L delete and L + 1
-    insert states (3L + 1); the assembly folds the deletes away, leaving 2L + 1.
+    insert states emit uniformly, which the assembly writes. `n_states`
+    counts L match, L delete and L + 1 insert states (3L + 1); the assembly
+    folds the deletes away, leaving 2L + 1.
     """
 
     name: str
     length: int
     match_emission: np.ndarray
-    spec: JumpingHmmSpec
 
     @property
     def n_states(self):
         return 3 * self.length + 1
-
-    @property
-    def insert_emission(self):
-        return np.full(len(DNA), 1.0 / len(DNA))
 
 
 def build_profile(name, group, spec):
@@ -147,16 +144,15 @@ def build_profile(name, group, spec):
     length = len(group[0])
     if length == 0:
         raise ValueError(f"subtype {name!r} has zero alignment columns")
-    sym_index = {s: i for i, s in enumerate(DNA)}
-    counts = np.zeros((length, len(DNA)))
     for k, s in enumerate(group, 1):
         check_sequence(s, length, name, k)
-        for i, ch in enumerate(s):
-            if ch != "-":
-                counts[i, sym_index[ch.lower()]] += 1.0
+    # every character is now a DNA letter or a gap: one ASCII byte each
+    columns = np.frombuffer("".join(group).lower().encode(), np.uint8).reshape(-1, length)
+    symbols = np.frombuffer("".join(DNA).encode(), np.uint8)
+    counts = (columns[:, :, None] == symbols).sum(axis=0, dtype=np.float64)
     nongap = counts.sum(axis=1, keepdims=True)
     emission = (counts + spec.pseudocount) / (nongap + len(DNA) * spec.pseudocount)
-    return ProfileHmm(name=name, length=length, match_emission=emission, spec=spec)
+    return ProfileHmm(name=name, length=length, match_emission=emission)
 
 
 def build_profiles(msa, spec):
@@ -177,9 +173,10 @@ def _geometric(first, ratio, limit):
     return np.array(terms)
 
 
-def assemble_jumping_hmm(profiles, jump_prob):
+def assemble_jumping_hmm(profiles, spec):
     """One labeled HMM from per-subtype profiles plus jump transitions.
 
+    Every transition prior and the jump probability P_j come from `spec`.
     Slot j of profile p (I0, M1, I1, ..., ML, IL) is state j * P + p and
     carries color p; the initial distribution is uniform over profiles.
     Match rows at columns < L keep (1 - P_j) of their within-profile mass
@@ -188,8 +185,6 @@ def assemble_jumping_hmm(profiles, jump_prob):
     built: the mass a match state (or the start) sends into D_{c+1} goes
     straight to where the delete chain emits.
     """
-    if not 0.0 <= jump_prob < 1.0:
-        raise ValueError("jump probability must be in [0, 1)")
     n_prof = len(profiles)
     if n_prof < 2:
         raise ValueError("need at least two profiles")
@@ -197,7 +192,7 @@ def assemble_jumping_hmm(profiles, jump_prob):
     for p in profiles:
         if p.length != length:
             raise ValueError(f"profile {p.name!r} has {p.length} columns, expected {length}")
-    spec, keep, block = profiles[0].spec, 1.0 - jump_prob, 2 * length + 1
+    keep, block = 1.0 - spec.jump_prob, 2 * length + 1
 
     # A delete chain entered at D_d hands to_match[j] to M_{d+1+j} and
     # to_end[L-d] to I_L, products taken in the order that resolving the
@@ -226,7 +221,7 @@ def assemble_jumping_hmm(profiles, jump_prob):
         (at(block - 2), at(block - 1), 1.0),
         (at(2 * chain_d[from_m] - 3), at(chain_to[from_m]),
          (spec.match_delete * keep) * chain_q[from_m]),
-        (at(mat, src), at(mat + 2, dst), jump_prob / (n_prof - 1)),
+        (at(mat, src), at(mat + 2, dst), spec.jump_prob / (n_prof - 1)),
     ]
     rows, cols, vals = (np.concatenate([a.ravel() for a in part])
                         for part in zip(*(np.broadcast_arrays(*e) for e in edges)))
@@ -237,7 +232,7 @@ def assemble_jumping_hmm(profiles, jump_prob):
     start[chain_to[~from_m]] = (spec.match_delete * share) * chain_q[~from_m]
 
     emissions = np.empty((block, n_prof, len(DNA)))
-    emissions[0::2] = [p.insert_emission for p in profiles]
+    emissions[0::2] = 1.0 / len(DNA)  # insert states emit uniformly
     emissions[1::2] = np.array([p.match_emission for p in profiles]).transpose(1, 0, 2)
     layout = ["I0"] + [f"{k}{col}" for col in range(1, length + 1) for k in "MI"]
     n = n_prof * block
@@ -254,4 +249,4 @@ def assemble_jumping_hmm(profiles, jump_prob):
 
 def build_jumping_hmm(msa, spec):
     """Profiles plus assembly in one step, colors in msa.names order."""
-    return assemble_jumping_hmm(build_profiles(msa, spec), spec.jump_prob)
+    return assemble_jumping_hmm(build_profiles(msa, spec), spec)

@@ -499,14 +499,6 @@ def hmm_to_dict(hmm):
     return json.loads("".join(_model_json(hmm)))
 
 
-def _json_block(open_, close, items, depth):
-    """An indent=1 JSON array or object at `depth` from encoded items."""
-    if not items:
-        return open_ + close
-    pad = "\n" + " " * (depth + 1)
-    return open_ + pad + ("," + pad).join(items) + "\n" + " " * depth + close
-
-
 def _rows_json(heads, indptr, keys, key_of, values, sep, tail):
     """Pieces of the text of a table of `key: value` rows, none of them empty.
 
@@ -550,16 +542,13 @@ def _model_json(hmm):
         for i, value in enumerate(values, 1):
             if not isinstance(value, str):
                 raise InvalidModelError(f"{what} {i} is {value!r}, not a string")
-    ids, symbols, names = ([*map(encode_basestring_ascii, values)] for _, values in named)
+    ids, symbols = ([*map(encode_basestring_ascii, v)] for v in (hmm.state_ids, hmm.alphabet))
     n, n_symbols = hmm.n_states, len(hmm.alphabet)
     id_keys = np.array([sid + ": " for sid in ids], dtype=object)
     sym_keys = np.array([sym + ": " for sym in symbols], dtype=object)
-    colors = [_json_block("{", "}", [f'"id": {i}', f'"name": {name}'], 2)
-              for i, name in enumerate(names)]
-    pieces = ["".join([
-        '{\n "alphabet": ', _json_block("[", "]", symbols, 1),
-        ',\n "colors": ', _json_block("[", "]", colors, 1),
-        ',\n "states": ['])]
+    header = json.dumps({"alphabet": hmm.alphabet, "colors": [
+        {"id": i, "name": name} for i, name in enumerate(hmm.color_names)]}, indent=1)
+    pieces = [header.removesuffix("\n}") + ',\n "states": [']
     # Every row of a model's tables sums to 1, so none is empty.
     row_seps = ["\n  "] + [",\n  "] * (n - 1)
     heads = np.array([f'{sep}{{\n   "id": {sid},\n   "color": {c},'

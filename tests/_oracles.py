@@ -429,9 +429,10 @@ def reference_beam_traceback(hmm, rows):
     return np.array(path[::-1], dtype=np.int64), best_logp
 
 
-def full_jumping_graph(profiles, jump_prob):
+def full_jumping_graph(profiles, spec):
     """Full state graph of the jumping model, delete states included.
 
+    The transition priors and P_j come from the JumpingHmmSpec `spec`.
     Returns (state_ids, colors, silent mask, initial, transition dict,
     emission rows) with transitions as {from: {to: prob}} over state
     indices. Match rows at columns < L carry (1 - P_j) of their
@@ -447,7 +448,7 @@ def full_jumping_graph(profiles, jump_prob):
         if p.length != length:
             raise ValueError(
                 f"profile {p.name!r} has {p.length} columns, expected {length}")
-    spec = profiles[0].spec
+    insert_emission = np.full(len(DNA), 1.0 / len(DNA))
 
     state_ids, colors, silent, emit_rows = [], [], [], []
     index = {}
@@ -460,10 +461,10 @@ def full_jumping_graph(profiles, jump_prob):
         emit_rows.append(emission)
 
     for p_i, prof in enumerate(profiles):
-        add(f"{prof.name}:I0", p_i, False, prof.insert_emission)
+        add(f"{prof.name}:I0", p_i, False, insert_emission)
         for col in range(1, length + 1):
             add(f"{prof.name}:M{col}", p_i, False, prof.match_emission[col - 1])
-            add(f"{prof.name}:I{col}", p_i, False, prof.insert_emission)
+            add(f"{prof.name}:I{col}", p_i, False, insert_emission)
             add(f"{prof.name}:D{col}", p_i, True, None)
 
     trans = {i: {} for i in range(len(state_ids))}
@@ -472,8 +473,8 @@ def full_jumping_graph(profiles, jump_prob):
         if p > 0.0:
             trans[frm][to] = trans[frm].get(to, 0.0) + p
 
-    keep = 1.0 - jump_prob
-    jump_each = jump_prob / (n_prof - 1)
+    keep = 1.0 - spec.jump_prob
+    jump_each = spec.jump_prob / (n_prof - 1)
     for p_i, prof in enumerate(profiles):
         name = prof.name
         terminal = index[f"{name}:I{length}"]
@@ -546,17 +547,17 @@ def silent_closure(trans, silent, eps=SILENT_CLOSURE_EPS):
     return closure
 
 
-def reference_assemble_jumping_hmm(profiles, jump_prob, eps=SILENT_CLOSURE_EPS):
+def reference_assemble_jumping_hmm(profiles, spec, eps=SILENT_CLOSURE_EPS):
     """One labeled HMM from per-subtype profiles plus jump transitions.
 
     Every state of profile p carries color p; the initial distribution is
     uniform over profiles. Delete states are closed out, so the result
     contains only emitting states and passes full model validation.
     """
-    if not 0.0 <= jump_prob < 1.0:
+    if not 0.0 <= spec.jump_prob < 1.0:
         raise ValueError("jump probability must be in [0, 1)")
     state_ids, colors, silent, initial, trans, emit_rows = full_jumping_graph(
-        profiles, jump_prob)
+        profiles, spec)
     closure = silent_closure(trans, silent, eps)
 
     emitting = np.flatnonzero(~silent)

@@ -76,6 +76,9 @@ MALFORMED = {
     "row-as-list": (_set(["transitions", "s"], [1.0]),
                     r"^transition row of state 's' is not a JSON object$"),
     "state-without-id": (_drop_state_id, r"^state 1 has no 'id'$"),
+    "state-as-number": (_set(["states", 0], 5), r"^state 1 is not a JSON object$"),
+    "unknown-transition-target": (_set(["transitions", "s", "ghost"], 0.5),
+                                  r"^unknown state 'ghost' in transitions$"),
     "states-as-object": (lambda spec: {**spec, "states": {"s": spec["states"][0]}},
                          r"^states is not a JSON array$"),
     "top-level-array": (lambda spec: [spec], r"^model description is not a JSON object$"),

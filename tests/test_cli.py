@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from gainhmm import cli, load_model, save_model, build_hmm, synthetic_subtypes
+from gainhmm import (cli, load_model, save_model, build_hmm, forward_backward,
+                     posterior_decode, synthetic_subtypes)
 from gainhmm.cli import main
 from gainhmm.metrics import base_accuracy, boundary_metrics
 from gainhmm.model import SIDECAR_SUFFIX
-from gainhmm.seqio import FastaRecord, read_fasta, read_segments, write_fasta
+from gainhmm.seqio import FastaRecord, format_segments, read_fasta, read_segments, write_fasta
 from conftest import BAD_TRUTH, MALFORMED, bad_truth, malformed_spec, t1_spec
 
 # A file that is not UTF-8 text, and how reading it fails.
@@ -155,6 +156,17 @@ class TestDecode:
                    "--decoder", "viterbi") == 0
         lines = out.read_text().splitlines()
         assert lines[1:] == ["q1\t1\t2\t1\tB"]
+
+    def test_posterior_segments(self, tmp_path, t1_model_path):
+        queries = [("q1", "xy"), ("q2", "xxyyxyxxxy"), ("q3", "y")]
+        fasta = tmp_path / "q.fasta"
+        write_fasta(fasta, queries)
+        out = tmp_path / "pred.tsv"
+        assert run("decode", "--model", t1_model_path, "--in", fasta, "--out", out,
+                   "--decoder", "posterior") == 0
+        hmm = load_model(t1_model_path)
+        expected = [(rid, posterior_decode(forward_backward(hmm, seq))) for rid, seq in queries]
+        assert out.read_text() == format_segments(expected, hmm.color_names)
 
     def test_empty_fasta_writes_header_only(self, tmp_path, t1_model_path):
         fasta = tmp_path / "q.fasta"
@@ -465,6 +477,17 @@ class TestBench:
         assert run("bench", "--model", t1_model_path, "--in", fasta, "--truth", truth,
                    "--out", tmp_path / "o.csv") == 1
         assert capsys.readouterr().err == f"error: {truth}: {NOT_UTF8_ERROR}\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_alphabet_mismatch_names_record(self, tmp_path, t1_model_path, capsys):
+        fasta, truth = tmp_path / "q.fasta", tmp_path / "t.tsv"
+        write_fasta(fasta, [("good", "xy"), ("bad_one", "xz")])
+        truth.write_text("seq_id\tstart\tend\tcolor_id\tcolor_name\n"
+                         "good\t1\t2\t0\tA\nbad_one\t1\t2\t0\tA\n")
+        assert run("bench", "--model", t1_model_path, "--in", fasta, "--truth", truth,
+                   "--out", tmp_path / "o.csv") == 1
+        assert capsys.readouterr().err == (
+            "error: record 'bad_one': symbol 'z' at position 2 not in model alphabet\n")
         assert not (tmp_path / "o.csv").exists()
 
     def test_truth_color_outside_model(self, tmp_path, msa_path, capsys):

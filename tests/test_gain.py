@@ -82,6 +82,10 @@ class TestWindowScores:
         np.testing.assert_allclose(
             ws.scores[:, off], post.pair_post[:, off], rtol=1e-12, atol=1e-16)
 
+    def test_negative_window_rejected(self, t1):
+        with pytest.raises(ValueError, match="^window must be >= 0$"):
+            window_scores(forward_backward(t1, "xy"), -1)
+
     def test_t1_xy_clamped_window(self, t1):
         post = forward_backward(t1, "xy")
         ws = window_scores(post, 5)
@@ -430,6 +434,12 @@ class TestExpectedGain:
         ws = window_scores(post, 0)
         with pytest.raises(ValueError, match="length"):
             expected_gain(Annotation([0, 1, 0]), post, ws, GainParams(0, 0.2))
+
+    def test_unknown_color(self, t1):
+        post = forward_backward(t1, "xy")
+        ws = window_scores(post, 0)
+        with pytest.raises(ValueError, match="^annotation uses a color unknown to the posterior$"):
+            expected_gain(Annotation([0, 2]), post, ws, GainParams(0, 0.2))
 
 
 class TestColoringDistribution:

@@ -58,6 +58,10 @@ class TestForwardBackward:
         assert post.boundary_post(1, 0, 1) == pytest.approx(T1_XY_B01, rel=1e-12)
         assert post.boundary_post(1, 1, 0) == pytest.approx(T1_XY_B10, rel=1e-12)
 
+    def test_boundary_needs_two_colors(self, t1):
+        with pytest.raises(ValueError, match="^a boundary needs two different colors$"):
+            forward_backward(t1, "xy").boundary_post(1, 0, 0)
+
     def test_one_state_degenerate(self, one_state):
         post = forward_backward(one_state, "xxx")
         assert post.log_likelihood == 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,11 +28,11 @@ def m1():
     return make_alignment({"A": ["aaaaaa"], "B": ["cccccc"], "C": ["gggggg"]})
 
 
-def full_graph_likelihood(profiles, jump_prob, seq):
+def full_graph_likelihood(profiles, spec, seq):
     """Likelihood by path enumeration over the assembly graph, silent
     states included; the oracle for silent-state elimination."""
     state_ids, colors, silent, initial, trans, emit_rows = full_jumping_graph(
-        profiles, jump_prob)
+        profiles, spec)
     sym_index = {s: i for i, s in enumerate("acgt")}
     obs = [sym_index[ch] for ch in seq]
     n = len(obs)
@@ -105,6 +106,10 @@ class TestProfiles:
         with pytest.raises(ValueError, match="no sequences"):
             build_profile("X", [], JumpingHmmSpec())
 
+    def test_zero_columns(self):
+        with pytest.raises(ValueError, match="^subtype 'X' has zero alignment columns$"):
+            build_profile("X", ["", ""], JumpingHmmSpec())
+
     def test_spec_validation(self):
         for fields, message in [
             (dict(jump_prob=1.5), "jump_prob must be in [0, 1), not 1.5"),
@@ -113,6 +118,9 @@ class TestProfiles:
             (dict(pseudocount=0.0), "pseudocount must be a finite number > 0, not 0.0"),
             (dict(pseudocount=math.inf), "pseudocount must be a finite number > 0, not inf"),
             (dict(pseudocount=math.nan), "pseudocount must be a finite number > 0, not nan"),
+            (dict(match_advance=0.9), "match priors sum to 0.93, expected 1"),
+            (dict(insert_self=1.0), "self-continuation priors must be in [0, 1)"),
+            (dict(delete_self=1.5), "self-continuation priors must be in [0, 1)"),
         ]:
             with pytest.raises(ValueError) as e:
                 JumpingHmmSpec(**fields)
@@ -125,6 +133,10 @@ class TestProfiles:
             make_alignment({"A": ["aaa"]})
         with pytest.raises(ValueError, match="illegal"):
             make_alignment({"A": ["axa"], "B": ["ccc"]})
+        with pytest.raises(ValueError, match="^subtype 'B' has no sequences$"):
+            make_alignment({"A": ["aaa"], "B": []})
+        with pytest.raises(ValueError, match="^empty alignment$"):
+            make_alignment({})
 
     def test_illegal_alignment_character_names_sequence_and_column(self):
         with pytest.raises(ValueError, match=r"illegal character 'x' in subtype 'A' "
@@ -197,18 +209,26 @@ class TestAssembly:
         spec = JumpingHmmSpec()
         profiles = [build_profile("A", ["aaa"], spec), build_profile("B", ["cc"], spec)]
         with pytest.raises(ValueError, match="columns"):
-            assemble_jumping_hmm(profiles, 0.01)
+            assemble_jumping_hmm(profiles, spec)
 
     def test_single_profile_rejected(self):
-        prof = build_profile("A", ["aaa"], JumpingHmmSpec())
-        with pytest.raises(ValueError, match="two profiles"):
-            assemble_jumping_hmm([prof], 0.01)
-
-    def test_jump_prob_out_of_range(self):
         spec = JumpingHmmSpec()
-        profiles = [build_profile("A", ["aaa"], spec), build_profile("B", ["ccc"], spec)]
-        with pytest.raises(ValueError, match="jump probability"):
-            assemble_jumping_hmm(profiles, 1.0)
+        prof = build_profile("A", ["aaa"], spec)
+        with pytest.raises(ValueError, match="two profiles"):
+            assemble_jumping_hmm([prof], spec)
+
+    @pytest.mark.parametrize("field, value", [("delete_self", 0.9), ("jump_prob", 0.2),
+                                              ("insert_self", 0.6)])
+    def test_settings_come_from_the_spec(self, m1, field, value):
+        # Profiles hold no settings: the spec given to the assembly decides
+        # every transition, whatever spec built the profiles.
+        base = JumpingHmmSpec(jump_prob=0.01, pseudocount=0.5)
+        other = dataclasses.replace(base, **{field: value})
+        profiles = build_profiles(m1, base)
+        hmm = assemble_jumping_hmm(profiles, other)
+        assert (hmm.transitions != assemble_jumping_hmm(profiles, base).transitions).nnz
+        assert assembly_bytes(hmm) == assembly_bytes(build_jumping_hmm(m1, other))
+        assert assembly_bytes(hmm) == assembly_bytes(reference_assembly(profiles, other))
 
 
 # (length, query length, delete_self, profiles); the two-profile cases at
@@ -232,7 +252,7 @@ def assembly_bytes(hmm):
 
 @st.composite
 def assembly_inputs(draw):
-    """Profiles and a jump probability over the whole spec range."""
+    """An alignment and a spec over the whole spec range."""
     n_prof, length = draw(st.integers(2, 5)), draw(st.integers(1, 60))
     some = st.floats(0.0, 0.2)
     insert, delete = draw(st.one_of(st.just(0.0), some)), draw(st.one_of(st.just(0.0), some))
@@ -246,12 +266,12 @@ def assembly_inputs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     groups = {f"S{i}": ["".join(rng.choice(list("acgt-"), length)) for _ in range(2)]
               for i in range(n_prof)}
-    return build_profiles(make_alignment(groups), spec), spec.jump_prob
+    return make_alignment(groups), spec
 
 
-def reference_assembly(profiles, jump_prob, eps=jumping.SILENT_CLOSURE_EPS):
+def reference_assembly(profiles, spec, eps=jumping.SILENT_CLOSURE_EPS):
     """The reference assembly, profile-major, renumbered column-major."""
-    ref = reference_assemble_jumping_hmm(profiles, jump_prob, eps)
+    ref = reference_assemble_jumping_hmm(profiles, spec, eps)
     return permuted(ref, column_major(len(profiles), 2 * profiles[0].length + 1))
 
 
@@ -261,9 +281,11 @@ class TestAgainstSilentGraph:
     @settings(max_examples=200, deadline=None)
     @given(assembly_inputs())
     def test_bytes_equal_reference(self, inputs):
-        profiles, jump_prob = inputs
-        assert (assembly_bytes(assemble_jumping_hmm(profiles, jump_prob))
-                == assembly_bytes(reference_assembly(profiles, jump_prob)))
+        msa, spec = inputs
+        profiles = build_profiles(msa, spec)
+        built = assembly_bytes(assemble_jumping_hmm(profiles, spec))
+        assert built == assembly_bytes(reference_assembly(profiles, spec))
+        assert built == assembly_bytes(build_jumping_hmm(msa, spec))
 
     def test_cut_is_strict(self, monkeypatch):
         # With delete_self = 0.5 every reach term is a power of two, so
@@ -272,12 +294,12 @@ class TestAgainstSilentGraph:
                               match_delete=0.1)
         msa = make_alignment({"A": ["acgt" * 15], "B": ["ttga" * 15]})
         profiles = build_profiles(msa, spec)
-        uncut = assemble_jumping_hmm(profiles, 0.01)
+        uncut = assemble_jumping_hmm(profiles, spec)
         monkeypatch.setattr(jumping, "SILENT_CLOSURE_EPS", 2.0**-40)
-        cut = assemble_jumping_hmm(profiles, 0.01)
+        cut = assemble_jumping_hmm(profiles, spec)
         assert cut.transitions.nnz < uncut.transitions.nnz
         assert (assembly_bytes(cut)
-                == assembly_bytes(reference_assembly(profiles, 0.01, 2.0**-40)))
+                == assembly_bytes(reference_assembly(profiles, spec, 2.0**-40)))
 
 
 class TestSilentElimination:
@@ -290,11 +312,11 @@ class TestSilentElimination:
         msa = make_alignment(groups)
         spec = JumpingHmmSpec(jump_prob=0.05, pseudocount=0.3, delete_self=delete_self)
         profiles = build_profiles(msa, spec)
-        hmm = assemble_jumping_hmm(profiles, spec.jump_prob)
+        hmm = assemble_jumping_hmm(profiles, spec)
         for _ in range(4):
             seq = random_seq(rng, list("acgt"), n)
             fast = math.exp(forward_backward(hmm, seq).log_likelihood)
-            slow = full_graph_likelihood(profiles, spec.jump_prob, seq)
+            slow = full_graph_likelihood(profiles, spec, seq)
             assert fast == pytest.approx(slow, rel=1e-9)
 
     def test_no_silent_states_survive(self, m1):

@@ -235,6 +235,10 @@ class TestBuildHmm:
         with pytest.raises(ValueError, match="'z'"):
             t1.encode("xz")
 
+    def test_encode_rejects_empty(self, t1):
+        with pytest.raises(ValueError, match="^empty sequence$"):
+            t1.encode("")
+
     def test_encode_accepts_other_case(self, t1):
         assert t1.encode("XyYx").tolist() == t1.encode("xyyx").tolist()
 
@@ -417,7 +421,11 @@ class TestRejectedTables:
          r"emission table of shape \(2, 3\) for 2 states and 2 symbols"),
         ({"initial": [0.5, 0.25, 0.25]}, r"initial of shape \(3,\) for 2 states"),
         ({"state_colors": [0]}, r"state colors of shape \(1,\) for 2 states"),
-    ], ids=["emission-rows", "emission-columns", "initial", "state-colors"])
+        ({"transitions": [[1.0]]}, r"^transition matrix of shape \(1, 1\) for 2 states$"),
+        ({"alphabet": []}, r"^empty alphabet$"),
+        ({"state_ids": []}, r"^model has no states$"),
+    ], ids=["emission-rows", "emission-columns", "initial", "state-colors", "transitions",
+            "no-symbols", "no-states"])
     def test_shape_mismatch(self, fields, message):
         with pytest.raises(InvalidModelError, match=message):
             self.two_state(**fields)
@@ -568,6 +576,16 @@ class TestAnnotation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Annotation([])
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Annotation([0, -1]), r"^negative color id$"),
+        (lambda: Annotation.from_segments([]), r"^no segments$"),
+        (lambda: Annotation.from_segments([(1, 2, 0), (3, 4, 1)], length=5),
+         r"^segments cover \[1,4\], expected \[1,5\]$"),
+    ], ids=["negative-color", "no-segments", "short-of-length"])
+    def test_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=40))
     def test_segments_partition_positions(self, colors):

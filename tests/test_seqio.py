@@ -40,6 +40,17 @@ class TestFasta:
         path.write_text("")
         assert read_fasta(path) == []
 
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "x.fasta"
+        path.write_text("\n>a\nac\n\n  \ngt\n\n>b\ntt\n")
+        assert [(r.id, r.seq) for r in read_fasta(path)] == [("a", "acgt"), ("b", "tt")]
+
+    def test_header_without_id(self, tmp_path):
+        path = tmp_path / "bad.fasta"
+        path.write_text(">a\nacgt\n>  \nacgt\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: header with no id$"):
+            read_fasta(path)
+
 
 class TestSubtypeAlignment:
     def test_order_of_first_appearance(self, tmp_path):
@@ -49,6 +60,12 @@ class TestSubtypeAlignment:
         msa = read_subtype_alignment(path)
         assert msa.names == ("Z", "A")
         assert len(msa.groups["Z"]) == 2
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "msa.fasta"
+        path.write_text("")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no sequences$"):
+            read_subtype_alignment(path)
 
     def test_missing_subtype_attr(self, tmp_path):
         path = tmp_path / "msa.fasta"

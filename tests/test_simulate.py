@@ -110,6 +110,11 @@ class TestSimulateRecombinant:
         with pytest.raises(ValueError, match=msg):
             simulate_recombinant(m1, segments, 0.0, seed=0)
 
+    def test_rejects_all_gap_splice(self):
+        msa = make_alignment({"A": ["--aa"], "B": ["cc--"]})
+        with pytest.raises(ValueError, match="^spliced query is all gaps$"):
+            simulate_recombinant(msa, [("A", (1, 2)), ("B", (3, 4))], 0.0, seed=0)
+
 
 class TestSyntheticSubtypes:
     def test_pairwise_divergence(self):
@@ -124,6 +129,10 @@ class TestSyntheticSubtypes:
         msa = synthetic_subtypes(4, 100, divergence=0.1, seed=1)
         assert msa.names == ("A", "B", "C", "D")
         assert msa.length == 100
+
+    def test_needs_two_subtypes(self):
+        with pytest.raises(ValueError, match="^need at least two subtypes$"):
+            synthetic_subtypes(1, 100, divergence=0.1, seed=1)
 
 
 class TestRandomRecombinants:
