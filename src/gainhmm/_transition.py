@@ -54,7 +54,7 @@ windows, not with n * S:
 
 The dense kernels keep only alphahat for the whole record: the backward
 pass sums each chunk's pair posteriors as it is made, its gaps copied
-state-major into buffers, one block product per pair of colors. Both
+state-major into buffers, one sparse product per target color. Both
 families take each diagonal pair entry from the backward identity.
 """
 
@@ -152,10 +152,8 @@ class TransitionOperator:
         forward_t, backward_t, log_t_t, color_indicator: (dense kernels)
             T transposed, T, log T transposed (C-ordered), and the (S, C)
             0/1 map of states onto colors
-        cross_blocks: (dense kernels) `cross` as (c1, c2, rows, block) per
-            pair c1 != c2 with transitions: rows are the states of c1 that
-            reach c2 (a slice when in one run), block the (rows, S) CSR
-            matrix of their transitions to c2
+        cross_into: (dense kernels) per color c2, the (S, S) CSR matrix
+            of the `cross` entries into c2
         succ: (sparse kernels) (indptr, indices, data, log data) of T,
             each row listing its states by index
         pred: (sparse kernels, read by the Viterbi traceback alone)
@@ -203,14 +201,8 @@ class TransitionOperator:
             self.color_indicator = hmm.color_indicator()
             # Block products over chunks of gaps beat the sparse kernels' sums
             # per gap here: 29 against 265 ms on a 20 kb, 48-state query.
-            self.cross_blocks = []
-            for k in np.unique(key).tolist():
-                e = key == k
-                rows = np.unique(src[e])
-                run = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] < rows.size else rows
-                self.cross_blocks.append((k // n_colors, k % n_colors, run, sparse.csr_array(
-                    (val[e], (np.searchsorted(rows, src[e]), dst[e])),
-                    shape=(rows.size, n_states))))
+            self.cross_into = [sparse.csr_array((val[e], (src[e], dst[e])), (n_states, n_states))
+                               for e in (key % n_colors == c2 for c2 in range(n_colors))]
 
     # -- posteriors -----------------------------------------------------
 
@@ -265,29 +257,6 @@ class TransitionOperator:
             div(row, scale, row)
             prev = row
         return alphahat, scales
-
-    def dense_backward(self, obs, scales, m):
-        """Dense scaled backward pass over chunks of m gaps, newest first.
-
-        Yields (k0, beta) for k0 = ..., 2m, m, 0: beta[i] is betahat[k0 + i]
-        up to row min(k0 + m, n - 1). Every chunk reuses one (m + 1, S)
-        buffer; only row k0 carries over, as the next chunk's last row.
-        """
-        t_mat, emis, n = self.backward_t, self.emis_rows, obs.size
-        syms, scale_list, mul, div = obs.tolist(), scales.tolist(), np.multiply, np.divide
-        beta, step = np.empty((m + 1, self.initial.size)), np.empty(self.initial.size)
-        for k0 in reversed(range(0, max(n - 1, 1), m)):
-            k1 = min(k0 + m, n - 1)
-            rows = beta[:k1 - k0 + 1]
-            # row 0 still holds the newer chunk's row k0, this chunk's k1
-            rows[-1] = 1.0 if k1 == n - 1 else rows[0]
-            # rows k1-1 .. k0, each from row t+1 with symbol and scale t+1
-            for row, nxt, sym, scale in zip(rows[-2::-1], rows[:0:-1], syms[k1:k0:-1],
-                                            scale_list[k1:k0:-1]):
-                mul(emis[sym], nxt, step)
-                np.dot(t_mat, step, row)
-                div(row, scale, row)
-            yield k0, rows
 
     def ragged_forward(self, obs):
         """Sparse forward pass as `Ragged` window rows.
@@ -377,32 +346,45 @@ class TransitionOperator:
         return color_post, pair.reshape(n - 1, n_colors, n_colors)
 
     def _dense_posteriors(self, obs, alphahat, scales):
-        """(color_post, pair_post times scales[1:]) of the dense passes.
+        """(color_post, pair_post times scales[1:]) from dense betahat.
 
-        `dense_backward` runs over chunks of m gaps, m + 1 betahat rows of
-        about CHUNK_BYTES, and each chunk's sums are taken as it is made:
-        its alphahat and w = emis[., obs[t]] * betahat rows k0..k0+m go
-        state-major into two (S, m + 1) buffers, and gap k pairs column
-        k - k0 of alpha with column k - k0 + 1 of w. Color posteriors are
-        (alphahat * betahat) times the color indicator. Diagonal pair
-        entries are left 0.
+        Backward runs over chunks of m gaps, newest first, m + 1 betahat
+        rows of about CHUNK_BYTES in one reused buffer; only row k0 carries
+        over, as the next chunk's last row. Each chunk's sums are taken as
+        it is made: its alphahat and w = emis[., obs[t]] * betahat rows
+        k0..k0+m go state-major into two (S, m + 1) buffers, and gap k
+        pairs column k - k0 of alpha with column k - k0 + 1 of w, summed
+        into each color c2 through `cross_into[c2]` and out of each color
+        by the color indicator, as are the color posteriors
+        alphahat * betahat. Diagonal pair entries are left 0.
         """
-        n, n_colors, n_states = obs.size, self.n_colors, self.initial.size
+        t_mat, emis, ind, n = self.backward_t, self.emis_rows, self.color_indicator, obs.size
+        n_colors, n_states = self.n_colors, self.initial.size
+        syms, scale_list, mul, div = obs.tolist(), scales.tolist(), np.multiply, np.divide
         color_post = np.empty((n, n_colors))
         pair = np.zeros((max(n - 1, 0), n_colors, n_colors))
         m = max(1, min(n - 1, CHUNK_BYTES // (8 * n_states)))
+        beta, step = np.empty((m + 1, n_states)), np.empty(n_states)
         a_buf, w_buf = np.zeros((n_states, m + 1)), np.zeros((n_states, m + 1))
-        for k0, beta in self.dense_backward(obs, scales, m):
-            mm = len(beta) - 1
-            k1, alpha = k0 + mm, alphahat[k0:k0 + mm + 1]
+        for k0 in reversed(range(0, max(n - 1, 1), m)):
+            k1 = min(k0 + m, n - 1)
+            mm, rows = k1 - k0, beta[:k1 - k0 + 1]
+            # row 0 still holds the newer chunk's row k0, this chunk's k1
+            rows[-1] = 1.0 if k1 == n - 1 else rows[0]
+            # rows k1-1 .. k0, each from row t+1 with symbol and scale t+1
+            for row, nxt, sym, scale in zip(rows[-2::-1], rows[:0:-1], syms[k1:k0:-1],
+                                            scale_list[k1:k0:-1]):
+                mul(emis[sym], nxt, step)
+                np.dot(t_mat, step, row)
+                div(row, scale, row)
+            alpha = alphahat[k0:k1 + 1]
             a_buf[:, :mm + 1] = alpha.T
-            w_buf[:, :mm + 1] = (self.emis_rows[obs[k0:k1 + 1]] * beta).T
+            w_buf[:, :mm + 1] = (emis[obs[k0:k1 + 1]] * rows).T
             # row k1 went in as the newer chunk's row k0, unless it is the last
             top = mm + 1 if k1 == n - 1 else mm
-            color_post[k0:k0 + top] = ((alpha * beta) @ self.color_indicator)[:top]
-            for c1, c2, rows, block in self.cross_blocks:
-                pair[k0:k1, c1, c2] = np.einsum("rk,rk->k", a_buf[rows][:, :mm],
-                                                (block @ w_buf)[:, 1:mm + 1])
+            color_post[k0:k0 + top] = ((alpha * rows) @ ind)[:top]
+            for c2, block in enumerate(self.cross_into):
+                pair[k0:k1, :, c2] = (a_buf[:, :mm] * (block @ w_buf)[:, 1:mm + 1]).T @ ind
         return color_post, pair
 
     # -- Viterbi --------------------------------------------------------

@@ -199,7 +199,7 @@ def cmd_bench(args):
     # grid point on the query's posteriors.
     base_preds = {"viterbi": [], "posterior": []}
     herd_preds = [[] for _ in grid]
-    t_fb = t_vit = t_post = t_grid = 0.0
+    t_fb = t_vit = t_post = t_win = t_grid = 0.0
     for rec in records:
         try:
             t0 = time.perf_counter()
@@ -218,6 +218,7 @@ def cmd_bench(args):
         t_vit += t1 - t0
         t_fb += t2 - t1
         t_post += t3 - t2
+        t_win += t4 - t3
         t_grid += t5 - t4
         base_preds["viterbi"].append(annot)
         base_preds["posterior"].append(pd)
@@ -247,9 +248,10 @@ def cmd_bench(args):
     # The Viterbi and posterior predictions do not depend on W or gamma, so
     # they are scored and rendered once and reused at every grid point.
     base_results = {d: score_and_render(p) for d, p in base_preds.items()}
-    # A herd row reports forward-backward plus its share of the grid pass.
+    # A herd row reports forward-backward plus its share of the window sums
+    # (one per width) and of the grid pass.
     wall = {"viterbi": t_vit, "posterior": t_fb + t_post,
-            "herd": t_fb + t_grid / len(grid)}
+            "herd": t_fb + t_win / len(w_grid) + t_grid / len(grid)}
     rows, timing = [], []
     for params, preds in zip(grid, herd_preds):
         w, g = params.window, params.gamma

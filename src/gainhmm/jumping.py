@@ -107,6 +107,10 @@ class JumpingHmmSpec:
             raise ValueError(f"jump_prob must be in [0, 1), not {self.jump_prob}")
         if not 0.0 < self.pseudocount < np.inf:
             raise ValueError(f"pseudocount must be a finite number > 0, not {self.pseudocount}")
+        for name in ("match_advance", "match_insert", "match_delete"):
+            p = getattr(self, name)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], not {p}")
         s = self.match_advance + self.match_insert + self.match_delete
         if abs(s - 1.0) > 1e-9:
             raise ValueError(f"match priors sum to {s:g}, expected 1")

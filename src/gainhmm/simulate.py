@@ -87,9 +87,7 @@ def simulate_recombinant(msa, segments, mutation_rate, seed):
     """
     _check_rate(mutation_rate)
     name_index = {n: i for i, n in enumerate(msa.names)}
-    expect = 1
-    prev = None
-    spliced, col_colors = [], []
+    expect, prev = 1, None
     for subtype, (start, end) in segments:
         if subtype not in name_index:
             raise ValueError(f"unknown subtype {subtype!r}")
@@ -97,21 +95,18 @@ def simulate_recombinant(msa, segments, mutation_rate, seed):
             raise ValueError(f"segment spans do not tile the alignment at column {start}")
         if prev == subtype:
             raise ValueError("adjacent segments use the same subtype")
-        rep = msa.groups[subtype][0].lower()
-        spliced.append(rep[start - 1:end])
-        col_colors.extend([name_index[subtype]] * (end - start + 1))
-        expect = end + 1
-        prev = subtype
+        expect, prev = end + 1, subtype
     if expect != msa.length + 1:
         raise ValueError(
             f"segment spans cover [1,{expect - 1}], alignment has {msa.length} columns")
 
-    aligned = "".join(spliced)
-    keep = [i for i, ch in enumerate(aligned) if ch != "-"]
-    if not keep:
+    aligned = "".join(msa.groups[s][0][a - 1:b] for s, (a, b) in segments).lower()
+    keep = np.frombuffer(aligned.encode("ascii"), np.uint8) != ord("-")
+    if not keep.any():
         raise ValueError("spliced query is all gaps")
-    base = "".join(aligned[i] for i in keep)
-    colors = np.array([col_colors[i] for i in keep], dtype=np.int64)
+    base = aligned.replace("-", "")
+    colors = np.repeat([name_index[s] for s, _ in segments],
+                       [b - a + 1 for _, (a, b) in segments])[keep]
 
     rng = np.random.default_rng(seed)
     seq = _mutate(base, mutation_rate, rng)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -400,6 +401,24 @@ class TestBench:
         timing = (tmp_path / "bench.csv.timing.csv").read_text().splitlines()
         assert timing[0] == "decoder,W,gamma,wall_ms"
         assert len(timing) == 4
+
+    def test_window_sums_timed_in_herd_rows(self, tmp_path, msa_path, monkeypatch):
+        # each window_scores call sleeps 0.1 s: 0.2 s over two widths, 0.1 s
+        # of it in each herd row
+        model, fasta, truth = self.setup_run(tmp_path, msa_path, count=1)
+
+        def slowed(post, w, _real=cli.window_scores):
+            time.sleep(0.1)
+            return _real(post, w)
+
+        monkeypatch.setattr(cli, "window_scores", slowed)
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--model", model, "--in", fasta, "--truth", truth,
+                   "--out", out, "--sweep-W", "5,10", "--gamma", 0.5) == 0
+        _, *rows = (tmp_path / "bench.csv.timing.csv").read_text().splitlines()
+        herd = [float(r.split(",")[3]) for r in rows if r.startswith("herd,")]
+        assert len(herd) == 2
+        assert min(herd) >= 100.0
 
     def test_byte_identical_reruns(self, tmp_path, msa_path):
         model, fasta, truth = self.setup_run(tmp_path, msa_path)

@@ -100,20 +100,22 @@ class TestForwardBackward:
                 np.testing.assert_allclose(post.pair_post, pp, rtol=1e-10, atol=1e-15)
 
     def test_unscaled_product_constant(self, t1):
-        # sum_u fwd(j, u) * bwd(j, u) must equal Pr(X) at every position, on
-        # the betahat rows of every chunk the dense backward pass yields.
-        obs = t1.encode("xyxyyxxyx")
-        op = _transition.operator_of(t1)
-        alphahat, scales = op.dense_forward(obs)
-        lik = np.prod(scales)
-        for m in (1, 3, len(obs) - 1):
-            betahat = np.full_like(alphahat, np.nan)
-            for k0, rows in op.dense_backward(obs, scales, m):
-                betahat[k0:k0 + len(rows)] = rows
-            for j in range(len(obs)):
-                fwd = alphahat[j] * np.prod(scales[: j + 1])
-                bwd = betahat[j] * np.prod(scales[j + 1:])
-                assert float(fwd @ bwd) == pytest.approx(lik, rel=1e-9)
+        # sum_u fwd(j, u) * bwd(j, u) = Pr(X) at every position j: scaled,
+        # each row of alphahat * betahat, summed into colors, sums to 1, on
+        # chunks of 1 gap, 3 gaps and n - 1 gaps of the fused backward pass.
+        # A chunk that restarted betahat at 1 would keep the identity, so the
+        # posteriors must also match those of one chunk.
+        seq = "xyxyyxxyx"
+        obs = t1.encode(seq)
+        _, scales = _transition.operator_of(t1).dense_forward(obs)
+        posts = []
+        for m in (len(obs) - 1, 3, 1):
+            with mock.patch.object(_transition, "CHUNK_BYTES", 8 * m * t1.n_states):
+                posts.append(forward_backward(t1, seq))
+        for post in posts:
+            np.testing.assert_allclose(post.color_post.sum(axis=1), 1.0, rtol=1e-12)
+            assert post.log_likelihood == float(np.log(scales).sum())
+            np.testing.assert_allclose(post.color_post, posts[0].color_post, rtol=1e-12)
 
     def test_memory_of_a_long_query(self):
         # alphahat alone takes 7.7 MB here; a second (n, S) betahat array

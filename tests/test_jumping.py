@@ -119,6 +119,12 @@ class TestProfiles:
             (dict(pseudocount=math.inf), "pseudocount must be a finite number > 0, not inf"),
             (dict(pseudocount=math.nan), "pseudocount must be a finite number > 0, not nan"),
             (dict(match_advance=0.9), "match priors sum to 0.93, expected 1"),
+            (dict(match_advance=math.nan), "match_advance must be in [0, 1], not nan"),
+            (dict(match_advance=1.1, match_insert=-0.1, match_delete=0.0),
+             "match_advance must be in [0, 1], not 1.1"),
+            (dict(match_advance=1.0, match_insert=0.1, match_delete=-0.1),
+             "match_delete must be in [0, 1], not -0.1"),
+            (dict(match_insert=math.inf), "match_insert must be in [0, 1], not inf"),
             (dict(insert_self=1.0), "self-continuation priors must be in [0, 1)"),
             (dict(delete_self=1.5), "self-continuation priors must be in [0, 1)"),
         ]:
