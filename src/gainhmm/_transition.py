@@ -33,8 +33,8 @@ windows, not with n * S:
   the window's rows of T, times its alphahat, into one zero row of all
   S states. Each entry then adds its predecessors in index order, and
   each scale sums that row, so the scales equal those of a product over
-  all S states, bit for bit. The alphahat windows are the only lattice
-  kept.
+  all S states, bit for bit. The alphahat windows, one array per
+  position as the step copies it out, are the only lattice kept.
 - Backward computes betahat on the same windows, so the posteriors are
   those of the cut lattice. It keeps one betahat row, and sums each
   gap's pair posteriors and each position's color posteriors as it
@@ -112,10 +112,10 @@ try:
 except ImportError:  # pragma: no cover - depends on the scipy build
     _csr_matvec, _csc_matvec, _csr_tocsc = _public_loops()
 
-# Forward window rows: row t holds alphahat of the states lo[t] .. lo[t] + k - 1,
-# k = indptr[t + 1] - indptr[t]; dropped is the alphahat mass outside the
+# Forward windows as the pass makes them: rows[t] holds alphahat of the states
+# lo[t] .. lo[t] + rows[t].size - 1; dropped is the alphahat mass outside the
 # windows over the record.
-Ragged = namedtuple("Ragged", "indptr lo alpha scales dropped")
+Ragged = namedtuple("Ragged", "lo rows scales dropped")
 
 
 def operator_of(hmm):
@@ -275,7 +275,8 @@ class TransitionOperator:
         Each step scatters the window's rows of T into one zero row of all
         S states: every state they reach lies in [base, top), and each
         entry adds its predecessors in index order, as a product over all S
-        states does.
+        states does. The step scales that row in place and copies out only
+        its window, which is kept as it is made.
         """
         (ptr, succ, data, _), (floor, ceil) = self.succ, self.reach
         emis, n_states = self.emis_rows, self.initial.size
@@ -295,18 +296,16 @@ class TransitionOperator:
             if scale <= 0.0:
                 raise _impossible(t)
             scales.append(scale)
-            a = full[base:top] / scale
-            full[base:top] = 0.0
+            a = full[base:top]
+            a /= scale
             keep = a > cut
             first, end = int(keep.argmax()), a.size - int(keep[::-1].argmax())
             dropped += np.add.reduce(a[:first]) + np.add.reduce(a[end:])
             lo, hi, x = base + first, base + end, a[first:end].copy()
+            full[base:top] = 0.0
             los.append(lo)
             rows.append(x)
-        indptr = np.zeros(obs.size + 1, dtype=np.int64)
-        np.cumsum([r.size for r in rows], out=indptr[1:])
-        return Ragged(indptr, np.array(los), np.concatenate(rows), np.array(scales),
-                      float(dropped))
+        return Ragged(np.array(los), rows, np.array(scales), float(dropped))
 
     def _ragged_backward(self, obs, lat):
         """(color_post, pair_post times scales[1:]) from betahat on `lat`'s windows.
@@ -314,33 +313,33 @@ class TransitionOperator:
         Step t holds y = emis[., obs[t + 1]] * betahat[t + 1] in an S-length
         row, 0 outside window t + 1. From it come betahat[t] and gap t's
         cross-color sums alphahat[t, src] * T[src, dst] * y[dst] by color
-        pair; only the current betahat row is kept. Diagonal pair entries
-        are left 0.
+        pair, alphahat[t] read from window row t at src - lo[t]; only the
+        current betahat row is kept. Diagonal pair entries are left 0.
         """
         ptr, succ, data, _ = self.succ
         src, dst, val, key = self.cross
-        emis, colors, n_colors, alpha = self.emis_rows, self.colors, self.n_colors, lat.alpha
+        emis, colors, n_colors, rows = self.emis_rows, self.colors, self.n_colors, lat.rows
         n, n_states = obs.size, self.initial.size
         # cross entries from window t: first[t] .. last[t] - 1
         first = np.searchsorted(src, lat.lo).tolist()
-        last = np.searchsorted(src, lat.lo + np.diff(lat.indptr)).tolist()
+        last = np.searchsorted(src, lat.lo + [r.size for r in rows]).tolist()
         color_post, pair = np.empty((n, n_colors)), np.empty((n - 1, n_colors * n_colors))
         y, scales = np.zeros(n_states), lat.scales.tolist()
-        bounds, los, syms = lat.indptr.tolist(), lat.lo.tolist(), obs.tolist()
-        beta = np.ones(bounds[n] - bounds[n - 1])
+        los, syms = lat.lo.tolist(), obs.tolist()
+        beta = np.ones(rows[-1].size)
         for t in range(n - 1, -1, -1):
-            p0, p1 = bounds[t], bounds[t + 1]
-            window = slice(los[t], los[t] + p1 - p0)
-            color_post[t] = np.bincount(colors[window], alpha[p0:p1] * beta, minlength=n_colors)
+            alpha = rows[t]
+            window = slice(los[t], los[t] + alpha.size)
+            color_post[t] = np.bincount(colors[window], alpha * beta, minlength=n_colors)
             if not t:
                 break
             y[window] = emis[syms[t]][window] * beta
-            q0, lo0 = bounds[t - 1], los[t - 1]
-            beta = np.zeros(p0 - q0)
-            _csr_matvec(p0 - q0, n_states, ptr[lo0:lo0 + p0 - q0 + 1], succ, data, y, beta)
+            lo, prev = los[t - 1], rows[t - 1]
+            beta = np.zeros(prev.size)
+            _csr_matvec(prev.size, n_states, ptr[lo:lo + prev.size + 1], succ, data, y, beta)
             beta /= scales[t]
             e = slice(first[t - 1], last[t - 1])
-            pair[t - 1] = np.bincount(key[e], val[e] * (alpha[src[e] + (q0 - lo0)] * y[dst[e]]),
+            pair[t - 1] = np.bincount(key[e], val[e] * (prev[src[e] - lo] * y[dst[e]]),
                                       minlength=n_colors * n_colors)
             y[window] = 0.0
         return color_post, pair.reshape(n - 1, n_colors, n_colors)

@@ -23,7 +23,7 @@ from .gain import GainParams, check_nonnegative, decode_from_posteriors, decode_
 from .inference import forward_backward, posterior_decode, viterbi_decode
 from .jumping import JumpingHmmSpec, build_jumping_hmm
 from .metrics import aggregate, base_accuracy, boundary_metrics
-from .model import InvalidModelError, color_graph, load_model, save_model
+from .model import SIDECAR_SUFFIX, InvalidModelError, color_graph, load_model, save_model
 from .seqio import format_segments, read_fasta, read_segments, \
     read_subtype_alignment, segment_rows, write_fasta, write_segments
 from .simulate import check_recombinant_args, random_recombinants
@@ -54,9 +54,10 @@ def _parse_sweep(text, cast, flag, shown=str):
 
 
 def _distinct_paths(*paths):
+    """Refuse two of a command's (label, path) pairs, read or written, naming one file."""
     seen = {}
     for label, p in paths:
-        key = os.path.abspath(p)
+        key = os.path.realpath(p)
         if key in seen:
             raise ValueError(f"{label} and {seen[key]} point at the same path {p}")
         seen[key] = label
@@ -74,7 +75,8 @@ def _flag_named(flags, check, *args, **kwargs):
 
 
 def cmd_build_model(args):
-    _distinct_paths(("--in", args.input), ("--out", args.out))
+    _distinct_paths(("--in", args.input), ("--out", args.out),
+                    ("--out's sidecar", args.out + SIDECAR_SUFFIX))
     spec = _flag_named({"jump_prob": "--pj", "pseudocount": "--pseudocount"},
                        JumpingHmmSpec, jump_prob=args.pj, pseudocount=args.pseudocount)
     msa = read_subtype_alignment(args.input)
@@ -129,7 +131,8 @@ def _decode_one(decoder, hmm, graph, seq, params):
 
 
 def cmd_decode(args):
-    _distinct_paths(("--model", args.model), ("--in", args.input), ("--out", args.out))
+    _distinct_paths(("--model", args.model), ("--model's sidecar", args.model + SIDECAR_SUFFIX),
+                    ("--in", args.input), ("--out", args.out))
     params = _flag_named({"window": "--W", "gamma": "--gamma", "alpha": "--alpha"},
                          GainParams, window=args.W, gamma=args.gamma, alpha=args.alpha)
     hmm = load_model(args.model)
@@ -177,14 +180,19 @@ def _check_truth(records, truth, n_colors):
 
 
 def cmd_bench(args):
-    _distinct_paths(("--model", args.model), ("--in", args.input),
-                    ("--truth", args.truth), ("--out", args.out))
     if args.tolerance < 0:
         raise ValueError("--tolerance must be >= 0")
     check_nonnegative("--alpha", args.alpha)
     w_grid = _parse_sweep(args.W, int, "--W/--sweep-W")
     g_grid = _parse_sweep(args.gamma, float, "--gamma/--sweep-gamma", "{:g}".format)
     grid = [GainParams(window=w, gamma=g, alpha=args.alpha) for w in w_grid for g in g_grid]
+    pred_files = {(d, p): os.path.join(args.out + ".preds", f"{d}_W{p.window}_g{p.gamma:g}.tsv")
+                  for p in grid for d in DECODERS}
+    _distinct_paths(("--model", args.model), ("--model's sidecar", args.model + SIDECAR_SUFFIX),
+                    ("--in", args.input), ("--truth", args.truth), ("--out", args.out),
+                    ("--out's report", args.out + ".json"),
+                    ("--out's timing", args.out + ".timing.csv"),
+                    *(("--out's predictions", path) for path in pred_files.values()))
 
     hmm = load_model(args.model)
     graph = color_graph(hmm)
@@ -225,8 +233,7 @@ def cmd_bench(args):
         for preds, (annotation, _) in zip(herd_preds, decoded):
             preds.append(annotation)
 
-    preds_dir = args.out + ".preds"
-    os.makedirs(preds_dir, exist_ok=True)
+    os.makedirs(args.out + ".preds", exist_ok=True)
     ids = [r.id for r in records]
     table_header = format_segments([], hmm.color_names)  # an empty table is its header
     # Many grid points give a query the same prediction, so each distinct
@@ -263,7 +270,7 @@ def cmd_bench(args):
             row.update({k: means[k] for k in METRIC_COLUMNS})
             rows.append(row)
             timing.append((decoder, w, g, wall[decoder] * 1e3))
-            with create(os.path.join(preds_dir, f"{decoder}_W{w}_g{g:g}.tsv")) as fh:
+            with create(pred_files[decoder, params]) as fh:
                 fh.write(text)
 
     header = ("decoder", "W", "gamma", "alpha", "tolerance", "n_queries") + METRIC_COLUMNS

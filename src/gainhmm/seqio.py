@@ -26,40 +26,31 @@ class FastaRecord:
 
 def read_fasta(path):
     """Parse FASTA into FastaRecords; errors carry file and line number."""
-    records = []
-    rid, attrs, chunks = None, None, []
+    heads = []  # (id, attrs, sequence lines) of each record
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(text_lines(fh), start=1):
             line = raw.strip()
             if not line:
                 continue
             if line.startswith(">"):
-                if rid is not None:
-                    records.append(FastaRecord(rid, "".join(chunks), attrs))
                 fields = line[1:].split()
                 if not fields:
                     raise ValueError(f"{path}:{lineno}: header with no id")
-                rid = fields[0]
                 attrs = dict(tok.split("=", 1) for tok in fields[1:] if "=" in tok)
-                chunks = []
+                heads.append((fields[0], attrs, []))
+            elif not heads:
+                raise ValueError(f"{path}:{lineno}: sequence before first header")
             else:
-                if rid is None:
-                    raise ValueError(f"{path}:{lineno}: sequence before first header")
-                chunks.append(line)
-        if rid is not None:
-            records.append(FastaRecord(rid, "".join(chunks), attrs))
-    return records
+                heads[-1][2].append(line)
+    return [FastaRecord(rid, "".join(chunks), attrs) for rid, attrs, chunks in heads]
 
 
 def write_fasta(path, records, width=70):
     """Write (id, seq) pairs or FastaRecords as FASTA."""
     with create(path) as fh:
         for rec in records:
-            if isinstance(rec, FastaRecord):
-                rid, seq, attrs = rec.id, rec.seq, rec.attrs
-            else:
-                rid, seq = rec
-                attrs = {}
+            rid, seq = rec
+            attrs = rec.attrs if isinstance(rec, FastaRecord) else {}
             extra = "".join(f" {k}={v}" for k, v in attrs.items())
             fh.write(f">{rid}{extra}\n")
             for i in range(0, len(seq), width):

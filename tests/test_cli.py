@@ -37,6 +37,11 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def file_bytes(directory):
+    """Every file under `directory`, mapped to its contents."""
+    return {p: p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
 class TestBuildModel:
     def test_builds_valid_model(self, tmp_path, msa_path):
         out = tmp_path / "model.json"
@@ -61,6 +66,26 @@ class TestBuildModel:
     def test_same_in_and_out_rejected(self, msa_path, capsys):
         assert run("build-model", "--in", msa_path, "--out", msa_path) == 1
         assert "same path" in capsys.readouterr().err
+
+    def test_out_sidecar_over_input_rejected(self, tmp_path, msa_path, capsys):
+        # build-model writes <out> and its sidecar <out>.arrays.
+        aln = tmp_path / f"x{SIDECAR_SUFFIX}"
+        aln.write_bytes((tmp_path / "msa.fasta").read_bytes())
+        before = file_bytes(tmp_path)
+        assert run("build-model", "--in", aln, "--out", tmp_path / "x") == 1
+        assert capsys.readouterr().err == \
+            f"error: --out's sidecar and --in point at the same path {aln}\n"
+        assert file_bytes(tmp_path) == before
+
+    def test_out_linked_to_input_rejected(self, tmp_path, msa_path, capsys):
+        # An output that is a symbolic link is written through, not replaced.
+        link = tmp_path / "model.json"
+        link.symlink_to(msa_path)
+        before = file_bytes(tmp_path)
+        assert run("build-model", "--in", msa_path, "--out", link) == 1
+        assert capsys.readouterr().err == \
+            f"error: --out and --in point at the same path {link}\n"
+        assert file_bytes(tmp_path) == before
 
     def test_bad_alignment_character_names_column(self, tmp_path, capsys):
         msa = tmp_path / "msa.fasta"
@@ -184,6 +209,17 @@ class TestDecode:
         assert run("decode", "--model", t1_model_path, "--in", fasta, "--out", out,
                    "--decoder", "viterbi") == 1
         assert "bad_one" in capsys.readouterr().err
+
+    def test_out_over_model_sidecar_rejected(self, tmp_path, t1_model_path, capsys):
+        fasta = tmp_path / "q.fasta"
+        write_fasta(fasta, [("q1", "xy")])
+        before = file_bytes(tmp_path)
+        sidecar = t1_model_path + SIDECAR_SUFFIX
+        assert run("decode", "--model", t1_model_path, "--in", fasta, "--out", sidecar,
+                   "--decoder", "herd") == 1
+        assert capsys.readouterr().err == \
+            f"error: --out and --model's sidecar point at the same path {sidecar}\n"
+        assert file_bytes(tmp_path) == before
 
     def test_upper_case_query_same_tsv(self, tmp_path, msa_path):
         model = tmp_path / "model.json"
@@ -556,6 +592,36 @@ class TestBench:
             raise AssertionError("a query was decoded")
         for name in ("viterbi_decode", "forward_backward"):
             monkeypatch.setattr(cli, name, decoded)
+
+    @pytest.mark.parametrize("flag, name, out, labels, clash", [
+        ("--model", "mm.json", "mm", "--out's report and --model", "mm.json"),
+        ("--truth", "o.csv.timing.csv", "o.csv", "--out's timing and --truth",
+         "o.csv.timing.csv"),
+        ("--truth", "o.csv.preds/viterbi_W10_g0.2.tsv", "o.csv",
+         "--out's predictions and --truth", "o.csv.preds/viterbi_W10_g0.2.tsv"),
+        ("--in", "o.csv.preds/herd_W5_g1.tsv", "o.csv", "--out's predictions and --in",
+         "o.csv.preds/herd_W5_g1.tsv"),
+        ("--model", "m.json", "m.json.arrays", "--out and --model's sidecar", "m.json.arrays"),
+    ], ids=["report", "timing", "viterbi-tsv", "herd-tsv", "sidecar"])
+    def test_output_over_input_rejected(self, tmp_path, msa_path, capsys, monkeypatch,
+                                        flag, name, out, labels, clash):
+        # One input sits where bench would write one of its outputs.
+        model, fasta, truth = self.setup_run(tmp_path, msa_path, count=1)
+        inputs = {"--model": model, "--in": fasta, "--truth": truth}
+        moved = tmp_path / name
+        moved.parent.mkdir(exist_ok=True)
+        if flag == "--model":
+            save_model(load_model(model), moved)
+        else:
+            moved.write_bytes(inputs[flag].read_bytes())
+        inputs[flag] = moved
+        before = file_bytes(tmp_path)
+        self.forbid_decoding(monkeypatch)
+        assert run("bench", *(a for pair in inputs.items() for a in pair),
+                   "--out", tmp_path / out, "--W", "5,10", "--gamma", "0.2,1") == 1
+        assert capsys.readouterr().err == \
+            f"error: {labels} point at the same path {tmp_path / clash}\n"
+        assert file_bytes(tmp_path) == before
 
     def test_negative_tolerance_rejected_before_decoding(self, tmp_path, msa_path, capsys,
                                                          monkeypatch):

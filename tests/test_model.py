@@ -207,6 +207,22 @@ class TestBuildHmm:
         with pytest.raises(InvalidModelError, match="empty alphabet"):
             build_hmm(spec)
 
+    @pytest.mark.parametrize("ids", [[1, 0], [0, 2], [1, 2], [0, 0]])
+    def test_color_ids_out_of_order(self, ids):
+        spec = t1_spec()
+        spec["colors"] = [{"id": i, "name": f"c{k}"} for k, i in enumerate(ids)]
+        with pytest.raises(InvalidModelError, match=r"^color ids must be 0\.\.C-1 in order$"):
+            build_hmm(spec)
+
+    def test_no_states(self):
+        # Every key is present, and the initial and the transitions name
+        # states the empty list lacks: the empty list is what is reported.
+        spec = t1_spec()
+        spec["states"] = []
+        assert spec["initial"] and spec["transitions"]
+        with pytest.raises(InvalidModelError, match="^model has no states$"):
+            build_hmm(spec)
+
     def test_unknown_state_in_transitions(self):
         spec = t1_spec()
         spec["transitions"]["s_ghost"] = {"s_A": 1.0}
