@@ -2,9 +2,9 @@
 # Runs the installed `gainhmm` console script end to end in a new temporary
 # directory, on two models: 3 subtypes x 300 columns (1,803 states, sparse
 # kernels) and 2 subtypes x 60 columns (242 states, dense kernels). For
-# each it builds the model, simulates queries, decodes them with herd and
-# posterior using the model's sidecar and again after deleting it, and
-# fails unless each pair of segment tables is byte-identical. The small
+# each it builds the model, simulates queries, decodes them with herd,
+# posterior and viterbi using the model's sidecar and again after deleting
+# it, and fails unless each pair of segment tables is byte-identical. The small
 # model's records are joined into one 300-nt query, longer than the 135
 # gaps of one dense backward chunk at 242 states.
 set -euo pipefail
@@ -23,7 +23,7 @@ check() {
     cp "$name.sim.fa" "$name.queries.fa"
   fi
   cp "$name.json.arrays" "$name.arrays.kept"
-  for decoder in herd posterior; do
+  for decoder in herd posterior viterbi; do
     cp "$name.arrays.kept" "$name.json.arrays"
     gainhmm decode --model "$name.json" --in "$name.queries.fa" --out "$name.$decoder.with.tsv" --decoder "$decoder"
     rm "$name.json.arrays"

@@ -10,11 +10,17 @@ one copy.
 
 Models store their transitions as CSR whatever their size; this module
 alone decides how to run the passes and Viterbi. Up to DENSE_STATE_LIMIT
-states the operator densifies the matrix once and runs dense kernels:
-forward fills an (n, S) array in place with BLAS products and gradual
-underflow, backward one chunk of rows at a time, and Viterbi's forward
-loop records every state's best predecessor in an (n, S) uint8 array,
-which the traceback follows. At
+states the operator densifies the matrix once and runs dense kernels.
+Their passes read one table per symbol a, the (S + 1, S) matrix
+diag(e_a) T transposed with its column sums as row S: one BLAS product
+by the previous alphahat row gives a forward step's emission-weighted row
+and, in its last entry, the step's scale, and the table's first S rows
+read transposed, T diag(e_a), give a backward step. So a step of either
+pass is one product and one division, with gradual underflow; the tables
+take A (S + 1) S doubles, 75 KB at S = 48 and 2.1 MB at S = 256 over four
+symbols. Forward fills an (n, S) array in place, backward one chunk of
+rows at a time, and Viterbi's forward loop records every state's best
+predecessor in an (n, S) uint8 array, which the traceback follows. At
 S = 48 CSR kernels cost more than dense ones: scipy's per-call dispatch
 more than doubles the forward loop's time.
 
@@ -149,9 +155,13 @@ class TransitionOperator:
         cross: (src, dst, val, key) of the cross-color transitions
             T[src, dst] = val, key = c1 * n_colors + c2 their pair of
             colors, src ascending
-        forward_t, backward_t, log_t_t, color_indicator: (dense kernels)
-            T transposed, T, log T transposed (C-ordered), and the (S, C)
-            0/1 map of states onto colors
+        forward_tables: (dense kernels) (A, S + 1, S), [a, v, u] =
+            e_a[v] T[u, v] for v < S, and row S of each table its column
+            sums
+        backward_tables: (dense kernels) the first S rows of each forward
+            table read transposed, [a, u, v] = T[u, v] e_a[v]
+        log_t_t, color_indicator: (dense kernels) log T transposed
+            (C-ordered), and the (S, C) 0/1 map of states onto colors
         cross_into: (dense kernels) per color c2, the (S, S) CSR matrix
             of the `cross` entries into c2
         succ: (sparse kernels) (indptr, indices, data, log data) of T,
@@ -193,11 +203,16 @@ class TransitionOperator:
         self.cross = src, dst, val, key = (np.searchsorted(ptr, x, "right") - 1, c[x], v[x],
                                            r_colors[x] * n_colors + c_colors[x])
         if not self.is_sparse:
-            self.backward_t = t.toarray()
-            self.forward_t = self.backward_t.T
+            dense = t.toarray()
             with np.errstate(divide="ignore"):
                 # row v lists log T[u, v] over the predecessors u
-                self.log_t_t = np.ascontiguousarray(np.log(self.forward_t))
+                self.log_t_t = np.ascontiguousarray(np.log(dense.T))
+            # [a, v, u] = e_a[v] T[u, v], and row S its column sums
+            fwd = self.forward_tables = np.empty((len(self.emis_rows), n_states + 1, n_states))
+            np.multiply(self.emis_rows[:, :, None], dense.T, fwd[:, :n_states])
+            fwd[:, n_states] = fwd[:, :n_states].sum(axis=1)
+            # [a, u, v] = T[u, v] e_a[v], the same memory read transposed
+            self.backward_tables = fwd[:, :n_states].transpose(0, 2, 1)
             self.color_indicator = hmm.color_indicator()
             # Block products over chunks of gaps beat the sparse kernels' sums
             # per gap here: 29 against 265 ms on a 20 kb, 48-state query.
@@ -237,24 +252,27 @@ class TransitionOperator:
         distribution and scales[t] the per-position normalizer, with
         log Pr(X) = sum(log scales).
         """
-        t_t, emis = self.forward_t, self.emis_rows
-        syms = obs.tolist()
-        mul, div, total = np.multiply, np.divide, np.add.reduce
-
-        # Each step runs in place in its own output row: no step allocates.
-        alphahat = np.empty((obs.size, self.initial.size))
+        # Each step is one product into buf, the emission-weighted row and
+        # its sum, then one division into its own output row: no step
+        # allocates. Bound ndarray.dot methods skip the Python-level
+        # dispatch that every np.dot call pays.
+        dots = [table.dot for table in self.forward_tables]
+        n_states, syms, div = self.initial.size, obs.tolist(), np.divide
+        alphahat = np.empty((obs.size, n_states))
         scales = np.empty(obs.size)
-        mul(self.initial, emis[syms[0]], alphahat[0])
+        buf = np.empty(n_states + 1)
+        head = buf[:n_states]
+        np.multiply(self.initial, self.emis_rows[syms[0]], head)
+        buf[n_states] = np.add.reduce(head)
         prev = None
         for t, (sym, row) in enumerate(zip(syms, alphahat)):
             if t:
-                np.dot(t_t, prev, row)
-                mul(row, emis[sym], row)
-            scale = total(row)
+                dots[sym](prev, buf)
+            scale = buf[n_states]
             if scale <= 0.0:
                 raise _impossible(t)
             scales[t] = scale
-            div(row, scale, row)
+            div(head, scale, row)
             prev = row
         return alphahat, scales
 
@@ -357,13 +375,13 @@ class TransitionOperator:
         by the color indicator, as are the color posteriors
         alphahat * betahat. Diagonal pair entries are left 0.
         """
-        t_mat, emis, ind, n = self.backward_t, self.emis_rows, self.color_indicator, obs.size
-        n_colors, n_states = self.n_colors, self.initial.size
-        syms, scale_list, mul, div = obs.tolist(), scales.tolist(), np.multiply, np.divide
+        dots, div = [table.dot for table in self.backward_tables], np.divide
+        emis, ind, n, n_colors = self.emis_rows, self.color_indicator, obs.size, self.n_colors
+        n_states, syms, scale_list = self.initial.size, obs.tolist(), scales.tolist()
         color_post = np.empty((n, n_colors))
         pair = np.zeros((max(n - 1, 0), n_colors, n_colors))
         m = max(1, min(n - 1, CHUNK_BYTES // (8 * n_states)))
-        beta, step = np.empty((m + 1, n_states)), np.empty(n_states)
+        beta = np.empty((m + 1, n_states))
         a_buf, w_buf = np.zeros((n_states, m + 1)), np.zeros((n_states, m + 1))
         for k0 in reversed(range(0, max(n - 1, 1), m)):
             k1 = min(k0 + m, n - 1)
@@ -373,8 +391,7 @@ class TransitionOperator:
             # rows k1-1 .. k0, each from row t+1 with symbol and scale t+1
             for row, nxt, sym, scale in zip(rows[-2::-1], rows[:0:-1], syms[k1:k0:-1],
                                             scale_list[k1:k0:-1]):
-                mul(emis[sym], nxt, step)
-                np.dot(t_mat, step, row)
+                dots[sym](nxt, row)
                 div(row, scale, row)
             alpha = alphahat[k0:k1 + 1]
             a_buf[:, :mm + 1] = alpha.T

@@ -186,13 +186,16 @@ def cmd_bench(args):
     w_grid = _parse_sweep(args.W, int, "--W/--sweep-W")
     g_grid = _parse_sweep(args.gamma, float, "--gamma/--sweep-gamma", "{:g}".format)
     grid = [GainParams(window=w, gamma=g, alpha=args.alpha) for w in w_grid for g in g_grid]
-    pred_files = {(d, p): os.path.join(args.out + ".preds", f"{d}_W{p.window}_g{p.gamma:g}.tsv")
+    preds_dir = args.out + ".preds"
+    pred_files = {(d, p): os.path.join(preds_dir, f"{d}_W{p.window}_g{p.gamma:g}.tsv")
                   for p in grid for d in DECODERS}
     _distinct_paths(("--model", args.model), ("--model's sidecar", args.model + SIDECAR_SUFFIX),
                     ("--in", args.input), ("--truth", args.truth), ("--out", args.out),
                     ("--out's report", args.out + ".json"),
                     ("--out's timing", args.out + ".timing.csv"),
                     *(("--out's predictions", path) for path in pred_files.values()))
+    if os.path.lexists(preds_dir) and not os.path.isdir(preds_dir):
+        raise ValueError(f"--out's predictions directory {preds_dir} is not a directory")
 
     hmm = load_model(args.model)
     graph = color_graph(hmm)
@@ -233,7 +236,7 @@ def cmd_bench(args):
         for preds, (annotation, _) in zip(herd_preds, decoded):
             preds.append(annotation)
 
-    os.makedirs(args.out + ".preds", exist_ok=True)
+    os.makedirs(preds_dir, exist_ok=True)
     ids = [r.id for r in records]
     table_header = format_segments([], hmm.color_names)  # an empty table is its header
     # Many grid points give a query the same prediction, so each distinct

@@ -75,15 +75,16 @@ def _row_divisors(sums, negative, what, names):
     return np.where(dev > ROW_SUM_ACCEPT, sums, 1.0)
 
 
-def _canonical_transitions(transitions, state_ids):
-    """Validated float64 CSR copy of a transition matrix, rows repaired.
+def _canonical_transitions(transitions, state_ids, copy=True):
+    """Validated float64 CSR form of a transition matrix, rows repaired.
 
-    `transitions` is an ndarray or a scipy sparse matrix. The copy has
+    `transitions` is an ndarray or a scipy sparse matrix. The result has
     int64 index arrays, sorted indices, summed duplicates and no stored
-    zeros.
+    zeros. With copy=False it may share and rewrite the arrays of a CSR
+    `transitions`, which the caller must own.
     """
     n = len(state_ids)
-    t = sparse.csr_array(transitions, dtype=np.float64, copy=True)
+    t = sparse.csr_array(transitions, dtype=np.float64, copy=copy)
     if t.shape != (n, n):
         raise InvalidModelError(f"transition matrix of shape {t.shape} for {n} states")
     try:  # the row sums below index by t.indices; scipy checks no index unless asked
@@ -127,7 +128,7 @@ class Hmm:
     """
 
     def __init__(self, state_ids, state_colors, color_names, alphabet,
-                 initial, transitions, emissions):
+                 initial, transitions, emissions, *, _owned=False):
         if len(alphabet) == 0:
             raise InvalidModelError("empty alphabet")
         if len(state_ids) == 0:
@@ -168,7 +169,8 @@ class Hmm:
             self.emissions.sum(axis=1), np.any(self.emissions < 0.0, axis=1),
             "emission", self.state_ids)[:, None]
 
-        self.transitions = _canonical_transitions(transitions, self.state_ids)
+        # A sidecar reader's arrays (_owned) are kept; a caller's are copied.
+        self.transitions = _canonical_transitions(transitions, self.state_ids, copy=not _owned)
 
         # A symbol's other case decodes as the symbol itself unless that
         # case is a symbol of its own, so `ACGT` reads like `acgt`.
@@ -608,7 +610,8 @@ def _read_sidecar(path, digest):
             colors, initial, emissions, indptr, indices, data = (read(fh) for _ in range(6))
         n = len(state_ids)
         trans = sparse.csr_array((data, indices, indptr), shape=(n, n))
-        return Hmm(state_ids, colors, color_names, alphabet, initial, trans, emissions)
+        return Hmm(state_ids, colors, color_names, alphabet, initial, trans, emissions,
+                   _owned=True)
     except (OSError, ValueError, TypeError):
         return None
 

@@ -632,6 +632,20 @@ class TestBench:
         assert capsys.readouterr().err == "error: --tolerance must be >= 0\n"
         assert not (tmp_path / "o.csv").exists()
 
+    def test_predictions_path_taken_by_file_rejected_before_decoding(
+            self, tmp_path, msa_path, capsys, monkeypatch):
+        model, fasta, truth = self.setup_run(tmp_path, msa_path, count=1)
+        preds = tmp_path / "o.csv.preds"
+        preds.write_text("not a directory\n")
+        before = file_bytes(tmp_path)
+        self.forbid_decoding(monkeypatch)
+        assert run("bench", "--model", model, "--in", fasta, "--truth", truth,
+                   "--out", tmp_path / "o.csv") == 1
+        assert capsys.readouterr().err == \
+            f"error: --out's predictions directory {preds} is not a directory\n"
+        assert file_bytes(tmp_path) == before
+        assert not (tmp_path / "o.csv").exists()
+
     def test_query_file_without_records_rejected(self, tmp_path, msa_path, capsys,
                                                  monkeypatch):
         model, _, truth = self.setup_run(tmp_path, msa_path, count=1)

@@ -326,10 +326,15 @@ def assert_matches_reference(hmm, seq):
     ref_ann, ref_logp = _oracles.reference_viterbi(hmm, seq)
     assert ann == ref_ann
     assert logp == ref_logp
+    assert_posteriors_match_reference(hmm, seq)
 
+
+def assert_posteriors_match_reference(hmm, seq, log_lik_abs=0.0):
+    """forward_backward within 1e-12 of the reference, pair sums included;
+    log-likelihoods within 1e-12 relative or log_lik_abs."""
     post = forward_backward(hmm, seq)
     ref = _oracles.reference_forward_backward(hmm, seq)
-    assert post.log_likelihood == pytest.approx(ref.log_likelihood, rel=1e-12, abs=0)
+    assert post.log_likelihood == pytest.approx(ref.log_likelihood, rel=1e-12, abs=log_lik_abs)
     np.testing.assert_allclose(post.color_post, ref.color_post, rtol=0, atol=1e-12)
     np.testing.assert_allclose(post.pair_post, ref.pair_post, rtol=0, atol=1e-12)
     assert np.all(post.pair_post >= 0.0)
@@ -706,6 +711,52 @@ class TestPosteriorProperties:
              gain_decode(hmm, s, params)[0])
             for s in (seq, seq.upper()))
         assert lower == upper
+
+
+class TestDenseKernels:
+    """The dense forward and backward passes: one product by a per-symbol
+    table and one division per step, each forward table carrying its
+    column sums as the row that gives the step's scale."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from([1, 2, 4, 20]),
+           st.one_of(st.integers(1, 6), st.sampled_from([48, 255, 256]),
+                     st.integers(1, _transition.DENSE_STATE_LIMIT)),
+           st.integers(1, 4), st.sampled_from([0.0, 0.5]), st.sampled_from([1, 2, 3, 7]),
+           st.sampled_from(["1", "2", "m", "m + 1", "m + 2", "2m + 1", "3m"]),
+           st.integers(0, 2**30))
+    def test_matches_reference(self, n_symbols, n_states, n_colors, sparsity, m, length, seed):
+        # m gaps per backward chunk; the lengths fall on and around its ends.
+        rng = np.random.default_rng(seed)
+        hmm = random_model(rng, n_states, min(n_colors, n_states), n_symbols, sparsity)
+        op = _transition.operator_of(hmm)
+        assert not op.is_sparse
+        n = {"1": 1, "2": 2, "m": m, "m + 1": m + 1, "m + 2": m + 2, "2m + 1": 2 * m + 1,
+             "3m": 3 * m}[length]
+        _, seq = sample_path(hmm, n, seed=seed)
+        alphahat, _ = op.dense_forward(hmm.encode(seq))
+        assert alphahat.shape == (n, n_states)
+        np.testing.assert_allclose(alphahat.sum(axis=1), 1.0, rtol=0, atol=1e-13)
+        # With one symbol Pr(X) = 1: each log scale is 0 to within its rounding.
+        log_lik_abs = n * 1e-15 if n_symbols == 1 else 0.0
+        with mock.patch.object(_transition, "CHUNK_BYTES", 8 * m * n_states):
+            assert_posteriors_match_reference(hmm, seq, log_lik_abs)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seq, position", [("yxxxx", 1), ("xxyxx", 3), ("xxxxy", 5)])
+    def test_dead_position_named(self, seq, position):
+        # s_A emits only x and never leaves itself: its tables' column sums
+        # are 0 against every y, so the scale is 0 where the row is.
+        spec = t1_spec()
+        spec["states"][0]["emission"] = {"x": 1.0}
+        spec["states"][1]["emission"] = {"y": 1.0}
+        spec["initial"] = {"s_A": 1.0}
+        spec["transitions"] = {"s_A": {"s_A": 1.0}, "s_B": {"s_B": 1.0}}
+        hmm = build_hmm(spec)
+        assert not _transition.operator_of(hmm).is_sparse
+        for decode in (forward_backward, viterbi_decode):
+            with pytest.raises(ZeroLikelihoodError, match=f"at position {position}$"):
+                decode(hmm, seq)
 
 
 class TestDenseViterbi:

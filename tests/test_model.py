@@ -770,6 +770,35 @@ class TestSidecar:
         assert hashed[0] < size / 10, f"{hashed[0] / 1e6:.2f} MB while hashing"
         assert peak < 1.25 * size, f"peak {peak / 1e6:.2f} MB for a {size / 1e6:.2f} MB file"
 
+    def test_load_keeps_the_sidecar_arrays(self, tmp_path):
+        # The transitions read from the sidecar become the model's own: a
+        # copy of them took the peak to 2.27 times the sidecar's size.
+        msa = synthetic_subtypes(3, 1000, divergence=0.15, seed=2)
+        path = tmp_path / "model.json"
+        save_model(build_jumping_hmm(msa, JumpingHmmSpec(jump_prob=0.01, pseudocount=0.1)), path)
+        size = sidecar_of(path).stat().st_size
+        tracemalloc.start()
+        try:
+            load_from_sidecar(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * size, f"peak {peak / 1e6:.2f} MB for a {size / 1e6:.2f} MB sidecar"
+
+    def test_caller_arrays_stay_the_callers(self):
+        hmm = random_model(np.random.default_rng(3), n_states=6, n_colors=2, n_symbols=3)
+        given_t = sparse.csr_array(hmm.transitions, copy=True)
+        arrays = (given_t.data, given_t.indices, given_t.indptr)
+        before = [a.copy() for a in arrays]
+        built = with_transitions(hmm, given_t)
+        t = built.transitions
+        for a, b in zip(arrays, before):
+            assert a.flags.writeable
+            np.testing.assert_array_equal(a, b)
+            assert not any(np.shares_memory(a, own) for own in (t.data, t.indices, t.indptr))
+        given_t.data[:] = 0.0
+        assert_same_hmm(built, hmm)
+
     def test_sidecar_holds_arrays_and_names(self, tmp_path):
         hmm = drawn_model(seed=2, n_states=5, shape="sparse", names="unicode",
                           zero_initial=True, alphabet=None)
