@@ -438,11 +438,11 @@ class TransitionOperator:
         buf = np.empty((n_states, n_states))
         flat, best = buf.reshape(-1), np.empty(n_states, dtype=np.intp)
         row_starts = np.arange(0, n_states * n_states, n_states)
-        add, argmax = np.add, np.argmax
+        add, argmax = np.add, buf.argmax
         row = self.log_initial + log_emis[syms[0]]
         for back_row, sym in zip(back[1:], syms[1:]):
             add(log_t_t, row, buf)
-            argmax(buf, 1, best)
+            argmax(1, best)
             back_row[...] = best
             add(best, row_starts, best)
             row = flat[best]

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 from ._files import create
 from .gain import GainParams, check_nonnegative, decode_from_posteriors, decode_grid, \
@@ -23,7 +24,7 @@ from .gain import GainParams, check_nonnegative, decode_from_posteriors, decode_
 from .inference import forward_backward, posterior_decode, viterbi_decode
 from .jumping import JumpingHmmSpec, build_jumping_hmm
 from .metrics import aggregate, base_accuracy, boundary_metrics
-from .model import SIDECAR_SUFFIX, InvalidModelError, color_graph, load_model, save_model
+from .model import InvalidModelError, color_graph, load_model, save_model, sidecar_path
 from .seqio import format_segments, read_fasta, read_segments, \
     read_subtype_alignment, segment_rows, write_fasta, write_segments
 from .simulate import check_recombinant_args, random_recombinants
@@ -76,7 +77,7 @@ def _flag_named(flags, check, *args, **kwargs):
 
 def cmd_build_model(args):
     _distinct_paths(("--in", args.input), ("--out", args.out),
-                    ("--out's sidecar", args.out + SIDECAR_SUFFIX))
+                    ("--out's sidecar", sidecar_path(args.out)))
     spec = _flag_named({"jump_prob": "--pj", "pseudocount": "--pseudocount"},
                        JumpingHmmSpec, jump_prob=args.pj, pseudocount=args.pseudocount)
     msa = read_subtype_alignment(args.input)
@@ -131,7 +132,7 @@ def _decode_one(decoder, hmm, graph, seq, params):
 
 
 def cmd_decode(args):
-    _distinct_paths(("--model", args.model), ("--model's sidecar", args.model + SIDECAR_SUFFIX),
+    _distinct_paths(("--model", args.model), ("--model's sidecar", sidecar_path(args.model)),
                     ("--in", args.input), ("--out", args.out))
     params = _flag_named({"window": "--W", "gamma": "--gamma", "alpha": "--alpha"},
                          GainParams, window=args.W, gamma=args.gamma, alpha=args.alpha)
@@ -189,7 +190,7 @@ def cmd_bench(args):
     preds_dir = args.out + ".preds"
     pred_files = {(d, p): os.path.join(preds_dir, f"{d}_W{p.window}_g{p.gamma:g}.tsv")
                   for p in grid for d in DECODERS}
-    _distinct_paths(("--model", args.model), ("--model's sidecar", args.model + SIDECAR_SUFFIX),
+    _distinct_paths(("--model", args.model), ("--model's sidecar", sidecar_path(args.model)),
                     ("--in", args.input), ("--truth", args.truth), ("--out", args.out),
                     ("--out's report", args.out + ".json"),
                     ("--out's timing", args.out + ".timing.csv"),
@@ -206,11 +207,11 @@ def cmd_bench(args):
     _check_truth(records, truth, hmm.n_colors)
 
     # Forward-backward and the W/gamma-independent decoders run once per
-    # query, and so does the gain decoder: one decode_grid call covers every
-    # grid point on the query's posteriors.
+    # query, and so does the gain decoder: one prefix-sum table and one
+    # decode_grid call cover every grid point on the query's posteriors.
     base_preds = {"viterbi": [], "posterior": []}
     herd_preds = [[] for _ in grid]
-    t_fb = t_vit = t_post = t_win = t_grid = 0.0
+    t_fb = t_vit = t_post = t_grid = 0.0
     for rec in records:
         try:
             t0 = time.perf_counter()
@@ -220,17 +221,16 @@ def cmd_bench(args):
             t2 = time.perf_counter()
             pd = posterior_decode(post)
             t3 = time.perf_counter()
-            windows = {w: window_scores(post, w) for w in w_grid}
+            table = window_scores(post, w_grid[0])
+            points = [(replace(table, window=p.window), p) for p in grid]
+            decoded = decode_grid(post, points, graph)
             t4 = time.perf_counter()
-            decoded = decode_grid(post, [(windows[p.window], p) for p in grid], graph)
-            t5 = time.perf_counter()
         except ValueError as e:
             raise ValueError(f"record {rec.id!r}: {e}") from None
         t_vit += t1 - t0
         t_fb += t2 - t1
         t_post += t3 - t2
-        t_win += t4 - t3
-        t_grid += t5 - t4
+        t_grid += t4 - t3
         base_preds["viterbi"].append(annot)
         base_preds["posterior"].append(pd)
         for preds, (annotation, _) in zip(herd_preds, decoded):
@@ -259,9 +259,8 @@ def cmd_bench(args):
     # they are scored and rendered once and reused at every grid point.
     base_results = {d: score_and_render(p) for d, p in base_preds.items()}
     # A herd row reports forward-backward plus its share of the window sums
-    # (one per width) and of the grid pass.
-    wall = {"viterbi": t_vit, "posterior": t_fb + t_post,
-            "herd": t_fb + t_win / len(w_grid) + t_grid / len(grid)}
+    # and the grid pass.
+    wall = {"viterbi": t_vit, "posterior": t_fb + t_post, "herd": t_fb + t_grid / len(grid)}
     rows, timing = [], []
     for params, preds in zip(grid, herd_preds):
         w, g = params.window, params.gamma

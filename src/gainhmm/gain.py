@@ -52,39 +52,40 @@ def check_nonnegative(name, value):
 class WindowScores:
     """Windowed boundary posterior mass per gap and ordered color pair.
 
-    scores[k, c, c2] sums the boundary posterior of pair (c, c2) over the
-    gaps within `window` of gap k+1 (1-based), clamped at the sequence
-    ends. Diagonal entries are zero; a boundary needs two colors.
+    cum[j] sums the pair posteriors of the first j of the m = n - 1 gaps;
+    other widths share it: dataclasses.replace(scores, window=w). Diagonal
+    scores are zero; a boundary needs two colors.
     """
 
-    scores: np.ndarray
+    cum: np.ndarray
     window: int
+
+    def sums(self, lo, hi):
+        """The scores of gaps lo..hi-1 (0-based), shape (hi - lo, C, C)."""
+        out = self._rows(np.arange(lo, hi))
+        diag = np.arange(self.cum.shape[1])
+        out[:, diag, diag] = 0.0
+        return out
 
     def score(self, k, c_from, c_to):
         """Windowed mass for a boundary (c_from -> c_to) at gap k, 1-based."""
-        return float(self.scores[k - 1, c_from, c_to])
+        return float(self.sums(k - 1, k)[0, c_from, c_to])
+
+    def _rows(self, gaps):
+        """cum[min(k + W + 1, m)] - cum[max(k - W, 0)] for each 0-based gap k in
+        `gaps`: the mass within `window` of it, clamped by take's clip mode."""
+        cum, w = self.cum, min(int(self.window), len(self.cum) - 1)
+        return cum.take(gaps + w + 1, 0, mode="clip") - cum.take(gaps - w, 0, mode="clip")
 
 
 def window_scores(post, window):
-    """Clamped window sums of boundary posteriors, via prefix sums.
-
-    Gap k sums cum[min(k + W + 1, m)] - cum[max(k - W, 0)] over the m gaps,
-    written by slices with W clipped to m (any W >= m gives W = m's sums);
-    cum[0] is 0, so the first W gaps subtract nothing."""
+    """Clamped window sums of boundary posteriors, as one prefix-sum table."""
     if window < 0:
         raise ValueError("window must be >= 0")
     pair = post.pair_post
-    m, n_colors = pair.shape[0], pair.shape[1]
-    cum = np.zeros((m + 1, n_colors, n_colors))
+    cum = np.zeros((len(pair) + 1,) + pair.shape[1:])
     np.cumsum(pair, axis=0, out=cum[1:])
-    w = min(int(window), m)
-    scores = np.empty((m, n_colors, n_colors))
-    scores[:m - w] = cum[w + 1:]
-    scores[m - w:] = cum[m]
-    scores[w:] -= cum[:m - w]
-    diag = np.arange(n_colors)
-    scores[:, diag, diag] = 0.0
-    return WindowScores(scores=scores, window=int(window))
+    return WindowScores(cum=cum, window=int(window))
 
 
 def _check_window(windows, params):
@@ -106,10 +107,11 @@ def expected_gain(annotation, post, windows, params):
         raise ValueError("annotation length does not match posterior length")
     if annotation.colors.max() >= post.n_colors:
         raise ValueError("annotation uses a color unknown to the posterior")
+    cols = annotation.colors
+    k = np.flatnonzero(cols[1:] != cols[:-1])
     total = 0.0
-    scores = windows.scores
-    for k, c, c2 in annotation.boundaries:
-        total += (1.0 + params.gamma) * scores[k - 1, c, c2] - params.gamma
+    for mass in windows._rows(k)[np.arange(k.size), cols[k], cols[k + 1]].tolist():
+        total += (1.0 + params.gamma) * mass - params.gamma
     if params.alpha != 0.0:
         picked = post.color_post[np.arange(post.length), annotation.colors]
         total += params.alpha * float(picked.sum())
@@ -248,11 +250,15 @@ def decode_grid(post, points, graph):
         hi = min(lo + size, n - 1)
         # step[j, c2, c, g] is what moving from color c to c2 across gap
         # lo+j+1 earns at point g: the boundary reward where the graph
-        # allows it, 0 for an allowed stay, -inf otherwise.
+        # allows it, 0 for an allowed stay, -inf otherwise. Points that
+        # share a table and a width share the chunk's window sums.
         step = np.empty((hi - lo, n_colors, n_colors, n_points))
+        sums = {}
         for g, ((windows, _), gamma) in enumerate(zip(points, gammas)):
-            np.multiply(windows.scores[lo:hi].transpose(0, 2, 1), 1.0 + gamma,
-                        out=step[..., g])
+            key = id(windows.cum), windows.window
+            if key not in sums:
+                sums[key] = windows.sums(lo, hi).transpose(0, 2, 1)
+            np.multiply(sums[key], 1.0 + gamma, out=step[..., g])
         step -= gammas
         step[:, diag, diag] = 0.0
         step[:, blocked] = -np.inf

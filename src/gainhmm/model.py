@@ -574,6 +574,11 @@ def _model_json(hmm):
     return pieces
 
 
+def sidecar_path(path):
+    """The path of model file `path`'s sidecar."""
+    return os.fspath(path) + SIDECAR_SUFFIX
+
+
 def save_model(hmm, path):
     """Write the model file (JSON, probabilities as decimal text) and its sidecar."""
     pieces = _model_json(hmm)  # first: a model it refuses leaves both files as they are
@@ -587,7 +592,7 @@ def save_model(hmm, path):
     names = np.frombuffer(
         json.dumps([hmm.alphabet, hmm.color_names, hmm.state_ids]).encode(), np.uint8)
     t = hmm.transitions
-    with create(os.fspath(path) + SIDECAR_SUFFIX, "wb") as fh:
+    with create(sidecar_path(path), "wb") as fh:
         for arr in (header, names, hmm.state_colors, hmm.initial, hmm.emissions,
                     t.indptr, t.indices, t.data):
             np.lib.format.write_array(fh, arr, allow_pickle=False)
@@ -603,7 +608,7 @@ def _read_sidecar(path, digest):
     """
     read = partial(np.lib.format.read_array, allow_pickle=False)
     try:
-        with open(os.fspath(path) + SIDECAR_SUFFIX, "rb") as fh:
+        with open(sidecar_path(path), "rb") as fh:
             if read(fh).tobytes() != SIDECAR_FORMAT + digest:
                 return None
             alphabet, color_names, state_ids = json.loads(read(fh).tobytes())

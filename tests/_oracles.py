@@ -4,7 +4,9 @@ The enumeration oracles are written naively with itertools and plain
 floats, on purpose: they define expected values for the fast numpy paths
 and must not share code with them. `reference_gain_dp` is the gain DP as
 a plain per-position loop, kept as the exactness reference for the
-vectorised decoder. `reference_forward_backward` and `reference_viterbi`
+vectorised decoder. `reference_window_scores` is the whole (m, C, C)
+window-sum table as `window_scores` built it for one W before it kept
+only the prefix sums. `reference_forward_backward` and `reference_viterbi`
 are the decoders as they were before the cached transition operator:
 full (n, S) emission and pair-weight arrays, every transition nonzero in
 the pair posteriors, gradual underflow, and `maximum.reduceat` for the
@@ -165,7 +167,7 @@ def reference_gain_dp(post, windows, params, graph):
     back = np.empty((n, n_colors), dtype=np.int64)
     back[0] = -1
     for j in range(1, n):
-        move = (1.0 + gamma) * windows.scores[j - 1] - gamma
+        move = (1.0 + gamma) * windows.sums(j - 1, j)[0] - gamma
         cand = score[:, None] + np.where(cross_ok, move, -np.inf)
         best_prev = np.argmax(cand, axis=0)
         best_cross = cand[best_prev, color_ids]
@@ -184,6 +186,19 @@ def reference_gain_dp(post, windows, params, graph):
     for j in range(n - 1, 0, -1):
         colors[j - 1] = back[j, colors[j]]
     return colors.tolist(), value
+
+
+def reference_window_scores(cum, window):
+    """Every gap's clamped window sums at one W, from prefix sums cum (cum[0] = 0)."""
+    m, n_colors = len(cum) - 1, cum.shape[1]
+    w = min(int(window), m)
+    scores = np.empty((m, n_colors, n_colors))
+    scores[:m - w] = cum[w + 1:]
+    scores[m - w:] = cum[m]
+    scores[w:] -= cum[:m - w]
+    diag = np.arange(n_colors)
+    scores[:, diag, diag] = 0.0
+    return scores
 
 
 def reference_scaled_forward_backward(hmm, obs):

@@ -144,7 +144,7 @@ def test_4_suppression_and_dominance():
             post = forward_backward(hmm, seq)
             ws = window_scores(post, params.window)
             off = ~np.eye(hmm.n_colors, dtype=bool)
-            move = (1 + params.gamma) * ws.scores[:, off] - params.gamma
+            move = (1 + params.gamma) * ws.sums(0, post.length - 1)[:, off] - params.gamma
             if move.size and np.all(move < 0):
                 ann, _ = gain_decode(hmm, seq,
                                      GainParams(params.window, params.gamma, 0.0))

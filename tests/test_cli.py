@@ -439,8 +439,8 @@ class TestBench:
         assert len(timing) == 4
 
     def test_window_sums_timed_in_herd_rows(self, tmp_path, msa_path, monkeypatch):
-        # each window_scores call sleeps 0.1 s: 0.2 s over two widths, 0.1 s
-        # of it in each herd row
+        # each window_scores call sleeps 0.1 s: one call for the query's two
+        # widths, 0.05 s of it in each herd row
         model, fasta, truth = self.setup_run(tmp_path, msa_path, count=1)
 
         def slowed(post, w, _real=cli.window_scores):
@@ -454,7 +454,32 @@ class TestBench:
         _, *rows = (tmp_path / "bench.csv.timing.csv").read_text().splitlines()
         herd = [float(r.split(",")[3]) for r in rows if r.startswith("herd,")]
         assert len(herd) == 2
-        assert min(herd) >= 100.0
+        assert min(herd) >= 50.0
+
+    def test_one_prefix_table_per_query(self, tmp_path, msa_path, monkeypatch):
+        # Two queries, three widths: two window_scores calls, and every grid
+        # point of a query reads its own width from that query's table.
+        model, fasta, truth = self.setup_run(tmp_path, msa_path)
+        tables, grids = [], []
+
+        def counted(post, w, _real=cli.window_scores):
+            tables.append(_real(post, w))
+            return tables[-1]
+
+        def recorded(post, points, graph, _real=cli.decode_grid):
+            grids.append(points)
+            return _real(post, points, graph)
+
+        monkeypatch.setattr(cli, "window_scores", counted)
+        monkeypatch.setattr(cli, "decode_grid", recorded)
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--model", model, "--in", fasta, "--truth", truth,
+                   "--out", out, "--sweep-W", "0,5,10", "--sweep-gamma", "0.5,1") == 0
+        assert len(tables) == len(grids) == 2
+        for table, points in zip(tables, grids):
+            assert [ws.window for ws, _ in points] == [0, 0, 5, 5, 10, 10]
+            assert all(ws.window == params.window for ws, params in points)
+            assert all(ws.cum is table.cum for ws, _ in points)
 
     def test_byte_identical_reruns(self, tmp_path, msa_path):
         model, fasta, truth = self.setup_run(tmp_path, msa_path)

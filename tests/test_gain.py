@@ -80,7 +80,7 @@ class TestWindowScores:
         ws = window_scores(post, 0)
         off = ~np.eye(2, dtype=bool)
         np.testing.assert_allclose(
-            ws.scores[:, off], post.pair_post[:, off], rtol=1e-12, atol=1e-16)
+            ws.sums(0, 3)[:, off], post.pair_post[:, off], rtol=1e-12, atol=1e-16)
 
     def test_negative_window_rejected(self, t1):
         with pytest.raises(ValueError, match="^window must be >= 0$"):
@@ -99,41 +99,43 @@ class TestWindowScores:
                               log_likelihood=post.log_likelihood,
                               color_post=post.color_post, pair_post=pair)
         ws = window_scores(doctored, 2)
-        np.testing.assert_array_equal(ws.scores[:, 1, 0], 0.0)
+        np.testing.assert_array_equal(ws.sums(0, 3)[:, 1, 0], 0.0)
 
     def test_matches_direct_sums(self, t1):
         rng = np.random.default_rng(3)
         seq = random_seq(rng, t1.alphabet, 12)
         post = forward_backward(t1, seq)
         for window in (0, 1, 3, 20):
-            ws = window_scores(post, window)
             n = post.length
+            scores = window_scores(post, window).sums(0, n - 1)
             for k in range(n - 1):
                 lo, hi = max(0, k - window), min(n - 2, k + window)
                 direct = post.pair_post[lo:hi + 1].sum(axis=0)
                 for c, c2 in itertools.permutations(range(2), 2):
-                    assert ws.scores[k, c, c2] == pytest.approx(
+                    assert scores[k, c, c2] == pytest.approx(
                         direct[c, c2], rel=1e-12, abs=1e-15)
 
     def test_bounded_by_window_size(self, t1):
         post = forward_backward(t1, "xyxyxyyx")
         for window in (0, 1, 2):
-            ws = window_scores(post, window)
-            assert ws.scores.min() >= 0.0
-            assert ws.scores.max() <= 2 * window + 1
+            scores = window_scores(post, window).sums(0, post.length - 1)
+            assert scores.min() >= 0.0
+            assert scores.max() <= 2 * window + 1
 
     def test_window_beyond_the_record(self, t1):
         # Every W >= n - 1 covers the whole record, up to W = 2**64.
         post = forward_backward(t1, "xyxyyxy")
-        whole = window_scores(post, post.length - 1).scores
+        m = post.length - 1
+        whole = window_scores(post, m).sums(0, m)
         for window in (post.length, 2**63 - 8, 2**64):
             ws = window_scores(post, window)
             assert ws.window == window
-            np.testing.assert_array_equal(ws.scores, whole)
+            np.testing.assert_array_equal(ws.sums(0, m), whole)
 
     def test_memory_of_a_long_query(self):
-        # The prefix sums and the result take 2.6 MB each here; gathering
-        # cum[hi] and cum[lo] took the peak to 8.2 MB.
+        # The prefix sums take 2.56 MB here and are all there is: a scores
+        # array per W took the peak to 5.1 MB, and gathering cum[hi] and
+        # cum[lo] before that to 8.2 MB.
         rng = np.random.default_rng(9)
         hmm = random_model(rng, n_states=48, n_colors=4, n_symbols=4)
         post = forward_backward(hmm, random_seq(rng, hmm.alphabet, 20_000))
@@ -143,7 +145,35 @@ class TestWindowScores:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6e6, f"peak traced memory {peak / 1e6:.2f} MB"
+        assert peak < 3e6, f"peak traced memory {peak / 1e6:.2f} MB"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_range_sums_are_the_whole_tables_rows(self, data):
+        # Any [lo, hi), empty or touching either end of the record, reads
+        # the same bits as the rows of the whole (m, C, C) table, at every
+        # W up to 2**64.
+        n = data.draw(st.integers(1, 40), label="n")
+        n_colors = data.draw(st.integers(1, 3), label="C")
+        m = n - 1
+        pair = data.draw(arrays(np.float64, (m, n_colors, n_colors),
+                                elements=st.floats(0.0, 1.0)), label="pair")
+        post = PosteriorSet(length=n, log_likelihood=0.0,
+                            color_post=np.full((n, n_colors), 1.0 / n_colors),
+                            pair_post=pair)
+        window = data.draw(st.one_of(st.integers(0, m + 5), st.sampled_from([2**63 - 8, 2**64])),
+                           label="W")
+        ws = window_scores(post, window)
+        whole = _oracles.reference_window_scores(ws.cum, window)
+        assert ws.sums(0, m).tobytes() == whole.tobytes()
+        lo = data.draw(st.integers(0, m), label="lo")
+        hi = data.draw(st.integers(lo, m), label="hi")
+        part = ws.sums(lo, hi)
+        assert part.shape == (hi - lo, n_colors, n_colors)
+        assert part.tobytes() == whole[lo:hi].tobytes()
+        for k in range(lo, hi):
+            for c, c2 in itertools.product(range(n_colors), repeat=2):
+                assert ws.score(k + 1, c, c2) == whole[k, c, c2]
 
 
 class TestGainDecode:
@@ -562,7 +592,8 @@ class TestDecoderOptimality:
             post = forward_backward(hmm, seq)
             ws = window_scores(post, params.window)
             off = ~np.eye(hmm.n_colors, dtype=bool)
-            if np.all((1 + params.gamma) * ws.scores[:, off] - params.gamma < 0):
+            scores = ws.sums(0, post.length - 1)
+            if np.all((1 + params.gamma) * scores[:, off] - params.gamma < 0):
                 seen += 1
                 flat = GainParams(params.window, params.gamma, 0.0)
                 ann, _ = gain_decode(hmm, seq, flat)
