@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 from ._files import create
 from .gain import GainParams, check_nonnegative, decode_from_posteriors, decode_grid, \
@@ -127,8 +126,7 @@ def _decode_one(decoder, hmm, graph, seq, params):
     post = forward_backward(hmm, seq)
     if decoder == "posterior":
         return posterior_decode(post)
-    windows = window_scores(post, params.window)
-    return decode_from_posteriors(post, windows, params, graph)[0]
+    return decode_from_posteriors(post, window_scores(post, params.window), params, graph)[0]
 
 
 def cmd_decode(args):
@@ -207,8 +205,8 @@ def cmd_bench(args):
     _check_truth(records, truth, hmm.n_colors)
 
     # Forward-backward and the W/gamma-independent decoders run once per
-    # query, and so does the gain decoder: one prefix-sum table and one
-    # decode_grid call cover every grid point on the query's posteriors.
+    # query, and so does the gain decoder: one decode_grid call covers
+    # every grid point on the query's posteriors.
     base_preds = {"viterbi": [], "posterior": []}
     herd_preds = [[] for _ in grid]
     t_fb = t_vit = t_post = t_grid = 0.0
@@ -221,9 +219,7 @@ def cmd_bench(args):
             t2 = time.perf_counter()
             pd = posterior_decode(post)
             t3 = time.perf_counter()
-            table = window_scores(post, w_grid[0])
-            points = [(replace(table, window=p.window), p) for p in grid]
-            decoded = decode_grid(post, points, graph)
+            decoded = decode_grid(post, grid, graph)
             t4 = time.perf_counter()
         except ValueError as e:
             raise ValueError(f"record {rec.id!r}: {e}") from None

@@ -36,9 +36,8 @@ class GainParams:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.window, (int, np.integer)):
-            raise ValueError("window must be an integer >= 0")
-        for name in ("window", "gamma", "alpha"):
+        _check_window(self.window)
+        for name in ("gamma", "alpha"):
             check_nonnegative(name, getattr(self, name))
 
 
@@ -48,13 +47,19 @@ def check_nonnegative(name, value):
         raise ValueError(f"{name} must be a finite number >= 0, not {value}")
 
 
+def _check_window(window):
+    """Raise ValueError unless the half-width W is an integer >= 0."""
+    if not isinstance(window, (int, np.integer)):
+        raise ValueError(f"window must be an integer >= 0, not {window}")
+    check_nonnegative("window", window)
+
+
 @dataclass(frozen=True)
 class WindowScores:
     """Windowed boundary posterior mass per gap and ordered color pair.
 
-    cum[j] sums the pair posteriors of the first j of the m = n - 1 gaps;
-    other widths share it: dataclasses.replace(scores, window=w). Diagonal
-    scores are zero; a boundary needs two colors.
+    cum[j] sums the pair posteriors of the first j of the m = n - 1 gaps,
+    and its diagonal is zero: a boundary needs two colors.
     """
 
     cum: np.ndarray
@@ -62,36 +67,39 @@ class WindowScores:
 
     def sums(self, lo, hi):
         """The scores of gaps lo..hi-1 (0-based), shape (hi - lo, C, C)."""
-        out = self._rows(np.arange(lo, hi))
-        diag = np.arange(self.cum.shape[1])
-        out[:, diag, diag] = 0.0
-        return out
+        return _rows(self.cum, self.window, np.arange(lo, hi))
 
     def score(self, k, c_from, c_to):
         """Windowed mass for a boundary (c_from -> c_to) at gap k, 1-based."""
         return float(self.sums(k - 1, k)[0, c_from, c_to])
 
-    def _rows(self, gaps):
-        """cum[min(k + W + 1, m)] - cum[max(k - W, 0)] for each 0-based gap k in
-        `gaps`: the mass within `window` of it, clamped by take's clip mode."""
-        cum, w = self.cum, min(int(self.window), len(self.cum) - 1)
-        return cum.take(gaps + w + 1, 0, mode="clip") - cum.take(gaps - w, 0, mode="clip")
+
+def _rows(cum, window, gaps):
+    """cum[min(k + W + 1, m)] - cum[max(k - W, 0)] for each 0-based gap k in
+    `gaps`: the mass within `window` of it, clamped by take's clip mode."""
+    w = min(int(window), len(cum) - 1)
+    return cum.take(gaps + w + 1, 0, mode="clip") - cum.take(gaps - w, 0, mode="clip")
 
 
 def window_scores(post, window):
     """Clamped window sums of boundary posteriors, as one prefix-sum table."""
-    if window < 0:
-        raise ValueError("window must be >= 0")
+    _check_window(window)
     pair = post.pair_post
     cum = np.zeros((len(pair) + 1,) + pair.shape[1:])
     np.cumsum(pair, axis=0, out=cum[1:])
+    diag = np.arange(cum.shape[1])
+    cum[:, diag, diag] = 0.0
     return WindowScores(cum=cum, window=int(window))
 
 
-def _check_window(windows, params):
+def _check_table(post, windows, params):
+    """Raise ValueError unless windows is window_scores(post, params.window)."""
     if windows.window != params.window:
         raise ValueError(f"window scores for W = {windows.window} "
                          f"do not match the parameters' W = {params.window}")
+    if windows.cum.shape != (post.length, post.n_colors, post.n_colors):
+        raise ValueError(f"window scores of shape {windows.cum.shape} do not fit a posterior "
+                         f"of {post.length} positions and {post.n_colors} colors")
 
 
 def expected_gain(annotation, post, windows, params):
@@ -100,9 +108,9 @@ def expected_gain(annotation, post, windows, params):
     This is the exact objective the decoder maximizes: for every boundary
     (k, c, c2) of the coloring it adds (1 + gamma) * S[k, c, c2] - gamma,
     plus alpha times the summed posterior of the chosen colors. windows
-    must be summed at params.window.
+    must be window_scores(post, params.window).
     """
-    _check_window(windows, params)
+    _check_table(post, windows, params)
     if len(annotation) != post.length:
         raise ValueError("annotation length does not match posterior length")
     if annotation.colors.max() >= post.n_colors:
@@ -110,7 +118,8 @@ def expected_gain(annotation, post, windows, params):
     cols = annotation.colors
     k = np.flatnonzero(cols[1:] != cols[:-1])
     total = 0.0
-    for mass in windows._rows(k)[np.arange(k.size), cols[k], cols[k + 1]].tolist():
+    masses = _rows(windows.cum, params.window, k)[np.arange(k.size), cols[k], cols[k + 1]]
+    for mass in masses.tolist():
         total += (1.0 + params.gamma) * mass - params.gamma
     if params.alpha != 0.0:
         picked = post.color_post[np.arange(post.length), annotation.colors]
@@ -124,12 +133,13 @@ def decode_from_posteriors(post, windows, params, graph):
     Transitions are restricted to the ColorGraph. Ties prefer continuing
     the current color over placing a boundary, then the smallest
     predecessor color id; the final color breaks ties toward the smallest
-    id. windows must be summed at params.window. Returns (annotation,
-    objective value).
+    id. windows must be window_scores(post, params.window). Returns
+    (annotation, objective value).
 
     This is decode_grid at one grid point.
     """
-    return decode_grid(post, [(windows, params)], graph)[0]
+    _check_table(post, windows, params)
+    return _grid_dp(post, windows.cum, [params], graph)[0]
 
 
 def _plain_pass(steps, rows, buf, bonus_rows=None):
@@ -196,11 +206,11 @@ def _skip_pass(steps, rows, buf):
         size = _BLOCK_START
 
 
-def decode_grid(post, points, graph):
+def decode_grid(post, params, graph):
     """Gain DP at many grid points of one posterior set, in one pass.
 
-    points is a sequence of (WindowScores, GainParams) pairs; each
-    WindowScores must be summed at its params.window. Returns one
+    params is a sequence of GainParams, any mix of W, gamma and alpha,
+    and every width reads the posterior's one prefix table. Returns one
     (annotation, objective value) per point, each equal to what
     decode_from_posteriors gives at that point, ties broken the same way,
     and raises its errors. This is the cheap way to sweep W, gamma and
@@ -211,30 +221,28 @@ def decode_grid(post, points, graph):
     an alpha bonus, the stretches where no score changes), then one
     vectorised argmax that recovers the chunk's back-pointers.
     """
-    points = list(points)
-    for windows, params in points:
-        _check_window(windows, params)
+    return _grid_dp(post, window_scores(post, 0).cum, list(params), graph)
+
+
+def _grid_dp(post, cum, points, graph):
+    """decode_grid on the prefix table cum of post's pair posteriors."""
     if not graph.start.any():
         raise ValueError("no allowed start color")
     if not points:
         return []
     n, n_colors = post.color_post.shape
     n_points = len(points)
-    gammas = np.array([params.gamma for _, params in points])
-    alphas = np.array([params.alpha for _, params in points])
+    gammas = np.array([p.gamma for p in points])
+    alphas = np.array([p.alpha for p in points])
 
     # score[j, c, g]: best objective of point g over colorings of positions
     # 1..j+1 that end in color c. The point axis is innermost, so each numpy
     # call of the loop below runs over all points at once. The alpha bonus
     # is added only when some point has one: no score is ever -0.0, so
     # adding 0.0 would change nothing.
+    bonus = post.color_post[:, :, None] * alphas if alphas.any() else None
     score = np.empty((n, n_colors, n_points))
-    bonus = None
-    if alphas.any():
-        bonus = post.color_post[:, :, None] * alphas
-        score[0] = np.where(graph.start[:, None], bonus[0], -np.inf)
-    else:
-        score[0] = np.where(graph.start[:, None], 0.0, -np.inf)
+    score[0] = np.where(graph.start[:, None], 0.0 if bonus is None else bonus[0], -np.inf)
     back = np.empty((n_points, n - 1, n_colors), dtype=np.min_scalar_type(n_colors - 1))
 
     diag = np.arange(n_colors)
@@ -250,15 +258,13 @@ def decode_grid(post, points, graph):
         hi = min(lo + size, n - 1)
         # step[j, c2, c, g] is what moving from color c to c2 across gap
         # lo+j+1 earns at point g: the boundary reward where the graph
-        # allows it, 0 for an allowed stay, -inf otherwise. Points that
-        # share a table and a width share the chunk's window sums.
+        # allows it, 0 for an allowed stay, -inf otherwise. Points of one
+        # width share the chunk's window sums.
         step = np.empty((hi - lo, n_colors, n_colors, n_points))
-        sums = {}
-        for g, ((windows, _), gamma) in enumerate(zip(points, gammas)):
-            key = id(windows.cum), windows.window
-            if key not in sums:
-                sums[key] = windows.sums(lo, hi).transpose(0, 2, 1)
-            np.multiply(sums[key], 1.0 + gamma, out=step[..., g])
+        gaps = np.arange(lo, hi)
+        sums = {w: _rows(cum, w, gaps).transpose(0, 2, 1) for w in {p.window for p in points}}
+        for g, (point, gamma) in enumerate(zip(points, gammas)):
+            np.multiply(sums[point.window], 1.0 + gamma, out=step[..., g])
         step -= gammas
         step[:, diag, diag] = 0.0
         step[:, blocked] = -np.inf
@@ -273,10 +279,7 @@ def decode_grid(post, points, graph):
             loop.append(bonus[lo + 1:hi + 1])
         if n_points == 1:
             loop = [a[..., 0] for a in loop]
-        if bonus is None:
-            _skip_pass(*loop)
-        else:
-            _plain_pass(*loop)
+        (_skip_pass if bonus is None else _plain_pass)(*loop)
 
         # Back-pointers of the chunk. Every candidate is the same single
         # addition as in the value pass, so it reproduces those maxima

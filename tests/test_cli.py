@@ -4,8 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from gainhmm import (cli, load_model, save_model, build_hmm, forward_backward,
-                     posterior_decode, synthetic_subtypes)
+from gainhmm import (GainParams, cli, gain, load_model, save_model, build_hmm,
+                     forward_backward, posterior_decode, synthetic_subtypes)
 from gainhmm.cli import main
 from gainhmm.metrics import base_accuracy, boundary_metrics
 from gainhmm.model import SIDECAR_SUFFIX
@@ -443,11 +443,11 @@ class TestBench:
         # widths, 0.05 s of it in each herd row
         model, fasta, truth = self.setup_run(tmp_path, msa_path, count=1)
 
-        def slowed(post, w, _real=cli.window_scores):
+        def slowed(post, w, _real=gain.window_scores):
             time.sleep(0.1)
             return _real(post, w)
 
-        monkeypatch.setattr(cli, "window_scores", slowed)
+        monkeypatch.setattr(gain, "window_scores", slowed)
         out = tmp_path / "bench.csv"
         assert run("bench", "--model", model, "--in", fasta, "--truth", truth,
                    "--out", out, "--sweep-W", "5,10", "--gamma", 0.5) == 0
@@ -457,29 +457,27 @@ class TestBench:
         assert min(herd) >= 50.0
 
     def test_one_prefix_table_per_query(self, tmp_path, msa_path, monkeypatch):
-        # Two queries, three widths: two window_scores calls, and every grid
-        # point of a query reads its own width from that query's table.
+        # Two queries, three widths: two window_scores calls, and one
+        # decode_grid call per query, given the grid's GainParams alone.
         model, fasta, truth = self.setup_run(tmp_path, msa_path)
         tables, grids = [], []
 
-        def counted(post, w, _real=cli.window_scores):
+        def counted(post, w, _real=gain.window_scores):
             tables.append(_real(post, w))
             return tables[-1]
 
-        def recorded(post, points, graph, _real=cli.decode_grid):
-            grids.append(points)
-            return _real(post, points, graph)
+        def recorded(post, params, graph, _real=cli.decode_grid):
+            grids.append(list(params))
+            return _real(post, params, graph)
 
-        monkeypatch.setattr(cli, "window_scores", counted)
+        monkeypatch.setattr(gain, "window_scores", counted)
         monkeypatch.setattr(cli, "decode_grid", recorded)
         out = tmp_path / "bench.csv"
         assert run("bench", "--model", model, "--in", fasta, "--truth", truth,
                    "--out", out, "--sweep-W", "0,5,10", "--sweep-gamma", "0.5,1") == 0
         assert len(tables) == len(grids) == 2
-        for table, points in zip(tables, grids):
-            assert [ws.window for ws, _ in points] == [0, 0, 5, 5, 10, 10]
-            assert all(ws.window == params.window for ws, params in points)
-            assert all(ws.cum is table.cum for ws, _ in points)
+        for params in grids:
+            assert params == [GainParams(w, g) for w in (0, 5, 10) for g in (0.5, 1.0)]
 
     def test_byte_identical_reruns(self, tmp_path, msa_path):
         model, fasta, truth = self.setup_run(tmp_path, msa_path)

@@ -11,7 +11,9 @@ from gainhmm import (
     Annotation,
     ColorGraph,
     GainParams,
+    JumpingHmmSpec,
     PosteriorSet,
+    build_jumping_hmm,
     color_graph,
     decode_from_posteriors,
     decode_grid,
@@ -19,6 +21,8 @@ from gainhmm import (
     forward_backward,
     gain_decode,
     posterior_decode,
+    simulate_recombinant,
+    synthetic_subtypes,
     viterbi_decode,
     window_scores,
 )
@@ -83,8 +87,31 @@ class TestWindowScores:
             ws.sums(0, 3)[:, off], post.pair_post[:, off], rtol=1e-12, atol=1e-16)
 
     def test_negative_window_rejected(self, t1):
-        with pytest.raises(ValueError, match="^window must be >= 0$"):
+        with pytest.raises(ValueError, match="^window must be a finite number >= 0, not -1$"):
             window_scores(forward_backward(t1, "xy"), -1)
+
+    @pytest.mark.parametrize("window, message", [
+        (np.int64(-1), "^window must be a finite number >= 0, not -1$"),
+        (2.5, "^window must be an integer >= 0, not 2.5$"),
+        (2.0, "^window must be an integer >= 0, not 2.0$"),
+        (float("nan"), "^window must be an integer >= 0, not nan$"),
+        (float("inf"), "^window must be an integer >= 0, not inf$"),
+    ])
+    def test_one_window_rule(self, t1, window, message):
+        # window_scores refuses what GainParams refuses, with its message.
+        post = forward_backward(t1, "xy")
+        with pytest.raises(ValueError, match=message):
+            GainParams(window, 0.5)
+        with pytest.raises(ValueError, match=message):
+            window_scores(post, window)
+
+    def test_diagonal_of_the_table_is_zero(self, t1):
+        post = forward_backward(t1, "xyxyyx")
+        assert post.pair_post[:, 0, 0].any()
+        cum = window_scores(post, 1).cum
+        np.testing.assert_array_equal(cum[:, [0, 1], [0, 1]], 0.0)
+        off = ~np.eye(2, dtype=bool)
+        assert cum[1:, off].tobytes() == np.cumsum(post.pair_post, axis=0)[:, off].tobytes()
 
     def test_t1_xy_clamped_window(self, t1):
         post = forward_backward(t1, "xy")
@@ -250,12 +277,11 @@ def dp_instances(draw):
 
 @st.composite
 def grid_instances(draw):
-    """(post, points, graph, gaps per chunk): 1-6 points mixing W, gamma and alpha."""
+    """(post, params, graph, gaps per chunk): 1-6 points mixing W, gamma and alpha."""
     post, graph = draw(dp_posteriors())
     params = draw(st.lists(GAIN_PARAMS, min_size=1, max_size=6))
-    windows = {p.window: window_scores(post, p.window) for p in params}
     gaps = draw(st.integers(min_value=1, max_value=max(1, post.length - 1)))
-    return post, [(windows[p.window], p) for p in params], graph, gaps
+    return post, params, graph, gaps
 
 
 def dp_outcome(decode, instance):
@@ -300,10 +326,9 @@ class TestReferenceDp:
         instance = self.single_color_instance(3, start, stay)
         assert dp_outcome(fast_dp, instance) == ("error", message)
         assert dp_outcome(_oracles.reference_gain_dp, instance) == ("error", message)
-        post, windows, params, graph = instance
-        points = [(windows, params), (windows, GainParams(1, 2.0))]
+        post, _, params, graph = instance
         with pytest.raises(ValueError, match=message):
-            decode_grid(post, points, graph)
+            decode_grid(post, [params, GainParams(1, 2.0)], graph)
 
 
 class TestDecodeGrid:
@@ -313,9 +338,9 @@ class TestDecodeGrid:
     @given(grid_instances())
     def test_points_match_one_point_decode_and_reference(self, instance):
         post, points, graph, gaps = instance
-        singles = [dp_outcome(fast_dp, (post, w, p, graph)) for w, p in points]
-        assert singles == [dp_outcome(_oracles.reference_gain_dp, (post, w, p, graph))
-                           for w, p in points]
+        one_point = [(post, window_scores(post, p.window), p, graph) for p in points]
+        singles = [dp_outcome(fast_dp, inst) for inst in one_point]
+        assert singles == [dp_outcome(_oracles.reference_gain_dp, inst) for inst in one_point]
         # A chunk of `gaps` gaps, down to one, so records span several chunks.
         chunk_bytes = gaps * 8 * len(points) * post.n_colors ** 2
         with mock.patch.object(gain, "CHUNK_BYTES", chunk_bytes):
@@ -325,26 +350,18 @@ class TestDecodeGrid:
                 got = "error", str(e)
         assert got == (singles[0] if singles[0][0] == "error" else singles)
 
-    def test_window_mismatch_at_any_point(self, t1):
-        post = forward_backward(t1, "xyxy")
-        w0, w1 = window_scores(post, 0), window_scores(post, 1)
-        good = [(w0, GainParams(0, 0.2)), (w1, GainParams(1, 0.5, alpha=1.0))]
-        for k in range(len(good) + 1):
-            points = good[:k] + [(w0, GainParams(3, 0.2))] + good[k:]
-            with pytest.raises(ValueError, match="W = 0 .* W = 3"):
-                decode_grid(post, points, color_graph(t1))
-
     def test_no_points(self, t1):
         post = forward_backward(t1, "xy")
         assert decode_grid(post, [], color_graph(t1)) == []
 
     def test_memory_of_a_long_query(self):
         # Four points on a 20 kb query: back-pointers of one byte take
-        # 0.32 MB here, where int64 ones took 2.56 MB (9.9 MB peak in all).
+        # 0.32 MB here, where int64 ones took 2.56 MB. The peak, 7.9 MB,
+        # includes the 2.56 MB prefix table that decode_grid builds.
         rng = np.random.default_rng(9)
         hmm = random_model(rng, n_states=48, n_colors=4, n_symbols=4)
         post = forward_backward(hmm, random_seq(rng, hmm.alphabet, 20_000))
-        points = [(window_scores(post, w), GainParams(w, g)) for w in (10, 25) for g in (0.5, 4.0)]
+        points = [GainParams(w, g) for w in (10, 25) for g in (0.5, 4.0)]
         graph = color_graph(hmm)
         tracemalloc.start()
         try:
@@ -357,7 +374,7 @@ class TestDecodeGrid:
 
 @st.composite
 def sparse_grid_instances(draw):
-    """(post, points, graph, gaps per chunk) with boundary mass at a few gaps.
+    """(post, params, graph, gaps per chunk) with boundary mass at a few gaps.
 
     Long stretches where no score changes are what the value pass skips;
     coarse values make ties at the spikes. The grid holds 1-6 points, with
@@ -381,9 +398,8 @@ def sparse_grid_instances(draw):
                            min_size=1, max_size=6))
     if draw(st.booleans()):
         params = [GainParams(p.window, p.gamma) for p in params]
-    windows = {p.window: window_scores(post, p.window) for p in params}
     gaps = draw(st.integers(min_value=1, max_value=max(1, n - 1)))
-    return post, [(windows[p.window], p) for p in params], graph, gaps
+    return post, params, graph, gaps
 
 
 class TestSkipAhead:
@@ -393,9 +409,9 @@ class TestSkipAhead:
     @given(sparse_grid_instances())
     def test_points_match_one_point_decode_and_reference(self, instance):
         post, points, graph, gaps = instance
-        singles = [dp_outcome(fast_dp, (post, w, p, graph)) for w, p in points]
-        assert singles == [dp_outcome(_oracles.reference_gain_dp, (post, w, p, graph))
-                           for w, p in points]
+        one_point = [(post, window_scores(post, p.window), p, graph) for p in points]
+        singles = [dp_outcome(fast_dp, inst) for inst in one_point]
+        assert singles == [dp_outcome(_oracles.reference_gain_dp, inst) for inst in one_point]
         chunk_bytes = gaps * 8 * len(points) * post.n_colors ** 2
         with mock.patch.object(gain, "CHUNK_BYTES", chunk_bytes):
             try:
@@ -416,13 +432,13 @@ class TestSkipAhead:
                             color_post=rng.choice([0.25, 0.5], size=(n, n_colors)),
                             pair_post=pair_post)
         graph = ColorGraph(np.ones(n_colors, bool), np.ones((n_colors, n_colors), bool))
-        points = [(window_scores(post, w), GainParams(w, g)) for w in (0, 3) for g in (0.0, 0.5)]
+        points = [GainParams(w, g) for w in (0, 3) for g in (0.0, 0.5)]
         plain = mock.Mock(wraps=gain._plain_pass)
         with mock.patch.object(gain, "_plain_pass", plain):
             got = [(a.colors.tolist(), v) for a, v in decode_grid(post, points, graph)]
         assert sum(len(c.args[0]) for c in plain.call_args_list) < (n - 1) / 10
-        for (windows, params), outcome in zip(points, got):
-            instance = (post, windows, params, graph)
+        for params, outcome in zip(points, got):
+            instance = (post, window_scores(post, params.window), params, graph)
             assert outcome == dp_outcome(fast_dp, instance)
             assert outcome == dp_outcome(_oracles.reference_gain_dp, instance)
         assert any(len(set(colors)) > 1 for colors, _ in got)
@@ -458,6 +474,32 @@ class TestExpectedGain:
             expected_gain(Annotation([0, 1]), post, ws, GainParams(3, 0.2))
         with pytest.raises(ValueError, match="W = 0 .* W = 3"):
             decode_from_posteriors(post, ws, GainParams(3, 0.2), color_graph(t1))
+
+    def test_table_of_another_posterior(self):
+        # A 3 x 300 jumping model: a table summed over the first 150 nt of
+        # a query, or over a two-color posterior, fits no other posterior.
+        msa = synthetic_subtypes(3, 300, 0.15, seed=1)
+        hmm = build_jumping_hmm(msa, JumpingHmmSpec())
+        rec = simulate_recombinant(msa, [(msa.names[0], (1, 150)), (msa.names[1], (151, 300))],
+                                   mutation_rate=0.05, seed=1)
+        post = forward_backward(hmm, rec.seq)
+        params, graph = GainParams(5, 1.0), color_graph(hmm)
+        two_colors = PosteriorSet(length=300, log_likelihood=0.0,
+                                  color_post=np.full((300, 2), 0.5),
+                                  pair_post=np.full((299, 2, 2), 0.25))
+        for other, shape in [(forward_backward(hmm, rec.seq[:150]), r"\(150, 3, 3\)"),
+                             (two_colors, r"\(300, 2, 2\)")]:
+            ws = window_scores(other, params.window)
+            message = f"^window scores of shape {shape} do not fit a posterior " \
+                      "of 300 positions and 3 colors$"
+            with pytest.raises(ValueError, match=message):
+                decode_from_posteriors(post, ws, params, graph)
+            with pytest.raises(ValueError, match=message):
+                expected_gain(Annotation([0] * 300), post, ws, params)
+        # the table of the query itself passes both checks
+        ws = window_scores(post, params.window)
+        annotation, value = decode_from_posteriors(post, ws, params, graph)
+        assert expected_gain(annotation, post, ws, params) == pytest.approx(value, abs=1e-9)
 
     def test_length_mismatch(self, t1):
         post = forward_backward(t1, "xy")
