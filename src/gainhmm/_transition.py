@@ -59,9 +59,9 @@ windows, not with n * S:
   Only a position that still has no path raises ZeroLikelihoodError.
 
 The dense kernels keep only alphahat for the whole record: the backward
-pass sums each chunk's pair posteriors as it is made, its gaps copied
-state-major into buffers, one sparse product per target color. Both
-families take each diagonal pair entry from the backward identity.
+pass sums each chunk's pair posteriors as it is made, one sparse product
+per target color. Both families take each diagonal pair entry from the
+backward identity.
 """
 
 from __future__ import annotations
@@ -368,12 +368,11 @@ class TransitionOperator:
         Backward runs over chunks of m gaps, newest first, m + 1 betahat
         rows of about CHUNK_BYTES in one reused buffer; only row k0 carries
         over, as the next chunk's last row. Each chunk's sums are taken as
-        it is made: its alphahat and w = emis[., obs[t]] * betahat rows
-        k0..k0+m go state-major into two (S, m + 1) buffers, and gap k
-        pairs column k - k0 of alpha with column k - k0 + 1 of w, summed
-        into each color c2 through `cross_into[c2]` and out of each color
-        by the color indicator, as are the color posteriors
-        alphahat * betahat. Diagonal pair entries are left 0.
+        it is made: gap k pairs alphahat row k with w = emis[., obs[k + 1]]
+        * betahat row k + 1, for all the chunk's gaps in one product per
+        color c2 with `cross_into[c2]`, summed out of each color by the
+        color indicator, as are the color posteriors alphahat * betahat.
+        Diagonal pair entries are left 0.
         """
         dots, div = [table.dot for table in self.backward_tables], np.divide
         emis, ind, n, n_colors = self.emis_rows, self.color_indicator, obs.size, self.n_colors
@@ -382,7 +381,6 @@ class TransitionOperator:
         pair = np.zeros((max(n - 1, 0), n_colors, n_colors))
         m = max(1, min(n - 1, CHUNK_BYTES // (8 * n_states)))
         beta = np.empty((m + 1, n_states))
-        a_buf, w_buf = np.zeros((n_states, m + 1)), np.zeros((n_states, m + 1))
         for k0 in reversed(range(0, max(n - 1, 1), m)):
             k1 = min(k0 + m, n - 1)
             mm, rows = k1 - k0, beta[:k1 - k0 + 1]
@@ -394,13 +392,12 @@ class TransitionOperator:
                 dots[sym](nxt, row)
                 div(row, scale, row)
             alpha = alphahat[k0:k1 + 1]
-            a_buf[:, :mm + 1] = alpha.T
-            w_buf[:, :mm + 1] = (emis[obs[k0:k1 + 1]] * rows).T
+            w = emis[obs[k0 + 1:k1 + 1]] * rows[1:]
             # row k1 went in as the newer chunk's row k0, unless it is the last
             top = mm + 1 if k1 == n - 1 else mm
             color_post[k0:k0 + top] = ((alpha * rows) @ ind)[:top]
             for c2, block in enumerate(self.cross_into):
-                pair[k0:k1, :, c2] = (a_buf[:, :mm] * (block @ w_buf)[:, 1:mm + 1]).T @ ind
+                pair[k0:k1, :, c2] = (alpha[:-1] * (block @ w.T).T) @ ind
         return color_post, pair
 
     # -- Viterbi --------------------------------------------------------

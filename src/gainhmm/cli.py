@@ -18,8 +18,7 @@ import sys
 import time
 
 from ._files import create
-from .gain import GainParams, check_nonnegative, decode_from_posteriors, decode_grid, \
-    window_scores
+from .gain import GainParams, decode_from_posteriors, decode_grid, window_scores
 from .inference import forward_backward, posterior_decode, viterbi_decode
 from .jumping import JumpingHmmSpec, build_jumping_hmm
 from .metrics import aggregate, base_accuracy, boundary_metrics
@@ -44,11 +43,10 @@ def _parse_sweep(text, cast, flag, shown=str):
         raise ValueError(f"{flag} needs a nonempty comma-separated list")
     printed = {}
     for v in values:
-        check_nonnegative(flag, v)
         if v in printed.values():
             raise ValueError(f"{flag} lists the value {v} twice")
         other = printed.setdefault(shown(v), v)
-        if other != v:
+        if other is not v:  # an earlier value prints alike; `is`, as nan != nan
             raise ValueError(f"{flag} lists {other} and {v}, which both print as {shown(v)}")
     return values
 
@@ -148,19 +146,15 @@ def cmd_decode(args):
     return 0
 
 
-def _bench_metrics(pred, truth, tolerance):
-    at_tol = boundary_metrics(pred, truth, tolerance)
-    exact = boundary_metrics(pred, truth, 0)
-    return {
-        "boundary_sensitivity": at_tol.sensitivity,
-        "boundary_precision": at_tol.precision,
-        "boundary_f1": at_tol.f1,
-        "exact_f1": exact.f1,
-        "base_accuracy": base_accuracy(pred, truth),
-    }
-
 METRIC_COLUMNS = ("boundary_sensitivity", "boundary_precision", "boundary_f1",
                   "exact_f1", "base_accuracy")
+
+
+def _bench_metrics(pred, truth, tolerance):
+    at_tol = boundary_metrics(pred, truth, tolerance)
+    return dict(zip(METRIC_COLUMNS, (at_tol.sensitivity, at_tol.precision, at_tol.f1,
+                                     boundary_metrics(pred, truth, 0).f1,
+                                     base_accuracy(pred, truth))))
 
 
 def _check_truth(records, truth, n_colors):
@@ -181,10 +175,11 @@ def _check_truth(records, truth, n_colors):
 def cmd_bench(args):
     if args.tolerance < 0:
         raise ValueError("--tolerance must be >= 0")
-    check_nonnegative("--alpha", args.alpha)
     w_grid = _parse_sweep(args.W, int, "--W/--sweep-W")
     g_grid = _parse_sweep(args.gamma, float, "--gamma/--sweep-gamma", "{:g}".format)
-    grid = [GainParams(window=w, gamma=g, alpha=args.alpha) for w in w_grid for g in g_grid]
+    flags = {"window": "--W/--sweep-W", "gamma": "--gamma/--sweep-gamma", "alpha": "--alpha"}
+    grid = [_flag_named(flags, GainParams, window=w, gamma=g, alpha=args.alpha)
+            for w in w_grid for g in g_grid]
     preds_dir = args.out + ".preds"
     pred_files = {(d, p): os.path.join(preds_dir, f"{d}_W{p.window}_g{p.gamma:g}.tsv")
                   for p in grid for d in DECODERS}

@@ -296,12 +296,12 @@ def _grid_dp(post, cum, points, graph):
 
     # The traceback visits only the gaps whose back-pointers leave some
     # color; between two of them every position keeps its successor's
-    # color. Their rows go into one flat list, not one list per gap.
+    # color. Their rows are read as one flat memoryview, not one list per gap.
     out = []
     moves = (back != diag).any(axis=2)
     for end, value, point_back, point_moves in zip(ends.tolist(), values.tolist(), back, moves):
         moving = point_moves.nonzero()[0]
-        flat = point_back[moving[::-1]].ravel().tolist()
+        flat = memoryview(point_back[moving[::-1]].ravel())
         runs = [end]
         for row in range(0, len(flat), n_colors):
             runs.append(flat[row + runs[-1]])

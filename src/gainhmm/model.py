@@ -113,8 +113,8 @@ class Hmm:
     Attributes:
         state_ids: state identifier strings, index order is canonical
         state_colors: int array, color id of each state
-        color_names: name per color id
-        alphabet: ordered emission symbols
+        color_names: name string per color id
+        alphabet: ordered emission symbols, one character each
         initial: (S,) initial distribution
         transitions: (S, S) row-stochastic float64 csr_array with int64
             index arrays, sorted indices, no duplicates, no stored zeros
@@ -133,6 +133,16 @@ class Hmm:
             raise InvalidModelError("empty alphabet")
         if len(state_ids) == 0:
             raise InvalidModelError("model has no states")
+        # Names are strings, as JSON object keys are, and a symbol is one
+        # character of a sequence's text.
+        for what, values in (("state id", state_ids), ("alphabet symbol", alphabet),
+                             ("color name", color_names)):
+            for i, value in enumerate(values, 1):
+                if not isinstance(value, str):
+                    raise InvalidModelError(f"{what} {i} is {value!r}, not a string")
+        for i, symbol in enumerate(alphabet, 1):
+            if len(symbol) != 1:
+                raise InvalidModelError(f"alphabet symbol {i} is {symbol!r}, not one character")
         for what, values in (("alphabet symbol", alphabet), ("state id", state_ids)):
             if len(set(values)) != len(values):
                 first = {}
@@ -176,8 +186,7 @@ class Hmm:
         # case is a symbol of its own, so `ACGT` reads like `acgt`.
         self._symbol_index = {s: i for i, s in enumerate(self.alphabet)}
         for i, s in enumerate(self.alphabet):
-            if isinstance(s, str):
-                self._symbol_index.setdefault(s.swapcase(), i)
+            self._symbol_index.setdefault(s.swapcase(), i)
         t = self.transitions
         for arr in (self.initial, self.emissions, self.state_colors,
                     t.data, t.indices, t.indptr):
@@ -497,7 +506,7 @@ def build_hmm(spec):
 
 
 def hmm_to_dict(hmm):
-    """Dict form of the file save_model writes (or refuses); zero probabilities omitted."""
+    """Dict form of the file save_model writes; zero probabilities omitted."""
     return json.loads("".join(_model_json(hmm)))
 
 
@@ -531,19 +540,12 @@ def _rows_json(heads, indptr, keys, key_of, values, sep, tail):
 def _model_json(hmm):
     """The model file text, as json.dumps(..., indent=1) + "\n" writes it, in pieces.
 
-    Raises InvalidModelError unless every state id, symbol and color name
-    is a string, as JSON object keys are. json.dumps with an indent never
-    takes the C encoder, and the pure-Python one spent most of save_model's
-    time. Here every string is encoded and every distinct probability
-    formatted (float repr, as json writes it) once, and the text is joined
-    from arrays of them, with no Python step per probability.
+    json.dumps with an indent never takes the C encoder, and the pure-Python
+    one spent most of save_model's time. Here every string is encoded and
+    every distinct probability formatted (float repr, as json writes it)
+    once, and the text is joined from arrays of them, with no Python step
+    per probability.
     """
-    named = (("state id", hmm.state_ids), ("alphabet symbol", hmm.alphabet),
-             ("color name", hmm.color_names))
-    for what, values in named:
-        for i, value in enumerate(values, 1):
-            if not isinstance(value, str):
-                raise InvalidModelError(f"{what} {i} is {value!r}, not a string")
     ids, symbols = ([*map(encode_basestring_ascii, v)] for v in (hmm.state_ids, hmm.alphabet))
     n, n_symbols = hmm.n_states, len(hmm.alphabet)
     id_keys = np.array([sid + ": " for sid in ids], dtype=object)
@@ -581,10 +583,9 @@ def sidecar_path(path):
 
 def save_model(hmm, path):
     """Write the model file (JSON, probabilities as decimal text) and its sidecar."""
-    pieces = _model_json(hmm)  # first: a model it refuses leaves both files as they are
     digest = hashlib.sha256()
     with create(path, "wb") as fh:
-        for piece in pieces:
+        for piece in _model_json(hmm):
             data = piece.encode()
             digest.update(data)
             fh.write(data)

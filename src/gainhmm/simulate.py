@@ -33,8 +33,8 @@ class TruthRecord:
 def sample_path(hmm, length, seed):
     """Sample a state path and emitted symbols from the model.
 
-    Returns (states, symbols) with symbols joined into a string when all
-    alphabet symbols are one-character strings, and a list otherwise.
+    Returns (states, symbols): the state path and the emitted symbols as
+    a string.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -54,10 +54,7 @@ def sample_path(hmm, length, seed):
     sym_idx = np.empty(length, dtype=np.int64)
     for t in range(length):
         sym_idx[t] = rng.choice(len(hmm.alphabet), p=hmm.emissions[states[t]])
-    symbols = [hmm.alphabet[i] for i in sym_idx]
-    if all(isinstance(s, str) and len(s) == 1 for s in hmm.alphabet):
-        return states, "".join(symbols)
-    return states, symbols
+    return states, "".join([hmm.alphabet[i] for i in sym_idx.tolist()])
 
 
 def _mutate(seq, rate, rng, alphabet=DNA):

@@ -356,7 +356,7 @@ class TestDecodeGrid:
 
     def test_memory_of_a_long_query(self):
         # Four points on a 20 kb query: back-pointers of one byte take
-        # 0.32 MB here, where int64 ones took 2.56 MB. The peak, 7.9 MB,
+        # 0.32 MB here, where int64 ones took 2.56 MB. The peak, 7.1 MB,
         # includes the 2.56 MB prefix table that decode_grid builds.
         rng = np.random.default_rng(9)
         hmm = random_model(rng, n_states=48, n_colors=4, n_symbols=4)

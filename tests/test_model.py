@@ -122,7 +122,7 @@ MODEL_DRAWS = dict(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 12),
                    names=st.sampled_from(["plain", "unicode"]),
                    zero_initial=st.booleans(),
                    alphabet=st.sampled_from([None, ["\u00e9", "x", "\x7f"]]))
-# Drawn models save_model refuses: numeric state ids, a non-string alphabet, or both.
+# Drawn models Hmm refuses: numeric state ids, a non-string alphabet, or both.
 REFUSED_DRAWS = dict(MODEL_DRAWS, names=st.sampled_from(["plain", "numbers"]),
                      alphabet=st.sampled_from([None, [0, 1, 2], [0.5, True, None]]))
 
@@ -496,21 +496,10 @@ class TestSerialization:
             build_hmm({"alphabet": ["x"], "colors": [], "states": [], "initial": {}})
 
 
-def assert_refused(hmm, message, directory):
-    """save_model and hmm_to_dict refuse `hmm` with `message`; no file is created or changed."""
-    with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
-        hmm_to_dict(hmm)
-    kept = directory / "kept.json"
-    save_model(build_hmm(t1_spec()), kept)
-    before = {p: p.read_bytes() for p in (kept, sidecar_of(kept))}
-    for path in (kept, directory / "new.json"):
-        with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
-            save_model(hmm, path)
-    assert {p: p.read_bytes() for p in directory.iterdir()} == before
-
-
 class TestSaveRefusesNonStrings:
-    """JSON object keys are strings, so save_model writes only string-keyed models."""
+    """JSON object keys are strings, so no model reaches save_model unless its
+    state ids, symbols and color names are strings: Hmm refuses any other, and
+    any symbol that is not one character."""
 
     @pytest.mark.parametrize("fields, message", [
         ({"state_ids": [0, 1]}, "state id 1 is 0, not a string"),
@@ -523,23 +512,40 @@ class TestSaveRefusesNonStrings:
          "state id 2 is 0, not a string"),
         ({"alphabet": [True, "y"], "color_names": [None, "B"]},
          "alphabet symbol 1 is True, not a string"),
+        ({"alphabet": ["ab", "y"]}, "alphabet symbol 1 is 'ab', not one character"),
+        ({"alphabet": ["x", ""]}, "alphabet symbol 2 is '', not one character"),
+        ({"alphabet": ["ab", 1]}, "alphabet symbol 2 is 1, not a string"),
     ], ids=["ids", "second-id", "symbols", "second-symbol", "color-names",
-            "second-color-name", "ids-first", "symbols-before-color-names"])
-    def test_refused(self, tmp_path, t1, fields, message):
+            "second-color-name", "ids-first", "symbols-before-color-names",
+            "long-symbol", "empty-symbol", "strings-before-lengths"])
+    def test_refused(self, t1, fields, message):
         args = dict(state_ids=t1.state_ids, state_colors=t1.state_colors,
                     color_names=t1.color_names, alphabet=t1.alphabet, initial=t1.initial,
                     transitions=t1.transitions, emissions=t1.emissions)
-        assert_refused(Hmm(**{**args, **fields}), message, tmp_path)
+        with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
+            Hmm(**{**args, **fields})
 
     @settings(max_examples=40, deadline=None)
     @given(**REFUSED_DRAWS)
-    def test_drawn_model_refused(self, tmp_path_factory, **draws):
+    def test_drawn_model_refused(self, **draws):
         assume(draws["names"] == "numbers" or draws["alphabet"] is not None)
-        hmm = drawn_model(**draws)
         first = ("state id", 0) if draws["names"] == "numbers" else \
             ("alphabet symbol", draws["alphabet"][0])
-        assert_refused(hmm, "{} 1 is {!r}, not a string".format(*first),
-                       tmp_path_factory.mktemp("refuse"))
+        message = "{} 1 is {!r}, not a string".format(*first)
+        with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
+            drawn_model(**draws)
+
+    def test_long_symbol_in_file(self, tmp_path):
+        spec = t1_spec()
+        spec["alphabet"] = ["ab", "c"]
+        for state in spec["states"]:
+            state["emission"] = dict(zip(spec["alphabet"], state["emission"].values()))
+        assert_builds_like_reference(spec)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(InvalidModelError,
+                           match=in_file(path, "alphabet symbol 1 is 'ab', not one character$")):
+            load_model(path)
 
 
 class TestColorGraph:
@@ -830,7 +836,8 @@ class TestSidecar:
             save_model(hmm, path)
             rewrite_sidecar(path, 1, lambda names: np.frombuffer(json.dumps(
                 [hmm.alphabet, [1, None], hmm.state_ids]).encode(), np.uint8))
-            assert load_from_sidecar(path).color_names == [1, None]
+            # Hmm refuses the sidecar's names, so the model comes from the JSON.
+            assert load_from_json(path).color_names == ["1", "None"]
         assert load_from_json(path).color_names == ["1", "None"]
 
     def test_color_names_read_as_strings(self, tmp_path):
